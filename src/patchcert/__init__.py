@@ -84,7 +84,6 @@ from .oracle import (
     count_variants,
     defense_success_ratio,
     enumerate_variants,
-    merge_reports,
     run_soundness,
 )
 from .tensor import (

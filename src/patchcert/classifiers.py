@@ -4,6 +4,12 @@ Three interchangeable backends drive the defenders and the soundness
 oracle: a keyed-hash classifier (fast, adversarially patternless), a
 seeded integer linear model, and a prediction table loaded from a file.
 The same image always yields the same prediction, on any platform.
+
+Every pixel backend implements `_predict_packed(data, bytes_per_pixel)`:
+it classifies bytes-like `data` in the encoding of `Image.packed` and
+returns a `(label, confidence)` pair. `classify(image)` only wraps it.
+The oracle calls `_predict_packed` directly on patched byte buffers, so
+it never builds an `Image` per variant.
 """
 
 from __future__ import annotations
@@ -12,13 +18,13 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Union
 
 from .cover import MaskSet
 from .defenders import MutantProfile
 from .errors import InvalidInputError, TableLookupError
-from .tensor import Image, apply_mask
+from .tensor import Image, apply_mask, unpack_pixels
 
 __all__ = [
     "CONFIDENCE_EPSILON",
@@ -64,6 +70,20 @@ class Prediction:
 _CONF_DENOM = 65538  # (1 + value mod 2^16) / (2^16 + 2) stays inside (0, 1)
 
 
+@lru_cache(maxsize=64)
+def _keyed_digests(seed: int) -> tuple:
+    """Label and confidence blake2b states with the seed key absorbed.
+
+    Copying a keyed state skips re-hashing the key block on every call.
+    The states are shared, so callers update only their copies.
+    """
+    key = seed.to_bytes(8, "little")
+    return tuple(
+        hashlib.blake2b(digest_size=8, key=key, person=person)
+        for person in (b"label", b"conf")
+    )
+
+
 @dataclass(frozen=True)
 class HashClassifier:
     """Labels and confidences derived from a keyed 64-bit digest.
@@ -83,18 +103,16 @@ class HashClassifier:
         if not 0 <= self.seed < 2**64:
             raise InvalidInputError("seed must fit in 64 bits")
 
-    @cached_property
-    def _key(self) -> bytes:
-        return self.seed.to_bytes(8, "little")
-
     def classify(self, image: Image) -> Prediction:
-        label, confidence = self._predict_packed(image.packed)
-        return Prediction(label, confidence)
+        return Prediction(*self._predict_packed(image.packed, image.bytes_per_pixel))
 
-    def _predict_packed(self, data: bytes) -> tuple[int, float]:
-        key = self._key
-        h_label = hashlib.blake2b(data, digest_size=8, key=key, person=b"label")
-        h_conf = hashlib.blake2b(data, digest_size=8, key=key, person=b"conf")
+    def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> tuple[int, float]:
+        # The digest reads the bytes as they are; the pixel width is unused.
+        keyed_label, keyed_conf = _keyed_digests(self.seed)
+        h_label = keyed_label.copy()
+        h_label.update(data)
+        h_conf = keyed_conf.copy()
+        h_conf.update(data)
         label = int.from_bytes(h_label.digest(), "little") % self.num_labels
         raw = int.from_bytes(h_conf.digest(), "little") & 0xFFFF
         return label, clamp_confidence((1 + raw) / _CONF_DENOM)
@@ -153,7 +171,10 @@ class LinearClassifier:
         return _seeded_weights(self.seed, self.num_labels, num_features)
 
     def classify(self, image: Image) -> Prediction:
-        pixels = image.pixels
+        return Prediction(*self._predict_packed(image.packed, image.bytes_per_pixel))
+
+    def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> tuple[int, float]:
+        pixels = unpack_pixels(data, bytes_per_pixel)
         rows = self._weight_rows(len(pixels))
         logits = [sum(w * v for w, v in zip(row, pixels)) for row in rows]
         best = 0
@@ -162,7 +183,7 @@ class LinearClassifier:
                 best = i
         peak = logits[best]
         denom = sum(math.exp((l - peak) / self.temperature) for l in logits)
-        return Prediction(best, clamp_confidence(1.0 / denom))
+        return best, clamp_confidence(1.0 / denom)
 
 
 @dataclass(frozen=True)

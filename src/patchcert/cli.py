@@ -50,6 +50,7 @@ from .metrics import EvalRecord, compute_metrics
 from .oracle import (
     CHECK_DEF1,
     CHECK_THM1,
+    DEFAULT_BUDGET,
     AttackConfig,
     check_profile_fixture,
     run_soundness,
@@ -155,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--trials", type=_non_negative("trials"), default=1000)
     p.add_argument("--attack-seed", type=_non_negative("attack seed"), default=0)
-    p.add_argument("--budget", type=_positive("budget"), default=None)
+    p.add_argument("--budget", type=_positive("budget"), default=DEFAULT_BUDGET)
     p.add_argument("--checks", default="def1",
-                   help="comma list from def1,thm1,thm2-paths")
+                   help="comma list from def1,thm1")
     p.add_argument("--out", help="write the soundness report here")
     p.add_argument("--workers", type=_positive("workers"), default=None)
     p.add_argument("--timing", action="store_true")
@@ -357,7 +358,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_checks(text: str) -> frozenset:
-    mapping = {"def1": CHECK_DEF1, "thm1": CHECK_THM1, "thm2-paths": CHECK_DEF1}
+    mapping = {"def1": CHECK_DEF1, "thm1": CHECK_THM1}
     out = set()
     for part in text.split(","):
         part = part.strip()
@@ -365,7 +366,7 @@ def _parse_checks(text: str) -> frozenset:
             continue
         if part not in mapping:
             raise InvalidInputError(
-                f"unknown check {part!r}; expected def1, thm1, thm2-paths"
+                f"unknown check {part!r}; expected def1, thm1"
             )
         out.add(mapping[part])
     if not out:
@@ -423,7 +424,7 @@ def cmd_verify(args) -> int:
         mode=args.mode,
         trials=args.trials,
         seed=args.attack_seed,
-        budget=args.budget if args.budget else 10_000_000,
+        budget=args.budget,
     )
     workers = _resolved_workers(args)
     t0 = time.perf_counter()

@@ -139,13 +139,14 @@ def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
             yield lineno, obj
 
 
-def _need(path: str, lineno: int, obj: dict, key: str, types) -> Any:
+def _need(path: str, lineno: int, obj: dict, key: str, types,
+          where: str = "") -> Any:
     if key not in obj:
-        raise SchemaViolationError(path, lineno, f"missing field {key!r}")
+        raise SchemaViolationError(path, lineno, f"{where}missing field {key!r}")
     val = obj[key]
     if not isinstance(val, types) or isinstance(val, bool):
         raise SchemaViolationError(
-            path, lineno, f"field {key!r} has the wrong type"
+            path, lineno, f"{where}field {key!r} has the wrong type"
         )
     return val
 
@@ -258,7 +259,7 @@ def load_maskset(path: str) -> MaskSet:
 # ---------- prediction tables ----------
 
 
-def _variant_key(path: str, lineno: int, raw) -> VariantKey:
+def _variant_key(path: str, lineno: int, raw, where: str) -> VariantKey:
     if raw == "base":
         return "base"
     if isinstance(raw, dict) and set(raw) == {"mask_index"}:
@@ -266,8 +267,44 @@ def _variant_key(path: str, lineno: int, raw) -> VariantKey:
         if isinstance(idx, int) and not isinstance(idx, bool) and idx >= 0:
             return idx
     raise SchemaViolationError(
-        path, lineno, 'variant must be "base" or {"mask_index": n}'
+        path, lineno, f'{where}variant must be "base" or {{"mask_index": n}}'
     )
+
+
+def _prediction_table(
+    path: str, rows: Iterable[tuple[int, str, Any]]
+) -> TableClassifier:
+    """Parse `sample_id`/`variant`/`label`/`confidence` rows into a table.
+
+    Each row comes as (line number, message prefix, parsed object); the
+    prefix names the row where the file has no line for it.
+    """
+    table: dict[tuple[str, VariantKey], Prediction] = {}
+    for lineno, where, obj in rows:
+        if not isinstance(obj, dict):
+            raise SchemaViolationError(path, lineno, f"{where}row must be an object")
+        sample_id = _need(path, lineno, obj, "sample_id", str, where)
+        if "variant" not in obj:
+            raise SchemaViolationError(path, lineno, f"{where}missing field 'variant'")
+        variant = _variant_key(path, lineno, obj["variant"], where)
+        label = _need(path, lineno, obj, "label", int, where)
+        confidence = _need(path, lineno, obj, "confidence", (int, float), where)
+        if label < 0:
+            raise ValueOutOfRangeError(
+                path, lineno, f"{where}label must be non-negative"
+            )
+        if not 0.0 < confidence < 1.0:
+            raise ValueOutOfRangeError(
+                path, lineno, f"{where}confidence must lie strictly inside (0, 1)"
+            )
+        key = (sample_id, variant)
+        if key in table:
+            raise DuplicateKeyError(
+                path, lineno, f"{where}duplicate prediction for {key!r}"
+            )
+        table[key] = Prediction(label, float(confidence))
+    mask_indices = [v for _, v in table if isinstance(v, int)]
+    return TableClassifier(table, num_masks=max(mask_indices, default=-1) + 1)
 
 
 def save_predictions(
@@ -292,32 +329,12 @@ def save_predictions(
 
 
 def load_predictions(path: str) -> TableClassifier:
-    rows: dict[tuple[str, VariantKey], Prediction] = {}
-    max_index = -1
-    for lineno, obj in _read_jsonl(path):
-        sample_id = _need(path, lineno, obj, "sample_id", str)
-        if "variant" not in obj:
-            raise SchemaViolationError(path, lineno, "missing field 'variant'")
-        variant = _variant_key(path, lineno, obj["variant"])
-        label = _need(path, lineno, obj, "label", int)
-        confidence = _need(path, lineno, obj, "confidence", (int, float))
-        if label < 0:
-            raise ValueOutOfRangeError(path, lineno, "label must be non-negative")
-        if not 0.0 < confidence < 1.0:
-            raise ValueOutOfRangeError(
-                path, lineno, "confidence must lie strictly inside (0, 1)"
-            )
-        key = (sample_id, variant)
-        if key in rows:
-            raise DuplicateKeyError(
-                path, lineno, f"duplicate prediction for {key!r}"
-            )
-        rows[key] = Prediction(label, float(confidence))
-        if isinstance(variant, int):
-            max_index = max(max_index, variant)
-    if not rows:
+    table = _prediction_table(
+        path, ((lineno, "", obj) for lineno, obj in _read_jsonl(path))
+    )
+    if not table.rows:
         raise SchemaViolationError(path, 0, "prediction table holds no rows")
-    return TableClassifier(rows, num_masks=max_index + 1)
+    return table
 
 
 # ---------- reports and fixtures ----------
@@ -346,32 +363,14 @@ def load_profile_fixture(path: str) -> ProfileFixture:
         raise SchemaViolationError(path, 0, "variants must be sample id strings")
     rows_doc = _need(path, 0, doc, "rows", list)
 
-    rows: dict[tuple[str, VariantKey], Prediction] = {}
-    max_index = -1
-    for i, obj in enumerate(rows_doc):
-        lineno = 0
-        if not isinstance(obj, dict):
-            raise SchemaViolationError(path, lineno, f"row {i} must be an object")
-        sample_id = _need(path, lineno, obj, "sample_id", str)
-        variant = _variant_key(path, lineno, obj.get("variant"))
-        label = _need(path, lineno, obj, "label", int)
-        confidence = _need(path, lineno, obj, "confidence", (int, float))
-        if not 0.0 < confidence < 1.0:
-            raise ValueOutOfRangeError(
-                path, lineno, f"row {i}: confidence must lie strictly inside (0, 1)"
-            )
-        key = (sample_id, variant)
-        if key in rows:
-            raise DuplicateKeyError(path, lineno, f"duplicate row for {key!r}")
-        rows[key] = Prediction(label, float(confidence))
-        if isinstance(variant, int):
-            max_index = max(max_index, variant)
-    table = TableClassifier(rows, num_masks=max_index + 1)
+    table = _prediction_table(
+        path, ((0, f"row {i}: ", obj) for i, obj in enumerate(rows_doc))
+    )
     fixture = ProfileFixture(
         true_label=true_label,
         benign_id=benign,
         variant_ids=tuple(variants),
-        num_masks=max_index + 1,
+        num_masks=table.num_masks,
         table=table,
     )
     # Fail fast if any referenced profile is incomplete.

@@ -21,15 +21,20 @@ class DimensionMismatchError(InvalidInputError):
 
 
 class BudgetExceededError(PatchCertError):
-    """An exhaustive enumeration would exceed the configured call budget."""
+    """An attack would classify more variants than the configured budget.
 
-    def __init__(self, required: int, budget: int, exact: bool = True):
+    `required` counts every in-scope variant in exhaustive mode and the
+    requested trials in random mode.
+    """
+
+    def __init__(self, required: int, budget: int, exact: bool = True,
+                 mode: str = "exhaustive"):
         self.required = required
         self.budget = budget
         self.exact = exact
         bound = "" if exact else "at least "
         super().__init__(
-            f"exhaustive enumeration needs {bound}{required} classifier calls, "
+            f"{mode} attack needs {bound}{required} variants, "
             f"budget is {budget}"
         )
 

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .tensor import Image, PatchSpec, Placement, apply_mask, apply_patch, \
-    count_placements, iter_placements, mask_covers
+    count_placements, iter_placements, write_packed
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -47,7 +47,6 @@ __all__ = [
     "check_profile_fixture",
     "run_soundness",
     "defense_success_ratio",
-    "merge_reports",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -128,26 +127,6 @@ class SoundnessReport:
         }
 
 
-def merge_reports(reports: Iterable[SoundnessReport]) -> SoundnessReport:
-    """Fold per-sample reports into one; input order fixes list order."""
-    merged: SoundnessReport | None = None
-    for r in reports:
-        if merged is None:
-            merged = SoundnessReport(r.defender, r.mode)
-        elif (merged.defender, merged.mode) != (r.defender, r.mode):
-            raise InvalidInputError("cannot merge reports from different runs")
-        merged.samples_checked += r.samples_checked
-        merged.certified_count += r.certified_count
-        merged.variants_evaluated += r.variants_evaluated
-        merged.violations.extend(r.violations)
-        merged.thm1_violations.extend(r.thm1_violations)
-        for k, v in r.thm2_clause_stats.items():
-            merged.thm2_clause_stats[k] = merged.thm2_clause_stats.get(k, 0) + v
-    if merged is None:
-        raise InvalidInputError("no reports to merge")
-    return merged
-
-
 # ---------- variant enumeration ----------
 
 
@@ -193,7 +172,7 @@ def _check_spec_matches(image: Image, spec: PatchSpec) -> None:
 def _guard_budget(image: Image, cfg: AttackConfig) -> None:
     if cfg.mode == "random":
         if cfg.trials > cfg.budget:
-            raise BudgetExceededError(cfg.trials, cfg.budget)
+            raise BudgetExceededError(cfg.trials, cfg.budget, mode="random")
         return
     total, exact = count_variants(image, cfg, cap=cfg.budget)
     if total > cfg.budget:
@@ -207,18 +186,28 @@ def _sample_rng(seed: int, sample_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "little"))
 
 
-def _random_pairs(
+def _attack_pairs(
     image: Image, cfg: AttackConfig, sample_id: str
 ) -> Iterator[tuple[Placement, tuple[int, ...]]]:
-    placements = list(iter_placements(cfg.patch_spec))
+    """Every (placement, content) pair in scope, in enumerate_variants order.
+
+    A placement object is yielded once per content drawn for it, so
+    consumers can tell a new placement by identity.
+    """
     a = cfg.resolve_alphabet(image)
     c = image.channels
-    rng = _sample_rng(cfg.seed, sample_id)
-    for _ in range(cfg.trials):
-        placement = placements[rng.randrange(len(placements))]
+    if cfg.mode == "random":
+        placements = list(iter_placements(cfg.patch_spec))
+        rng = _sample_rng(cfg.seed, sample_id)
+        for _ in range(cfg.trials):
+            placement = placements[rng.randrange(len(placements))]
+            npix = sum(r.area for r in placement) * c
+            yield placement, tuple(rng.randrange(a) for _ in range(npix))
+        return
+    for placement in iter_placements(cfg.patch_spec):
         npix = sum(r.area for r in placement) * c
-        content = tuple(rng.randrange(a) for _ in range(npix))
-        yield placement, content
+        for content in itertools.product(range(a), repeat=npix):
+            yield placement, content
 
 
 def enumerate_variants(
@@ -233,16 +222,8 @@ def enumerate_variants(
     """
     _check_spec_matches(image, cfg.patch_spec)
     _guard_budget(image, cfg)
-    a = cfg.resolve_alphabet(image)
-    c = image.channels
-    if cfg.mode == "random":
-        for placement, content in _random_pairs(image, cfg, sample_id):
-            yield placement, content, apply_patch(image, placement, content)
-        return
-    for placement in iter_placements(cfg.patch_spec):
-        npix = sum(r.area for r in placement) * c
-        for content in itertools.product(range(a), repeat=npix):
-            yield placement, content, apply_patch(image, placement, content)
+    for placement, content in _attack_pairs(image, cfg, sample_id):
+        yield placement, content, apply_patch(image, placement, content)
 
 
 def _content_digest(content: Sequence[int]) -> str:
@@ -257,15 +238,21 @@ def _content_digest(content: Sequence[int]) -> str:
 
 
 class _PlacementPlan:
-    """Everything the inner loop needs about one placement, precomputed."""
+    """Everything the inner loop needs about one placement, precomputed.
+
+    `positions` are the flat pixel indices the patch content lands on,
+    in content order. `mutants` memoizes this placement's mutant
+    predictions; with the placement fixed, a mutant's pixels depend only
+    on the mask and the content values that survive it.
+    """
 
     __slots__ = (
         "placement",
         "placement_doc",
         "positions",
         "proj_positions",
-        "covering",
-        "consistent_cover",
+        "consistent_covering",
+        "mutants",
     )
 
     def __init__(
@@ -296,80 +283,59 @@ class _PlacementPlan:
             )
             for grid in grids
         ]
-        self.covering = tuple(
-            i for i, m in enumerate(mask_set.masks) if mask_covers(m, placement)
-        )
-        self.consistent_cover = any(
-            benign_labels[i] == true_label for i in self.covering
-        )
+        # A mask covers the placement when no patch position survives it.
+        self.consistent_covering = [
+            i
+            for i, proj in enumerate(self.proj_positions)
+            if not proj and benign_labels[i] == true_label
+        ]
+        self.mutants: dict[tuple, Prediction] = {}
 
 
 class _MutantOracle:
-    """Classify one-mask mutants of tampered variants, with memoization.
+    """Classify tampered variants and their one-mask mutants as packed bytes.
 
-    A variant's mutant under mask i is the masked original with the
-    patch content written back at the patch positions that survive the
-    mask. Its pixels therefore depend only on (mask, surviving content
-    values), which is the memo key; the cache stores real classifier
-    outputs on real mutant bytes and assumes nothing else.
+    Every pixel backend implements `_predict_packed(data,
+    bytes_per_pixel)` over the encoding of `Image.packed`. A variant is
+    a copy of the packed sample with the patch content written in; its
+    mutant under mask i is a copy of the packed masked sample with the
+    content written back at the patch positions that survive the mask.
+    When no position survives, the mutant is the sample's own benign
+    mutant. Other mutants are memoized per placement plan; the memo
+    holds real classifier outputs on real mutant bytes.
     """
 
-    def __init__(self, classifier, image: Image, mask_set: MaskSet):
-        self.classifier = classifier
-        self.image = image
-        self.mask_set = mask_set
-        self.masked_bases = [apply_mask(image, m) for m in mask_set.masks]
-        self.cache: dict[tuple, Prediction] = {}
-        self.fast = (
-            image.bytes_per_pixel == 1
-            and hasattr(classifier, "_predict_packed")
-        )
-        if self.fast:
-            self.masked_packed = [img.packed for img in self.masked_bases]
+    def __init__(self, classifier, image: Image, mask_set: MaskSet,
+                 benign: MutantProfile):
+        self.predict = classifier._predict_packed
+        self.bpp = image.bytes_per_pixel
+        self.packed = image.packed
+        self.masked_packed = [apply_mask(image, m).packed for m in mask_set.masks]
+        self.benign = benign.mutants
 
-    def classify_variant(self, plan: _PlacementPlan, content) -> Prediction:
-        if self.fast:
-            buf = bytearray(self.image.packed)
-            for pos, v in zip(plan.positions, content):
-                buf[pos] = v
-            label, conf = self.classifier._predict_packed(bytes(buf))
-            return Prediction(label, conf)
-        variant = apply_patch(self.image, plan.placement, content)
-        return self.classifier.classify(variant)
+    def classify_variant(self, plan: _PlacementPlan, content) -> tuple[int, float]:
+        buf = bytearray(self.packed)
+        write_packed(buf, plan.positions, content, self.bpp)
+        return self.predict(buf, self.bpp)
 
     def mutant(self, plan: _PlacementPlan, content, mask_idx: int) -> Prediction:
         proj = plan.proj_positions[mask_idx]
-        key = (mask_idx, tuple(content[k] for k in proj))
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        if self.fast:
+        if not proj:
+            return self.benign[mask_idx]
+        values = tuple(content[k] for k in proj)
+        key = (mask_idx, values)
+        pred = plan.mutants.get(key)
+        if pred is None:
             buf = bytearray(self.masked_packed[mask_idx])
             positions = plan.positions
-            for k in proj:
-                buf[positions[k]] = content[k]
-            label, conf = self.classifier._predict_packed(bytes(buf))
-            pred = Prediction(label, conf)
-        else:
-            base = self.masked_bases[mask_idx]
-            surviving = [(plan.positions[k], content[k]) for k in proj]
-            if surviving:
-                pixels = list(base.pixels)
-                for pos, v in surviving:
-                    pixels[pos] = v
-                mutant_img = Image(
-                    base.height, base.width, base.channels,
-                    base.alphabet_size, tuple(pixels),
-                )
-            else:
-                mutant_img = base
-            pred = self.classifier.classify(mutant_img)
-        self.cache[key] = pred
+            write_packed(buf, [positions[k] for k in proj], values, self.bpp)
+            pred = Prediction(*self.predict(buf, self.bpp))
+            plan.mutants[key] = pred
         return pred
 
     def profile(self, plan: _PlacementPlan, content, base: Prediction) -> MutantProfile:
         mutants = tuple(
-            self.mutant(plan, content, i) for i in range(len(self.mask_set.masks))
+            self.mutant(plan, content, i) for i in range(len(self.benign))
         )
         return MutantProfile(base, mutants)
 
@@ -378,7 +344,6 @@ class _MutantOracle:
 class _SampleOutcome:
     sample_id: str
     certified: dict[str, bool]
-    consistent: bool
     variants_evaluated: int
     violations: dict[str, list[dict]]
     thm1_violations: list[dict]
@@ -401,12 +366,10 @@ def _scan_sample(
     profile = classify_mutants(classifier, image, mask_set)
     benign_labels = [m.label for m in profile.mutants]
     certified = {d.name: d.certify(profile, true_label) for d in defenders}
-    consistent = all(lbl == true_label for lbl in benign_labels)
 
     outcome = _SampleOutcome(
         sample_id=sample_id,
         certified=certified,
-        consistent=consistent,
         variants_evaluated=0,
         violations={d.name: [] for d in defenders},
         thm1_violations=[],
@@ -429,68 +392,42 @@ def _scan_sample(
     if not active and not want_thm1:
         return outcome
 
-    oracle = _MutantOracle(classifier, image, mask_set)
-    a = cfg.resolve_alphabet(image)
-    c = image.channels
+    oracle = _MutantOracle(classifier, image, mask_set, profile)
     num_masks = len(mask_set.masks)
-
-    if cfg.mode == "random":
-        plans: dict[Placement, _PlacementPlan] = {}
-
-        def pair_stream():
-            for placement, content in _random_pairs(image, cfg, sample_id):
-                plan = plans.get(placement)
-                if plan is None:
-                    plan = _PlacementPlan(
-                        placement, image, mask_set, benign_labels, true_label
-                    )
-                    plans[placement] = plan
-                yield plan, content
-
-        stream = pair_stream()
-    else:
-
-        def plan_stream():
-            for placement in iter_placements(cfg.patch_spec):
-                plan = _PlacementPlan(
-                    placement, image, mask_set, benign_labels, true_label
-                )
-                npix = sum(r.area for r in placement) * c
-                for content in itertools.product(range(a), repeat=npix):
-                    yield plan, content
-
-        stream = plan_stream()
-
+    plan = None
     variant_index = -1
-    for plan, content in stream:
-        variant_index += 1
-        outcome.variants_evaluated += 1
-        base_pred = oracle.classify_variant(plan, content)
-        if base_pred.label == true_label:
+    for variant_index, (placement, content) in enumerate(
+        _attack_pairs(image, cfg, sample_id)
+    ):
+        if plan is None or plan.placement is not placement:
+            plan = _PlacementPlan(
+                placement, image, mask_set, benign_labels, true_label
+            )
+        label, confidence = oracle.classify_variant(plan, content)
+        if label == true_label:
             continue  # not harmful; nothing to detect
 
-        need_profile = bool(active) or (want_thm1 and plan.consistent_cover)
-        if not need_profile:
-            continue
-        vprofile = oracle.profile(plan, content, base_pred)
-
-        if want_thm1 and plan.consistent_cover:
-            if all(m.label == base_pred.label for m in vprofile.mutants):
+        covering = plan.consistent_covering
+        if want_thm1 and covering:
+            # A consistent covering mask's mutant is the benign one, with
+            # the true label, so checking those masks first settles a
+            # harmful variant without classifying anything.
+            order = itertools.chain(covering, range(num_masks))
+            if all(oracle.mutant(plan, content, i).label == label for i in order):
                 outcome.thm1_violations.append(
                     {
                         "sample_id": sample_id,
                         "variant_index": variant_index,
                         "placement": plan.placement_doc,
                         "content_digest": _content_digest(content),
-                        "variant_label": base_pred.label,
-                        "consistent_covering_masks": [
-                            i
-                            for i in plan.covering
-                            if benign_labels[i] == true_label
-                        ],
+                        "variant_label": label,
+                        "consistent_covering_masks": list(covering),
                     }
                 )
 
+        if not active:
+            continue
+        vprofile = oracle.profile(plan, content, Prediction(label, confidence))
         for d, name, in_def1 in active:
             label_diff, low_conf = d.warn_clauses(vprofile)
             warned = label_diff or low_conf
@@ -508,10 +445,11 @@ def _scan_sample(
                         "variant_index": variant_index,
                         "placement": plan.placement_doc,
                         "content_digest": _content_digest(content),
-                        "variant_label": base_pred.label,
+                        "variant_label": label,
                         "reason": "harmful variant drew no warning",
                     }
                 )
+    outcome.variants_evaluated = variant_index + 1
     return outcome
 
 

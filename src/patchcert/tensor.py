@@ -136,7 +136,11 @@ class Image:
 
     @cached_property
     def packed(self) -> bytes:
-        """Canonical little-endian byte encoding used by hash backends."""
+        """Canonical byte encoding that every pixel backend classifies.
+
+        Pixel i occupies `bytes_per_pixel` bytes, little-endian, at
+        offset i * bytes_per_pixel.
+        """
         bpp = self.bytes_per_pixel
         if bpp == 1:
             return bytes(self.pixels)
@@ -147,6 +151,32 @@ class Image:
 
     def pixel(self, y: int, x: int, ch: int = 0) -> int:
         return self.pixels[self.flat_index(y, x, ch)]
+
+
+def unpack_pixels(data: bytes, bytes_per_pixel: int) -> Sequence[int]:
+    """Flat pixel values of bytes in the `Image.packed` encoding."""
+    if bytes_per_pixel == 1:
+        return data
+    return [
+        int.from_bytes(data[i : i + bytes_per_pixel], "little")
+        for i in range(0, len(data), bytes_per_pixel)
+    ]
+
+
+def write_packed(
+    buf: bytearray,
+    positions: Sequence[int],
+    values: Sequence[int],
+    bytes_per_pixel: int,
+) -> None:
+    """Overwrite the pixels at flat `positions` of an `Image.packed` copy."""
+    if bytes_per_pixel == 1:
+        for pos, v in zip(positions, values):
+            buf[pos] = v
+        return
+    for pos, v in zip(positions, values):
+        start = pos * bytes_per_pixel
+        buf[start : start + bytes_per_pixel] = v.to_bytes(bytes_per_pixel, "little")
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,18 @@ class TestVerify:
         assert code == EXIT_OK
         assert "0 violation(s)" in stdout
 
+    def test_fixture_negative_label_is_a_file_error(self, capsys, tmp_path):
+        doc = json.loads(pathlib.Path(FIXTURE).read_text())
+        doc["rows"][3]["label"] = -1
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "verify", "--fixture", str(path),
+            "--defender", "hicert", "--tau", "0.8",
+        )
+        assert code == EXIT_IO
+        assert f"{path}: row 3: label must be non-negative" in err
+
     def test_dataset_scan_with_thm1(self, capsys, workspace, tmp_path):
         out = tmp_path / "soundness.json"
         code, stdout, _ = run(

@@ -1,10 +1,11 @@
 """The exhaustive attack oracle, checked against naive reimplementations."""
+import functools
 import pathlib
 
 import pytest
 
-from patchcert.classifiers import HashClassifier, TableClassifier, \
-    Prediction, classify_mutants
+from patchcert.classifiers import HashClassifier, LinearClassifier, \
+    TableClassifier, Prediction, classify_mutants
 from patchcert.cover import gen_square_cover
 from patchcert.dataset_io import (
     DatasetRecord,
@@ -23,14 +24,12 @@ from patchcert.oracle import (
     CHECK_RSUC,
     CHECK_THM1,
     AttackConfig,
-    SoundnessReport,
     check_certified_detection,
     check_profile_fixture,
     check_theorem1,
     count_variants,
     defense_success_ratio,
     enumerate_variants,
-    merge_reports,
     run_soundness,
 )
 from patchcert.tensor import Image, PatchSpec, Rect, apply_patch
@@ -218,22 +217,24 @@ def engine_violation_keys(report):
     ]
 
 
-def find_unsound_setup():
+def find_unsound_setup(backend=HashClassifier, warner=DefenderSpec("pgpp", 0.99),
+                       channels=1, alphabet=2, **attack):
     """Deterministically locate a certified sample with evading variants.
 
-    The composite pairs stability certification with a warner that all
-    but never fires, so any certified sample with harmful variants
-    yields violations. Scanning seeds keeps the fixture classifier-true
-    instead of hand-tuned.
+    The composite pairs stability certification with a warner that only
+    fires on a confident disagreement (all but never at pgpp 0.99), so
+    certified samples with harmful variants yield violations. Scanning
+    seeds keeps the fixture classifier-true instead of hand-tuned.
+    `attack` holds extra AttackConfig fields.
     """
     mask_set = gen_square_cover((4, 4), 1, 2)
-    cfg = square_cfg(4, 4, 1)
-    defender = make_composite(
-        DefenderSpec("c2"), DefenderSpec("pgpp", 0.99)
-    )
+    cfg = square_cfg(4, 4, 1, **attack)
+    defender = make_composite(DefenderSpec("c2"), warner)
+    n = 16 * channels
     for seed in range(200):
-        clf = HashClassifier(seed=seed, num_labels=2)
-        img = Image(4, 4, 1, 2, tuple((seed + i) % 2 for i in range(16)))
+        clf = backend(seed=seed, num_labels=2)
+        pixels = tuple((seed * 7919 + i * 104729) % alphabet for i in range(n))
+        img = Image(4, 4, channels, alphabet, pixels)
         profile = classify_mutants(clf, img, mask_set)
         true_label = profile.base.label
         if not defender.certify(profile, true_label):
@@ -248,15 +249,33 @@ def find_unsound_setup():
 
 class TestEngineAgainstNaive:
     def test_violations_match_the_naive_scan(self):
-        clf, img, y0, ms, defender, cfg, report = find_unsound_setup()
-        certified, variants, naive = naive_certified_detection(
-            clf, img, y0, ms, defender, cfg
-        )
-        assert certified
-        assert report.certified_count == 1
-        assert report.variants_evaluated == variants
-        assert engine_violation_keys(report) == naive
-        assert len(naive) >= 1
+        """Beyond the binary hash grid: both pixel backends, 2- and 4-byte
+        pixels on two channels, both attack modes, and a pgpp warner at
+        0.6, whose verdicts hinge on the mutants that do not cover the
+        patch. The linear model's temperature scales with the alphabet so
+        its confidences stay spread out instead of saturating."""
+        cases = [{}] + [
+            dict(backend=backend, warner=DefenderSpec("pgpp", tau),
+                 channels=2, alphabet=alphabet, alphabet_size=3, mode=mode,
+                 trials=120, seed=5)
+            for alphabet in (300, 70000)
+            for backend in (
+                HashClassifier,
+                functools.partial(LinearClassifier, temperature=10 * alphabet),
+            )
+            for tau in (0.99, 0.6)
+            for mode in ("exhaustive", "random")
+        ]
+        for case in cases:
+            clf, img, y0, ms, defender, cfg, report = find_unsound_setup(**case)
+            certified, variants, naive = naive_certified_detection(
+                clf, img, y0, ms, defender, cfg
+            )
+            assert certified, case
+            assert report.certified_count == 1, case
+            assert report.variants_evaluated == variants, case
+            assert engine_violation_keys(report) == naive, case
+            assert len(naive) >= 1, case
 
     def test_sound_defender_sees_no_violations_where_unsound_does(self):
         clf, img, y0, ms, _, cfg, _ = find_unsound_setup()
@@ -439,23 +458,3 @@ class TestProfileFixtureCheck:
         flip = make_defender(DefenderSpec("pgpp_flip", 0.5))
         with pytest.raises(UnsupportedOperationError):
             check_profile_fixture(fixture, flip)
-
-
-class TestMergeReports:
-    def test_sums_and_order(self):
-        a = SoundnessReport("d", "exhaustive", samples_checked=1,
-                            certified_count=1, variants_evaluated=10)
-        b = SoundnessReport("d", "exhaustive", samples_checked=2,
-                            certified_count=0, variants_evaluated=5)
-        merged = merge_reports([a, b])
-        assert merged.samples_checked == 3
-        assert merged.certified_count == 1
-        assert merged.variants_evaluated == 15
-
-    def test_rejects_mixed_runs(self):
-        a = SoundnessReport("d", "exhaustive")
-        b = SoundnessReport("e", "exhaustive")
-        with pytest.raises(InvalidInputError):
-            merge_reports([a, b])
-        with pytest.raises(InvalidInputError):
-            merge_reports([])
