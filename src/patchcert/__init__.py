@@ -29,9 +29,11 @@ from .dataset_io import (
     load_maskset,
     load_predictions,
     load_profile_fixture,
+    load_records,
     save_dataset,
     save_maskset,
     save_predictions,
+    save_records,
     save_report,
 )
 from .defenders import (

@@ -8,8 +8,9 @@ The same image always yields the same prediction, on any platform.
 Every pixel backend implements `_predict_packed(data, bytes_per_pixel)`:
 it classifies bytes-like `data` in the encoding of `Image.packed` and
 returns a `(label, confidence)` pair. `classify(image)` only wraps it.
-The oracle calls `_predict_packed` directly on patched byte buffers, so
-it never builds an `Image` per variant.
+Mutants are classified from `tensor.masked_packed` bytes, and the
+oracle's variants from patched copies of those bytes, so no `Image` is
+built per mutant or per variant.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping, Union
 from .cover import MaskSet
 from .defenders import MutantProfile
 from .errors import InvalidInputError, TableLookupError
-from .tensor import Image, apply_mask, unpack_pixels
+from .tensor import Image, masked_packed, unpack_pixels
 
 __all__ = [
     "CONFIDENCE_EPSILON",
@@ -221,7 +222,7 @@ def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
 
     Table backends are keyed by sample identity, so they require
     `sample_id` and ignore the pixels; the other backends classify the
-    actual mutant images.
+    masked bytes of each mutant.
     """
     if isinstance(classifier, TableClassifier):
         if sample_id is None:
@@ -235,7 +236,8 @@ def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
     if image is None:
         raise InvalidInputError("image classifiers need pixels")
     base = classifier.classify(image)
+    predict, bpp = classifier._predict_packed, image.bytes_per_pixel
     mutants = tuple(
-        classifier.classify(apply_mask(image, m)) for m in mask_set.masks
+        Prediction(*predict(masked_packed(image, m), bpp)) for m in mask_set.masks
     )
     return MutantProfile(base, mutants)

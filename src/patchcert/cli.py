@@ -17,24 +17,18 @@ and seed, whatever the worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import dataset_io
-from .classifiers import HashClassifier, LinearClassifier, Prediction, \
-    TableClassifier, classify_mutants
-from .cover import MaskSet, gen_multi_cover, gen_rect_cover, gen_square_cover, \
-    verify_cover
+from .classifiers import HashClassifier, LinearClassifier, classify_mutants
+from .cover import gen_multi_cover, gen_rect_cover, gen_square_cover, verify_cover
 from .defenders import (
     DEFENDER_KINDS,
     Defender,
     DefenderSpec,
-    Verdict,
-    assign_case,
     classify_sample,
     make_composite,
     make_defender,
@@ -140,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=_positive("workers"), default=None)
     p.add_argument("--timing", action="store_true",
-                   help="print per-sample wall time")
+                   help="print per-sample wall time to stderr")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("verify", help="attack-oracle soundness checks")
@@ -161,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from def1,thm1")
     p.add_argument("--out", help="write the soundness report here")
     p.add_argument("--workers", type=_positive("workers"), default=None)
-    p.add_argument("--timing", action="store_true")
+    p.add_argument("--timing", action="store_true",
+                   help="print the scan's wall time to stderr")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="recompute metrics from saved records")
@@ -292,56 +287,35 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_one(classifier, record, mask_set, defender) -> EvalRecord:
-    profile = classify_mutants(
-        classifier, record.image, mask_set, sample_id=record.id
-    )
-    verdict = defender.verdict(profile, record.true_label)
-    taxonomy = classify_sample(profile, record.true_label)
-    return EvalRecord(
-        sample_id=record.id,
-        true_label=record.true_label,
-        base=profile.base,
-        verdict=verdict,
-        consistent=taxonomy.consistent,
-    )
-
-
 def cmd_evaluate(args) -> int:
     records = dataset_io.load_dataset(args.dataset)
     mask_set = dataset_io.load_maskset(args.masks)
     classifier = _build_classifier(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    for tau in _taus(args):
-        defender = make_defender(DefenderSpec(args.defender, tau))
+    taus = _taus(args)
+    defenders = [make_defender(DefenderSpec(args.defender, tau)) for tau in taus]
+    # Each sample is profiled once; every tau's verdict reads that profile.
+    per_tau: list[list[EvalRecord]] = [[] for _ in taus]
+    for record in records:
+        t0 = time.perf_counter()
+        profile = classify_mutants(
+            classifier, record.image, mask_set, sample_id=record.id
+        )
+        consistent = classify_sample(profile, record.true_label).consistent
+        for defender, eval_records in zip(defenders, per_tau):
+            verdict = defender.verdict(profile, record.true_label)
+            eval_records.append(EvalRecord(
+                record.id, record.true_label, profile.base, verdict, consistent
+            ))
+        if args.timing:
+            ms = (time.perf_counter() - t0) * 1000
+            print(f"{record.id}: {ms:.2f} ms", file=sys.stderr)
+    for tau, defender, eval_records in zip(taus, defenders, per_tau):
         tag = args.defender
         if DefenderSpec(args.defender, tau).uses_tau:
             tag = f"{args.defender}_tau{_tau_tag(tau)}"
-        eval_records = []
         records_path = os.path.join(args.out_dir, f"records_{tag}.jsonl")
-        with open(records_path, "w", encoding="utf-8") as fh:
-            for record in records:
-                t0 = time.perf_counter()
-                er = _evaluate_one(classifier, record, mask_set, defender)
-                if args.timing:
-                    ms = (time.perf_counter() - t0) * 1000
-                    print(f"{er.sample_id}: {ms:.2f} ms")
-                eval_records.append(er)
-                doc = {
-                    "sample_id": er.sample_id,
-                    "true_label": er.true_label,
-                    "base_label": er.base.label,
-                    "base_confidence": er.base.confidence,
-                    "certified": er.verdict.certified,
-                    "warned": er.verdict.warned,
-                    "consistent": er.consistent,
-                    "case": (
-                        assign_case(er.correct, er.verdict)
-                        if er.verdict.warned is not None
-                        else None
-                    ),
-                }
-                fh.write(dataset_io.dumps_canonical(doc) + "\n")
+        dataset_io.save_records(eval_records, records_path)
         report = compute_metrics(eval_records)
         doc = report.to_dict()
         doc["config"] = {
@@ -468,28 +442,14 @@ def cmd_verify(args) -> int:
             f"{len(rep.thm1_violations)} counterexample(s)"
         )
     if args.timing:
-        print(f"elapsed: {elapsed:.2f} s ({run.samples} samples)")
+        print(f"elapsed: {elapsed:.2f} s ({run.samples} samples)", file=sys.stderr)
     if args.out:
         dataset_io.save_report(doc, args.out)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
 def cmd_report(args) -> int:
-    eval_records = []
-    for lineno, obj in dataset_io._read_jsonl(args.records):
-        try:
-            eval_records.append(
-                EvalRecord(
-                    sample_id=obj["sample_id"],
-                    true_label=obj["true_label"],
-                    base=Prediction(obj["base_label"], obj["base_confidence"]),
-                    verdict=Verdict(obj["certified"], obj["warned"]),
-                    consistent=obj["consistent"],
-                )
-            )
-        except (KeyError, TypeError) as e:
-            raise FileFormatError(args.records, lineno, f"bad record: {e}")
-    report = compute_metrics(eval_records)
+    report = compute_metrics(dataset_io.load_records(args.records))
     doc = report.to_dict()
     doc["config"] = {"records": args.records}
     dataset_io.save_report(doc, args.out)

@@ -1,7 +1,8 @@
 """Synthetic datasets and the on-disk formats.
 
-Datasets and prediction tables are JSON lines (one record per line);
-mask sets, reports, and profile fixtures are single JSON documents.
+Datasets, prediction tables and evaluation records are JSON lines (one
+record per line); mask sets, reports, and profile fixtures are single
+JSON documents.
 Loading is strict: malformed JSON, schema problems, duplicates, and
 out-of-range values are distinct error types that carry the offending
 line number. Serialization is canonical (sorted keys, fixed separators)
@@ -17,7 +18,7 @@ from typing import Any, Iterable, Sequence
 
 from .classifiers import HashClassifier, Prediction, TableClassifier, VariantKey
 from .cover import MaskSet
-from .defenders import MutantProfile
+from .defenders import MutantProfile, Verdict, assign_case
 from .errors import (
     DuplicateKeyError,
     InvalidInputError,
@@ -25,6 +26,7 @@ from .errors import (
     SchemaViolationError,
     ValueOutOfRangeError,
 )
+from .metrics import EvalRecord
 from .tensor import Image, Mask, PatchSpec, Rect
 
 __all__ = [
@@ -38,6 +40,8 @@ __all__ = [
     "load_maskset",
     "save_predictions",
     "load_predictions",
+    "save_records",
+    "load_records",
     "save_report",
     "load_profile_fixture",
     "dumps_canonical",
@@ -144,7 +148,8 @@ def _need(path: str, lineno: int, obj: dict, key: str, types,
     if key not in obj:
         raise SchemaViolationError(path, lineno, f"{where}missing field {key!r}")
     val = obj[key]
-    if not isinstance(val, types) or isinstance(val, bool):
+    wanted = types if isinstance(types, tuple) else (types,)
+    if not isinstance(val, wanted) or (isinstance(val, bool) and bool not in wanted):
         raise SchemaViolationError(
             path, lineno, f"{where}field {key!r} has the wrong type"
         )
@@ -335,6 +340,88 @@ def load_predictions(path: str) -> TableClassifier:
     if not table.rows:
         raise SchemaViolationError(path, 0, "prediction table holds no rows")
     return table
+
+
+# ---------- evaluation records ----------
+
+
+def save_records(records: Sequence[EvalRecord], path: str) -> None:
+    """One evaluation outcome per line, in the given order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(
+                dumps_canonical(
+                    {
+                        "sample_id": r.sample_id,
+                        "true_label": r.true_label,
+                        "base_label": r.base.label,
+                        "base_confidence": r.base.confidence,
+                        "certified": r.verdict.certified,
+                        "warned": r.verdict.warned,
+                        "consistent": r.consistent,
+                        "case": _record_case(r),
+                    }
+                )
+                + "\n"
+            )
+
+
+def _record_case(record: EvalRecord) -> int | None:
+    if record.verdict.warned is None:
+        return None
+    return assign_case(record.correct, record.verdict)
+
+
+def load_records(path: str) -> list[EvalRecord]:
+    """Read back what `save_records` wrote, rejecting anything else.
+
+    `warned` must be null on every line (a defender without a warning
+    rule) or on none, and `case` must match the other fields.
+    """
+    records: list[EvalRecord] = []
+    seen: set[str] = set()
+    for lineno, obj in _read_jsonl(path):
+        sample_id = _need(path, lineno, obj, "sample_id", str)
+        if sample_id in seen:
+            raise DuplicateKeyError(
+                path, lineno, f"duplicate sample id {sample_id!r}"
+            )
+        seen.add(sample_id)
+        true_label = _need(path, lineno, obj, "true_label", int)
+        base_label = _need(path, lineno, obj, "base_label", int)
+        confidence = _need(path, lineno, obj, "base_confidence", (int, float))
+        if true_label < 0 or base_label < 0:
+            raise ValueOutOfRangeError(path, lineno, "labels must be non-negative")
+        if not 0.0 < confidence < 1.0:
+            raise ValueOutOfRangeError(
+                path, lineno, "base_confidence must lie strictly inside (0, 1)"
+            )
+        verdict = Verdict(
+            _need(path, lineno, obj, "certified", bool),
+            _need(path, lineno, obj, "warned", (bool, type(None))),
+        )
+        if records and (verdict.warned is None) != (
+            records[0].verdict.warned is None
+        ):
+            raise SchemaViolationError(
+                path, lineno, "records mix warned and warning-free defenders"
+            )
+        record = EvalRecord(
+            sample_id=sample_id,
+            true_label=true_label,
+            base=Prediction(base_label, float(confidence)),
+            verdict=verdict,
+            consistent=_need(path, lineno, obj, "consistent", bool),
+        )
+        case = _need(path, lineno, obj, "case", (int, type(None)))
+        if case != _record_case(record):
+            raise ValueOutOfRangeError(
+                path, lineno, f"case {case!r} does not match the other fields"
+            )
+        records.append(record)
+    if not records:
+        raise SchemaViolationError(path, 0, "records file holds no records")
+    return records
 
 
 # ---------- reports and fixtures ----------

@@ -20,9 +20,10 @@ import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .classifiers import Prediction, TableClassifier, classify_mutants
+from .classifiers import Prediction, TableClassifier
 from .cover import MaskSet
 from .dataset_io import DatasetRecord, ProfileFixture
 from .defenders import Defender, MutantProfile
@@ -32,8 +33,8 @@ from .errors import (
     InvalidInputError,
     UnsupportedOperationError,
 )
-from .tensor import Image, PatchSpec, Placement, apply_mask, apply_patch, \
-    count_placements, iter_placements, write_packed
+from .tensor import Image, PatchSpec, Placement, apply_patch, count_placements, \
+    iter_placements, masked_packed, write_packed
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -97,7 +98,7 @@ class AttackConfig:
 
 @dataclass
 class SoundnessReport:
-    """Tally of one oracle run; merging is commutative and associative."""
+    """Tally of one oracle run over a dataset, merged in dataset order."""
 
     defender: str
     mode: str
@@ -241,7 +242,8 @@ class _PlacementPlan:
     """Everything the inner loop needs about one placement, precomputed.
 
     `positions` are the flat pixel indices the patch content lands on,
-    in content order. `mutants` memoizes this placement's mutant
+    in content order. `grids` are the `Mask.to_matrix` views, built once
+    per scanned sample. `mutants` memoizes this placement's mutant
     predictions; with the placement fixed, a mutant's pixels depend only
     on the mask and the content values that survive it.
     """
@@ -259,7 +261,7 @@ class _PlacementPlan:
         self,
         placement: Placement,
         image: Image,
-        mask_set: MaskSet,
+        grids: Sequence[list[list[bool]]],
         benign_labels: Sequence[int],
         true_label: int,
     ):
@@ -276,7 +278,6 @@ class _PlacementPlan:
                         coords.append((y, x))
                         positions.append((y * w + x) * c + ch)
         self.positions = positions
-        grids = [m.to_matrix() for m in mask_set.masks]
         self.proj_positions = [
             tuple(
                 k for k, (y, x) in enumerate(coords) if not grid[y][x]
@@ -302,16 +303,19 @@ class _MutantOracle:
     content written back at the patch positions that survive the mask.
     When no position survives, the mutant is the sample's own benign
     mutant. Other mutants are memoized per placement plan; the memo
-    holds real classifier outputs on real mutant bytes.
+    holds real classifier outputs on real mutant bytes. The `benign`
+    profile is classified from the same masked bytes.
     """
 
-    def __init__(self, classifier, image: Image, mask_set: MaskSet,
-                 benign: MutantProfile):
-        self.predict = classifier._predict_packed
-        self.bpp = image.bytes_per_pixel
+    def __init__(self, classifier, image: Image, mask_set: MaskSet):
+        predict = self.predict = classifier._predict_packed
+        bpp = self.bpp = image.bytes_per_pixel
         self.packed = image.packed
-        self.masked_packed = [apply_mask(image, m).packed for m in mask_set.masks]
-        self.benign = benign.mutants
+        self.masked_packed = [masked_packed(image, m) for m in mask_set.masks]
+        self.benign = MutantProfile(
+            Prediction(*predict(self.packed, bpp)),
+            tuple(Prediction(*predict(b, bpp)) for b in self.masked_packed),
+        )
 
     def classify_variant(self, plan: _PlacementPlan, content) -> tuple[int, float]:
         buf = bytearray(self.packed)
@@ -321,7 +325,7 @@ class _MutantOracle:
     def mutant(self, plan: _PlacementPlan, content, mask_idx: int) -> Prediction:
         proj = plan.proj_positions[mask_idx]
         if not proj:
-            return self.benign[mask_idx]
+            return self.benign.mutants[mask_idx]
         values = tuple(content[k] for k in proj)
         key = (mask_idx, values)
         pred = plan.mutants.get(key)
@@ -335,7 +339,7 @@ class _MutantOracle:
 
     def profile(self, plan: _PlacementPlan, content, base: Prediction) -> MutantProfile:
         mutants = tuple(
-            self.mutant(plan, content, i) for i in range(len(self.benign))
+            self.mutant(plan, content, i) for i in range(len(self.masked_packed))
         )
         return MutantProfile(base, mutants)
 
@@ -363,7 +367,8 @@ def _scan_sample(
     _check_spec_matches(image, cfg.patch_spec)
     _guard_budget(image, cfg)
 
-    profile = classify_mutants(classifier, image, mask_set)
+    oracle = _MutantOracle(classifier, image, mask_set)
+    profile = oracle.benign
     benign_labels = [m.label for m in profile.mutants]
     certified = {d.name: d.certify(profile, true_label) for d in defenders}
 
@@ -392,7 +397,7 @@ def _scan_sample(
     if not active and not want_thm1:
         return outcome
 
-    oracle = _MutantOracle(classifier, image, mask_set, profile)
+    grids = [m.to_matrix() for m in mask_set.masks]
     num_masks = len(mask_set.masks)
     plan = None
     variant_index = -1
@@ -400,9 +405,7 @@ def _scan_sample(
         _attack_pairs(image, cfg, sample_id)
     ):
         if plan is None or plan.placement is not placement:
-            plan = _PlacementPlan(
-                placement, image, mask_set, benign_labels, true_label
-            )
+            plan = _PlacementPlan(placement, image, grids, benign_labels, true_label)
         label, confidence = oracle.classify_variant(plan, content)
         if label == true_label:
             continue  # not harmful; nothing to detect
@@ -467,9 +470,9 @@ class SoundnessRun:
     theorem1: SoundnessReport | None
     evaded_samples: dict[str, int]
 
-    def success_ratio(self, defender_name: str) -> float:
+    def success_ratio(self, defender_name: str) -> Fraction:
         evaded = self.evaded_samples[defender_name]
-        return (self.samples - evaded) / self.samples
+        return Fraction(self.samples - evaded, self.samples)
 
 
 def run_soundness(
@@ -645,7 +648,7 @@ def defense_success_ratio(
     defender: Defender,
     cfg: AttackConfig,
     workers: int = 1,
-) -> float:
+) -> Fraction:
     """Fraction of samples with no enumerated harmful variant that evades warning.
 
     Counts every sample, certified or not; certification soundness makes

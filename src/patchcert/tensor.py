@@ -10,7 +10,7 @@ here mutates its inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -23,13 +23,12 @@ __all__ = [
     "PatchSpec",
     "Placement",
     "apply_mask",
+    "masked_packed",
     "apply_patch",
     "mask_covers",
     "iter_placements",
     "count_placements",
 ]
-
-MASK_FILL_VALUE = 0
 
 
 @dataclass(frozen=True, order=True)
@@ -204,7 +203,11 @@ class Mask:
                 )
 
     def to_matrix(self) -> list[list[bool]]:
-        """Dense boolean grid; the slow, obviously-correct view for tests."""
+        """Dense boolean grid, True where the mask zeroes the plane.
+
+        The tests' reference for `masked_packed`; the oracle builds one
+        per mask for each scanned sample.
+        """
         grid = [[False] * self.plane_width for _ in range(self.plane_height)]
         for r in self.rects:
             for y in range(r.top, r.bottom):
@@ -294,16 +297,6 @@ class PatchSpec:
 
 # ---------- mask and patch application ----------
 
-_ZERO_RUN: list[int] = [MASK_FILL_VALUE] * 4096
-
-
-def _zero_run(n: int) -> list[int]:
-    global _ZERO_RUN
-    if n > len(_ZERO_RUN):
-        _ZERO_RUN = [MASK_FILL_VALUE] * (2 * n)
-    return _ZERO_RUN[:n]
-
-
 @lru_cache(maxsize=8192)
 def _mask_pixel_spans(mask: Mask, channels: int) -> tuple[tuple[int, int], ...]:
     """Half-open spans of the flat pixel array zeroed by this mask."""
@@ -315,19 +308,24 @@ def _mask_pixel_spans(mask: Mask, channels: int) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def apply_mask(image: Image, mask: Mask) -> Image:
-    """Zero every channel at the masked locations; the rest is untouched."""
+def masked_packed(image: Image, mask: Mask) -> bytes:
+    """`image.packed` with every channel zeroed at the masked locations."""
     if (mask.plane_height, mask.plane_width) != (image.height, image.width):
         raise DimensionMismatchError(
             f"mask plane {mask.plane_height}x{mask.plane_width} does not match "
             f"image {image.height}x{image.width}"
         )
-    buf = list(image.pixels)
+    bpp = image.bytes_per_pixel
+    buf = bytearray(image.packed)
     for start, stop in _mask_pixel_spans(mask, image.channels):
-        buf[start:stop] = _zero_run(stop - start)
-    return Image(
-        image.height, image.width, image.channels, image.alphabet_size, tuple(buf)
-    )
+        buf[start * bpp : stop * bpp] = bytes((stop - start) * bpp)
+    return bytes(buf)
+
+
+def apply_mask(image: Image, mask: Mask) -> Image:
+    """Reference view of `masked_packed` as a validated `Image`."""
+    pixels = unpack_pixels(masked_packed(image, mask), image.bytes_per_pixel)
+    return Image(image.height, image.width, image.channels, image.alphabet_size, pixels)
 
 
 def _check_placement(image_h: int, image_w: int, placement: Placement) -> None:

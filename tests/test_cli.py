@@ -147,13 +147,45 @@ class TestEvaluate:
         assert doma_report == hc_report
 
     def test_tau_sweep_writes_one_report_per_tau(self, capsys, workspace):
-        code, out_dir, _, _ = self.evaluate(
+        code, sweep_dir, _, _ = self.evaluate(
             capsys, workspace, "hicert", "--tau", "0", "--tau", "0.8"
         )
         assert code == EXIT_OK
-        assert (out_dir / "report_hicert_tau0.json").exists()
-        assert (out_dir / "report_hicert_tau0.8.json").exists()
-        assert (out_dir / "records_hicert_tau0.8.jsonl").exists()
+        written = set()
+        for tau in ("0", "0.8"):
+            code, single_dir, _, _ = self.evaluate(
+                capsys, workspace, "hicert", "--tau", tau
+            )
+            assert code == EXIT_OK
+            for name in (f"records_hicert_tau{tau}.jsonl",
+                         f"report_hicert_tau{tau}.json"):
+                sweep = (sweep_dir / name).read_bytes()
+                assert sweep == (single_dir / name).read_bytes()
+                written.add(sweep)
+        assert {p.read_bytes() for p in sweep_dir.iterdir()} == written
+        # The two taus disagree on this dataset, so mixing them up shows.
+        assert len(written) == 4
+
+    def test_timing_goes_to_stderr(self, capsys, workspace):
+        outs = []
+        for timing in ((), ("--timing",)):
+            code, stdout, err = run(
+                capsys, "evaluate",
+                "--dataset", str(workspace / "data.jsonl"),
+                "--masks", str(workspace / "masks.json"),
+                "--num-labels", "5", "--seed", "7",
+                "--defender", "hicert", "--tau", "0", "--tau", "0.8",
+                "--out-dir", str(workspace / "out"), *timing,
+            )
+            assert code == EXIT_OK
+            outs.append(stdout)
+        assert outs[0] == outs[1]
+        # One line per sample, covering its profile and every tau's verdict.
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"s{i:05d}" for i in range(6)
+        ]
+        assert all(line.endswith(" ms") for line in lines)
 
     def test_flip_defender_reports_certification_only(self, capsys, workspace):
         code, out_dir, _, _ = self.evaluate(
@@ -283,6 +315,21 @@ class TestVerify:
         )
         assert code == EXIT_IO
 
+    def test_timing_goes_to_stderr(self, capsys, workspace):
+        outs = []
+        for timing in ((), ("--timing",)):
+            code, stdout, err = run(
+                capsys, "verify",
+                "--dataset", str(workspace / "data.jsonl"),
+                "--masks", str(workspace / "masks.json"),
+                "--num-labels", "5", "--seed", "7",
+                "--defender", "hicert", "--tau", "0.8", *timing,
+            )
+            assert code == EXIT_OK
+            outs.append(stdout)
+        assert outs[0] == outs[1]
+        assert err.startswith("elapsed: ")
+
     def test_workers_env_does_not_change_the_report(
         self, capsys, workspace, tmp_path, monkeypatch
     ):
@@ -332,6 +379,57 @@ class TestReport:
         assert again["metrics"] == original["metrics"]
         assert again["cases"] == original["cases"]
         assert again["total"] == original["total"]
+
+    def report(self, capsys, workspace, tmp_path, edit):
+        """Run report on evaluate's records after `edit(rows)` changes them."""
+        out_dir = workspace / "out"
+        run(
+            capsys, "evaluate",
+            "--dataset", str(workspace / "data.jsonl"),
+            "--masks", str(workspace / "masks.json"),
+            "--num-labels", "5", "--seed", "7",
+            "--defender", "hicert", "--tau", "0.8",
+            "--out-dir", str(out_dir),
+        )
+        path = out_dir / "records_hicert_tau0.8.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(rows)
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(
+            capsys, "report", "--records", str(path),
+            "--out", str(tmp_path / "again.json"),
+        )
+        return code, err, path
+
+    def test_out_of_range_confidence_is_a_file_error(
+        self, capsys, workspace, tmp_path
+    ):
+        def edit(rows):
+            rows[1]["base_confidence"] = 1.5
+
+        code, err, path = self.report(capsys, workspace, tmp_path, edit)
+        assert code == EXIT_IO
+        assert f"{path}:2: base_confidence must lie strictly inside (0, 1)" in err
+
+    def test_string_flag_is_not_counted_as_certified(
+        self, capsys, workspace, tmp_path
+    ):
+        def edit(rows):
+            del rows[1:]
+            rows[0].update(certified="no", case=None)
+
+        code, err, path = self.report(capsys, workspace, tmp_path, edit)
+        assert code == EXIT_IO
+        assert f"{path}:1: field 'certified' has the wrong type" in err
+        assert not (tmp_path / "again.json").exists()
+
+    def test_mixed_warning_rules_name_the_file(self, capsys, workspace, tmp_path):
+        def edit(rows):
+            rows[2].update(warned=None, case=None)
+
+        code, err, path = self.report(capsys, workspace, tmp_path, edit)
+        assert code == EXIT_IO
+        assert f"{path}:3: records mix warned and warning-free defenders" in err
 
 
 class TestUsage:

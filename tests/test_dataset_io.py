@@ -1,4 +1,4 @@
-"""On-disk formats: datasets, mask sets, prediction tables, fixtures."""
+"""On-disk formats: datasets, mask sets, prediction tables, records, fixtures."""
 import json
 import pathlib
 
@@ -12,19 +12,24 @@ from patchcert.dataset_io import (
     load_maskset,
     load_predictions,
     load_profile_fixture,
+    load_records,
     save_dataset,
     save_maskset,
     save_predictions,
+    save_records,
     save_report,
 )
+from patchcert.defenders import Verdict
 from patchcert.errors import (
     DuplicateKeyError,
+    FileFormatError,
     InvalidInputError,
     MalformedLineError,
     SchemaViolationError,
     TableLookupError,
     ValueOutOfRangeError,
 )
+from patchcert.metrics import EvalRecord
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -252,6 +257,69 @@ class TestPredictionTables:
         path.write_text("\n")
         with pytest.raises(SchemaViolationError):
             load_predictions(str(path))
+
+
+class TestEvalRecords:
+    def records(self, warned=(True, False)):
+        return [
+            EvalRecord("a", 1, Prediction(1, 0.9), Verdict(True, warned[0]), True),
+            EvalRecord("b", 2, Prediction(0, 0.4), Verdict(False, warned[1]), False),
+        ]
+
+    def rows(self, tmp_path, **changes):
+        """Saved records as dicts, with `changes` applied to the last one."""
+        path = tmp_path / "records.jsonl"
+        save_records(self.records(), str(path))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[-1].update(changes)
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return path
+
+    @pytest.mark.parametrize(
+        "warned, cases", [((True, False), [1, 8]), ((None, None), [None, None])]
+    )
+    def test_round_trip(self, tmp_path, warned, cases):
+        path = tmp_path / "records.jsonl"
+        save_records(self.records(warned), str(path))
+        assert load_records(str(path)) == self.records(warned)
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["case"] for line in lines] == cases
+
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            ({"base_confidence": 1.5}, ValueOutOfRangeError),
+            ({"base_confidence": "0.5"}, SchemaViolationError),
+            ({"certified": "no"}, SchemaViolationError),
+            ({"consistent": 0}, SchemaViolationError),
+            ({"warned": None, "case": None}, SchemaViolationError),
+            ({"true_label": -1}, ValueOutOfRangeError),
+            ({"sample_id": "a"}, DuplicateKeyError),
+            ({"case": 5}, ValueOutOfRangeError),
+            ({"case": True}, SchemaViolationError),
+        ],
+    )
+    def test_rejects_bad_rows_with_file_and_line(self, tmp_path, changes, error):
+        path = self.rows(tmp_path, **changes)
+        with pytest.raises(error) as exc:
+            load_records(str(path))
+        assert exc.value.line == 2
+        assert str(exc.value).startswith(f"{path}:2: ")
+
+    def test_rejects_missing_field(self, tmp_path):
+        path = self.rows(tmp_path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        del rows[0]["warned"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(SchemaViolationError) as exc:
+            load_records(str(path))
+        assert exc.value.line == 1
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n")
+        with pytest.raises(FileFormatError):
+            load_records(str(path))
 
 
 class TestReports:

@@ -1,6 +1,7 @@
 """The exhaustive attack oracle, checked against naive reimplementations."""
 import functools
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -322,11 +323,12 @@ class TestEngineAgainstNaive:
                 if not defender.warn(classify_mutants(clf, variant, ms)):
                     evaded += 1
                     break
-        want = (len(records) - evaded) / len(records)
+        want = Fraction(len(records) - evaded, len(records))
 
         got = defense_success_ratio(clf, records, ms, defender, cfg)
+        assert isinstance(got, Fraction)
         assert got == want
-        assert got >= certified / len(records)
+        assert got >= Fraction(certified, len(records))
 
 
 class TestTheorem1:

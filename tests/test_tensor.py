@@ -15,6 +15,7 @@ from patchcert.tensor import (
     count_placements,
     iter_placements,
     mask_covers,
+    masked_packed,
 )
 
 from conftest import make_image
@@ -106,10 +107,13 @@ class TestApplyMask:
         assert apply_mask(once, mask).pixels == once.pixels
 
     def test_matches_dense_grid_oracle(self, rng):
-        for _ in range(200):
+        """1-, 2- and 4-byte pixels; `to_matrix` never touches the bytes."""
+        for alphabet in (4, 300, 70000) * 200:
             h = rng.randint(1, 7)
             w = rng.randint(1, 7)
-            img = make_image(rng, h, w, channels=rng.randint(1, 2))
+            img = make_image(
+                rng, h, w, channels=rng.randint(1, 3), alphabet_size=alphabet
+            )
             rects = tuple(
                 Rect(
                     rng.randrange(h), rng.randrange(w),
@@ -125,6 +129,7 @@ class TestApplyMask:
             mask = Mask(h, w, rects)
             grid = mask.to_matrix()
             out = apply_mask(img, mask)
+            assert masked_packed(img, mask) == out.packed
             for y in range(h):
                 for x in range(w):
                     for ch in range(img.channels):
