@@ -80,11 +80,8 @@ from .oracle import (
     AttackConfig,
     SoundnessReport,
     SoundnessRun,
-    check_certified_detection,
     check_profile_fixture,
-    check_theorem1,
     count_variants,
-    defense_success_ratio,
     enumerate_variants,
     run_soundness,
 )

@@ -33,13 +33,7 @@ from .defenders import (
     make_composite,
     make_defender,
 )
-from .errors import (
-    BudgetExceededError,
-    FileFormatError,
-    InvalidInputError,
-    PatchCertError,
-    UnsupportedOperationError,
-)
+from .errors import FileFormatError, InvalidInputError, PatchCertError
 from .metrics import EvalRecord, compute_metrics
 from .oracle import (
     CHECK_DEF1,
@@ -103,11 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maskgen", help="generate and verify a covering mask set")
     p.add_argument("--plane", nargs=2, type=_positive("plane"), required=True,
                    metavar=("H", "W"))
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--patch-size", type=_positive("patch size"))
-    group.add_argument("--patch-area", type=_positive("patch area"))
-    p.add_argument("--patches", type=_positive("patches"), default=1,
-                   help="number of disjoint patches (square patches only)")
+    _add_patch_flags(p, required=True)
     p.add_argument("--masks-per-axis", type=_positive("masks per axis"),
                    required=True)
     p.add_argument("--out", required=True)
@@ -143,9 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", help="profile fixture JSON instead of a dataset")
     p.add_argument("--defender-override",
                    help='mixed pair, e.g. "certify=hicert:0.8,warn=doma"')
-    p.add_argument("--patch-size", type=_positive("patch size"))
-    p.add_argument("--patch-area", type=_positive("patch area"))
-    p.add_argument("--patches", type=_positive("patches"), default=1)
+    _add_patch_flags(p, required=False)
     p.add_argument("--mode", choices=("exhaustive", "random"),
                    default="exhaustive")
     p.add_argument("--trials", type=_non_negative("trials"), default=1000)
@@ -167,6 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_patch_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--patch-size", type=_positive("patch size"))
+    group.add_argument("--patch-area", type=_positive("patch area"))
+    p.add_argument("--patches", type=_positive("patches"), default=1,
+                   help="number of disjoint patches (square patches only)")
+
+
 def _add_common_inputs(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--dataset", required=required)
     p.add_argument("--masks", required=required)
@@ -181,6 +177,36 @@ def _add_defender_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--defender", choices=DEFENDER_KINDS, default="hicert")
     p.add_argument("--tau", type=float, action="append", default=None,
                    help="threshold; repeat for a sweep (evaluate only)")
+
+
+def _patch_spec(args, h: int, w: int) -> PatchSpec:
+    """The patch model the --patch-size/--patch-area/--patches flags name."""
+    if args.patches > 1 and args.patch_size is None:
+        raise InvalidInputError("multiple patches need --patch-size")
+    if args.patch_area is not None:
+        return PatchSpec.rectangle(h, w, args.patch_area)
+    if args.patches > 1:
+        return PatchSpec.multi(h, w, args.patches, args.patch_size)
+    return PatchSpec.square(h, w, args.patch_size)
+
+
+def _load_inputs(args):
+    """Dataset, mask set and classifier for evaluate and verify.
+
+    Pixel classifiers only emit labels below --num-labels, so a dataset
+    label at or above it is a configuration error.
+    """
+    records = dataset_io.load_dataset(args.dataset)
+    mask_set = dataset_io.load_maskset(args.masks)
+    classifier = _build_classifier(args)
+    if args.classifier != "table":
+        for r in records:
+            if r.true_label >= args.num_labels:
+                raise InvalidInputError(
+                    f"{args.dataset}: sample {r.id!r} has label "
+                    f"{r.true_label}, outside --num-labels {args.num_labels}"
+                )
+    return records, mask_set, classifier
 
 
 def _build_classifier(args):
@@ -225,7 +251,10 @@ def _parse_override(text: str) -> Defender:
         if role not in ("certify", "warn"):
             raise InvalidInputError(f"override role must be certify or warn, got {role!r}")
         kind, _, tau_text = value.partition(":")
-        tau = float(tau_text) if tau_text else 0.0
+        try:
+            tau = float(tau_text) if tau_text else 0.0
+        except ValueError:
+            raise InvalidInputError(f"bad override tau {tau_text!r} in {chunk!r}")
         parts[role] = DefenderSpec(kind.strip(), tau)
     if set(parts) != {"certify", "warn"}:
         raise InvalidInputError("override needs both certify= and warn=")
@@ -245,14 +274,12 @@ def _resolved_workers(args) -> int:
 
 def cmd_maskgen(args) -> int:
     h, w = args.plane
-    if args.patch_area is not None:
-        if args.patches != 1:
-            raise InvalidInputError("multiple patches need --patch-size")
-        mask_set = gen_rect_cover((h, w), args.patch_area, args.masks_per_axis)
+    spec = _patch_spec(args, h, w)
+    if spec.kind == "rectangle":
+        mask_set = gen_rect_cover((h, w), spec.area, args.masks_per_axis)
     else:
-        mask_set = gen_square_cover((h, w), args.patch_size, args.masks_per_axis)
-        if args.patches > 1:
-            mask_set = gen_multi_cover(mask_set, args.patches)
+        square = gen_square_cover((h, w), spec.size, args.masks_per_axis)
+        mask_set = gen_multi_cover(square, args.patches)
     if args.skip_verify:
         dataset_io.save_maskset(mask_set, args.out)
         print(f"masks: {len(mask_set)} (coverage not verified)")
@@ -288,9 +315,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    records = dataset_io.load_dataset(args.dataset)
-    mask_set = dataset_io.load_maskset(args.masks)
-    classifier = _build_classifier(args)
+    records, mask_set, classifier = _load_inputs(args)
     os.makedirs(args.out_dir, exist_ok=True)
     taus = _taus(args)
     defenders = [make_defender(DefenderSpec(args.defender, tau)) for tau in taus]
@@ -378,20 +403,12 @@ def cmd_verify(args) -> int:
 
     if not args.dataset or not args.masks:
         raise InvalidInputError("verify needs --dataset and --masks (or --fixture)")
-    records = dataset_io.load_dataset(args.dataset)
-    mask_set = dataset_io.load_maskset(args.masks)
-    classifier = _build_classifier(args)
+    records, mask_set, classifier = _load_inputs(args)
     checks = _parse_checks(args.checks)
 
     spec = mask_set.spec
     if args.patch_size or args.patch_area or args.patches > 1:
-        h, w = spec.plane_height, spec.plane_width
-        if args.patch_area:
-            spec = PatchSpec.rectangle(h, w, args.patch_area)
-        elif args.patches > 1:
-            spec = PatchSpec.multi(h, w, args.patches, args.patch_size)
-        elif args.patch_size:
-            spec = PatchSpec.square(h, w, args.patch_size)
+        spec = _patch_spec(args, spec.plane_height, spec.plane_width)
 
     cfg = AttackConfig(
         patch_spec=spec,
@@ -465,16 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidInputError, UnsupportedOperationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except (FileFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except PatchCertError as e:

@@ -18,7 +18,6 @@ from .tensor import (
     PatchSpec,
     Placement,
     Rect,
-    count_placements,
     iter_placements,
     mask_covers,
 )

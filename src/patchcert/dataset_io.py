@@ -11,7 +11,9 @@ so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -87,6 +89,27 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write `chunks` to a sibling temp file, then move it over `path`.
+
+    If serializing or writing fails, the old file at `path` survives and
+    the temp file is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_jsonl(path: str, docs: Iterable[dict]) -> None:
+    _write_atomic(path, (dumps_canonical(doc) + "\n" for doc in docs))
+
+
 def gen_synthetic_dataset(
     count: int,
     plane: tuple[int, int],
@@ -160,22 +183,17 @@ def _need(path: str, lineno: int, obj: dict, key: str, types,
 
 
 def save_dataset(records: Sequence[DatasetRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            img = r.image
-            fh.write(
-                dumps_canonical(
-                    {
-                        "format_version": FORMAT_VERSION,
-                        "id": r.id,
-                        "label": r.true_label,
-                        "shape": [img.height, img.width, img.channels],
-                        "alphabet": img.alphabet_size,
-                        "pixels": list(img.pixels),
-                    }
-                )
-                + "\n"
-            )
+    _write_jsonl(path, (
+        {
+            "format_version": FORMAT_VERSION,
+            "id": r.id,
+            "label": r.true_label,
+            "shape": [r.image.height, r.image.width, r.image.channels],
+            "alphabet": r.image.alphabet_size,
+            "pixels": list(r.image.pixels),
+        }
+        for r in records
+    ))
 
 
 def load_dataset(path: str) -> list[DatasetRecord]:
@@ -225,8 +243,7 @@ def save_maskset(mask_set: MaskSet, path: str) -> None:
             {"rects": [r.to_list() for r in m.rects]} for m in mask_set.masks
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(doc) + "\n")
+    _write_jsonl(path, [doc])
 
 
 def load_maskset(path: str) -> MaskSet:
@@ -315,22 +332,15 @@ def _prediction_table(
 def save_predictions(
     rows: Sequence[tuple[str, VariantKey, Prediction]], path: str
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample_id, variant, pred in rows:
-            variant_doc = (
-                "base" if variant == "base" else {"mask_index": variant}
-            )
-            fh.write(
-                dumps_canonical(
-                    {
-                        "sample_id": sample_id,
-                        "variant": variant_doc,
-                        "label": pred.label,
-                        "confidence": pred.confidence,
-                    }
-                )
-                + "\n"
-            )
+    _write_jsonl(path, (
+        {
+            "sample_id": sample_id,
+            "variant": "base" if variant == "base" else {"mask_index": variant},
+            "label": pred.label,
+            "confidence": pred.confidence,
+        }
+        for sample_id, variant, pred in rows
+    ))
 
 
 def load_predictions(path: str) -> TableClassifier:
@@ -347,23 +357,19 @@ def load_predictions(path: str) -> TableClassifier:
 
 def save_records(records: Sequence[EvalRecord], path: str) -> None:
     """One evaluation outcome per line, in the given order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                dumps_canonical(
-                    {
-                        "sample_id": r.sample_id,
-                        "true_label": r.true_label,
-                        "base_label": r.base.label,
-                        "base_confidence": r.base.confidence,
-                        "certified": r.verdict.certified,
-                        "warned": r.verdict.warned,
-                        "consistent": r.consistent,
-                        "case": _record_case(r),
-                    }
-                )
-                + "\n"
-            )
+    _write_jsonl(path, (
+        {
+            "sample_id": r.sample_id,
+            "true_label": r.true_label,
+            "base_label": r.base.label,
+            "base_confidence": r.base.confidence,
+            "certified": r.verdict.certified,
+            "warned": r.verdict.warned,
+            "consistent": r.consistent,
+            "case": _record_case(r),
+        }
+        for r in records
+    ))
 
 
 def _record_case(record: EvalRecord) -> int | None:
@@ -428,8 +434,7 @@ def load_records(path: str) -> list[EvalRecord]:
 
 
 def save_report(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
 
 
 def load_profile_fixture(path: str) -> ProfileFixture:

@@ -15,6 +15,7 @@ difference among the variant's mutants, independent of any defender.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -43,11 +44,8 @@ __all__ = [
     "SoundnessRun",
     "enumerate_variants",
     "count_variants",
-    "check_certified_detection",
-    "check_theorem1",
     "check_profile_fixture",
     "run_soundness",
-    "defense_success_ratio",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -115,6 +113,16 @@ class SoundnessReport:
     def ok(self) -> bool:
         return not self.violations and not self.thm1_violations
 
+    def merge(self, other: SoundnessReport) -> None:
+        """Add `other`'s tallies, appending its findings after these."""
+        self.samples_checked += other.samples_checked
+        self.certified_count += other.certified_count
+        self.variants_evaluated += other.variants_evaluated
+        self.violations.extend(other.violations)
+        self.thm1_violations.extend(other.thm1_violations)
+        for clause, n in other.thm2_clause_stats.items():
+            self.thm2_clause_stats[clause] += n
+
     def to_dict(self) -> dict:
         return {
             "defender": self.defender,
@@ -126,6 +134,35 @@ class SoundnessReport:
             "thm1_violations": self.thm1_violations,
             "thm2_clause_stats": dict(self.thm2_clause_stats),
         }
+
+
+@dataclass
+class SoundnessRun:
+    """Joined results of one oracle pass over a dataset.
+
+    The scan produces one run per sample; `merge` folds them in dataset
+    order.
+    """
+
+    mode: str
+    samples: int
+    def1: dict[str, SoundnessReport]
+    theorem1: SoundnessReport | None
+    evaded_samples: dict[str, int]
+
+    def merge(self, other: SoundnessRun) -> SoundnessRun:
+        self.samples += other.samples
+        for name, report in other.def1.items():
+            self.def1[name].merge(report)
+        if other.theorem1 is not None:
+            self.theorem1.merge(other.theorem1)
+        for name, evaded in other.evaded_samples.items():
+            self.evaded_samples[name] += evaded
+        return self
+
+    def success_ratio(self, defender_name: str) -> Fraction:
+        evaded = self.evaded_samples[defender_name]
+        return Fraction(self.samples - evaded, self.samples)
 
 
 # ---------- variant enumeration ----------
@@ -187,6 +224,12 @@ def _sample_rng(seed: int, sample_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "little"))
 
 
+@functools.lru_cache(maxsize=1)
+def _placement_list(spec: PatchSpec) -> tuple[Placement, ...]:
+    """Every placement of `spec`, listed once per process for random draws."""
+    return tuple(iter_placements(spec))
+
+
 def _attack_pairs(
     image: Image, cfg: AttackConfig, sample_id: str
 ) -> Iterator[tuple[Placement, tuple[int, ...]]]:
@@ -198,7 +241,7 @@ def _attack_pairs(
     a = cfg.resolve_alphabet(image)
     c = image.channels
     if cfg.mode == "random":
-        placements = list(iter_placements(cfg.patch_spec))
+        placements = _placement_list(cfg.patch_spec)
         rng = _sample_rng(cfg.seed, sample_id)
         for _ in range(cfg.trials):
             placement = placements[rng.randrange(len(placements))]
@@ -233,6 +276,32 @@ def _content_digest(content: Sequence[int]) -> str:
     else:
         data = b"".join(v.to_bytes(4, "little") for v in content)
     return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def _witness(sample_id: str, index: int, placement_doc: list, content,
+             label: int, **extra) -> dict:
+    """A report entry that locates one harmful variant."""
+    return {
+        "sample_id": sample_id,
+        "variant_index": index,
+        "placement": placement_doc,
+        "content_digest": _content_digest(content),
+        "variant_label": label,
+        **extra,
+    }
+
+
+def _caught_by(defender: Defender, vprofile: MutantProfile) -> str | None:
+    """The warning clause that catches a harmful variant; None if it evades."""
+    label_diff, low_conf = defender.warn_clauses(vprofile)
+    if label_diff:
+        return CLAUSE_LABEL_DIFF
+    return CLAUSE_LOW_CONF if low_conf else None
+
+
+def _require_warn(defender: Defender) -> None:
+    if not defender.has_warn:
+        raise UnsupportedOperationError(f"{defender.name} cannot be soundness-checked")
 
 
 # ---------- the scan engine ----------
@@ -344,17 +413,6 @@ class _MutantOracle:
         return MutantProfile(base, mutants)
 
 
-@dataclass
-class _SampleOutcome:
-    sample_id: str
-    certified: dict[str, bool]
-    variants_evaluated: int
-    violations: dict[str, list[dict]]
-    thm1_violations: list[dict]
-    clause_stats: dict[str, dict[str, int]]
-    evaded: dict[str, bool]
-
-
 def _scan_sample(
     classifier,
     record: DatasetRecord,
@@ -362,7 +420,8 @@ def _scan_sample(
     defenders: Sequence[Defender],
     cfg: AttackConfig,
     checks: frozenset,
-) -> _SampleOutcome:
+) -> SoundnessRun:
+    """Scan one sample into a one-sample `SoundnessRun`."""
     image, true_label, sample_id = record.image, record.true_label, record.id
     _check_spec_matches(image, cfg.patch_spec)
     _guard_budget(image, cfg)
@@ -372,30 +431,25 @@ def _scan_sample(
     benign_labels = [m.label for m in profile.mutants]
     certified = {d.name: d.certify(profile, true_label) for d in defenders}
 
-    outcome = _SampleOutcome(
-        sample_id=sample_id,
-        certified=certified,
-        variants_evaluated=0,
-        violations={d.name: [] for d in defenders},
-        thm1_violations=[],
-        clause_stats={
-            d.name: {CLAUSE_LABEL_DIFF: 0, CLAUSE_LOW_CONF: 0} for d in defenders
-        },
-        evaded={d.name: False for d in defenders},
-    )
-
-    def1_defenders = [
-        d for d in defenders if CHECK_DEF1 in checks and certified[d.name]
-    ]
+    run = SoundnessRun(cfg.mode, 1, {}, None, {d.name: 0 for d in defenders})
+    if CHECK_DEF1 in checks:
+        run.def1 = {
+            name: SoundnessReport(name, cfg.mode, 1, int(ok))
+            for name, ok in certified.items()
+        }
+    if CHECK_THM1 in checks:
+        run.theorem1 = SoundnessReport("(defender independent)", cfg.mode, 1)
+    thm1 = run.theorem1
     want_rsuc = CHECK_RSUC in checks
-    want_thm1 = CHECK_THM1 in checks
-    active = [
-        (d, d.name, d in def1_defenders)
-        for d in defenders
-        if d in def1_defenders or want_rsuc
-    ]
-    if not active and not want_thm1:
-        return outcome
+    # Each defender to warn-check, with its def1 report when the sample
+    # is certified for it.
+    active = []
+    for d in defenders:
+        report = run.def1.get(d.name) if certified[d.name] else None
+        if report is not None or want_rsuc:
+            active.append((d, report))
+    if not active and thm1 is None:
+        return run
 
     grids = [m.to_matrix() for m in mask_set.masks]
     num_masks = len(mask_set.masks)
@@ -411,68 +465,41 @@ def _scan_sample(
             continue  # not harmful; nothing to detect
 
         covering = plan.consistent_covering
-        if want_thm1 and covering:
+        if thm1 is not None and covering:
             # A consistent covering mask's mutant is the benign one, with
             # the true label, so checking those masks first settles a
             # harmful variant without classifying anything.
             order = itertools.chain(covering, range(num_masks))
             if all(oracle.mutant(plan, content, i).label == label for i in order):
-                outcome.thm1_violations.append(
-                    {
-                        "sample_id": sample_id,
-                        "variant_index": variant_index,
-                        "placement": plan.placement_doc,
-                        "content_digest": _content_digest(content),
-                        "variant_label": label,
-                        "consistent_covering_masks": list(covering),
-                    }
-                )
+                thm1.thm1_violations.append(_witness(
+                    sample_id, variant_index, plan.placement_doc, content, label,
+                    consistent_covering_masks=list(covering),
+                ))
 
         if not active:
             continue
         vprofile = oracle.profile(plan, content, Prediction(label, confidence))
-        for d, name, in_def1 in active:
-            label_diff, low_conf = d.warn_clauses(vprofile)
-            warned = label_diff or low_conf
-            if warned:
-                if in_def1:
-                    clause = CLAUSE_LABEL_DIFF if label_diff else CLAUSE_LOW_CONF
-                    outcome.clause_stats[name][clause] += 1
+        for d, report in active:
+            clause = _caught_by(d, vprofile)
+            if clause is not None:
+                if report is not None:
+                    report.thm2_clause_stats[clause] += 1
                 continue
             if want_rsuc:
-                outcome.evaded[name] = True
-            if in_def1:
-                outcome.violations[name].append(
-                    {
-                        "sample_id": sample_id,
-                        "variant_index": variant_index,
-                        "placement": plan.placement_doc,
-                        "content_digest": _content_digest(content),
-                        "variant_label": label,
-                        "reason": "harmful variant drew no warning",
-                    }
-                )
-    outcome.variants_evaluated = variant_index + 1
-    return outcome
+                run.evaded_samples[d.name] = 1
+            if report is not None:
+                report.violations.append(_witness(
+                    sample_id, variant_index, plan.placement_doc, content, label,
+                    reason="harmful variant drew no warning",
+                ))
+    for report in (*run.def1.values(), thm1):
+        if report is not None:
+            report.variants_evaluated = variant_index + 1
+    return run
 
 
-def _scan_task(args) -> _SampleOutcome:
+def _scan_task(args) -> SoundnessRun:
     return _scan_sample(*args)
-
-
-@dataclass
-class SoundnessRun:
-    """Joined results of one oracle pass over a dataset."""
-
-    mode: str
-    samples: int
-    def1: dict[str, SoundnessReport]
-    theorem1: SoundnessReport | None
-    evaded_samples: dict[str, int]
-
-    def success_ratio(self, defender_name: str) -> Fraction:
-        evaded = self.evaded_samples[defender_name]
-        return Fraction(self.samples - evaded, self.samples)
 
 
 def run_soundness(
@@ -498,13 +525,9 @@ def run_soundness(
     names = [d.name for d in defenders]
     if len(set(names)) != len(names):
         raise InvalidInputError("defender names must be unique in one run")
-    needs_warn = (CHECK_DEF1 in checks or CHECK_RSUC in checks)
-    if needs_warn:
+    if CHECK_DEF1 in checks or CHECK_RSUC in checks:
         for d in defenders:
-            if not d.has_warn:
-                raise UnsupportedOperationError(
-                    f"{d.name} cannot be soundness-checked"
-                )
+            _require_warn(d)
     if isinstance(classifier, TableClassifier):
         raise InvalidInputError(
             "table classifiers cannot label tampered pixels; "
@@ -516,92 +539,9 @@ def run_soundness(
     ]
     if workers > 1 and len(records) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_scan_task, tasks, chunksize=1))
-    else:
-        outcomes = [_scan_task(t) for t in tasks]
-
-    def1: dict[str, SoundnessReport] = {}
-    if CHECK_DEF1 in checks:
-        for d in defenders:
-            rep = SoundnessReport(d.name, cfg.mode)
-            for o in outcomes:
-                rep.samples_checked += 1
-                rep.certified_count += int(o.certified[d.name])
-                rep.variants_evaluated += o.variants_evaluated
-                rep.violations.extend(o.violations[d.name])
-                for k, v in o.clause_stats[d.name].items():
-                    rep.thm2_clause_stats[k] += v
-            def1[d.name] = rep
-
-    theorem1 = None
-    if CHECK_THM1 in checks:
-        theorem1 = SoundnessReport("(defender independent)", cfg.mode)
-        for o in outcomes:
-            theorem1.samples_checked += 1
-            theorem1.variants_evaluated += o.variants_evaluated
-            theorem1.thm1_violations.extend(o.thm1_violations)
-
-    evaded = {name: 0 for name in names}
-    if CHECK_RSUC in checks:
-        for o in outcomes:
-            for name in names:
-                evaded[name] += int(o.evaded[name])
-
-    return SoundnessRun(
-        mode=cfg.mode,
-        samples=len(records),
-        def1=def1,
-        theorem1=theorem1,
-        evaded_samples=evaded,
-    )
-
-
-def check_certified_detection(
-    classifier,
-    image: Image,
-    true_label: int,
-    mask_set: MaskSet,
-    defender: Defender,
-    cfg: AttackConfig,
-    sample_id: str = "sample",
-) -> SoundnessReport:
-    """Verify the certification guarantee for one sample.
-
-    If the defender certifies the sample, every in-scope variant is
-    enumerated and each harmful one must draw a warning; failures land
-    in the report's violations list. Uncertified samples are recorded
-    and skipped.
-    """
-    if not defender.has_warn:
-        raise UnsupportedOperationError(
-            f"{defender.name} cannot be soundness-checked"
-        )
-    record = DatasetRecord(sample_id, true_label, image)
-    run = run_soundness(
-        classifier, [record], mask_set, [defender], cfg, checks={CHECK_DEF1}
-    )
-    return run.def1[defender.name]
-
-
-def check_theorem1(
-    classifier,
-    image: Image,
-    true_label: int,
-    mask_set: MaskSet,
-    cfg: AttackConfig,
-    sample_id: str = "sample",
-) -> SoundnessReport:
-    """Check, defender-free, that consistent covering masks betray patches.
-
-    For every variant whose placement is covered by a mask whose benign
-    mutant keeps the true label: if the variant is harmful, at least one
-    of its own mutants must disagree with its label.
-    """
-    record = DatasetRecord(sample_id, true_label, image)
-    run = run_soundness(
-        classifier, [record], mask_set, [], cfg, checks={CHECK_THM1}
-    )
-    return run.theorem1
+            runs = pool.map(_scan_task, tasks, chunksize=1)
+            return functools.reduce(SoundnessRun.merge, runs)
+    return functools.reduce(SoundnessRun.merge, map(_scan_task, tasks))
 
 
 def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> SoundnessReport:
@@ -610,14 +550,9 @@ def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> Soundn
     The fixture's variant list plays the role of the enumerated attack
     set; profiles come straight from the table.
     """
-    if not defender.has_warn:
-        raise UnsupportedOperationError(
-            f"{defender.name} cannot be soundness-checked"
-        )
-    report = SoundnessReport(defender.name, "fixture")
-    report.samples_checked = 1
-    benign = fixture.benign_profile()
-    certified = defender.certify(benign, fixture.true_label)
+    _require_warn(defender)
+    report = SoundnessReport(defender.name, "fixture", samples_checked=1)
+    certified = defender.certify(fixture.benign_profile(), fixture.true_label)
     report.certified_count = int(certified)
     if not certified:
         return report
@@ -625,9 +560,8 @@ def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> Soundn
         report.variants_evaluated += 1
         if vprofile.base.label == fixture.true_label:
             continue
-        label_diff, low_conf = defender.warn_clauses(vprofile)
-        if label_diff or low_conf:
-            clause = CLAUSE_LABEL_DIFF if label_diff else CLAUSE_LOW_CONF
+        clause = _caught_by(defender, vprofile)
+        if clause is not None:
             report.thm2_clause_stats[clause] += 1
             continue
         report.violations.append(
@@ -639,23 +573,3 @@ def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> Soundn
             }
         )
     return report
-
-
-def defense_success_ratio(
-    classifier,
-    records: Sequence[DatasetRecord],
-    mask_set: MaskSet,
-    defender: Defender,
-    cfg: AttackConfig,
-    workers: int = 1,
-) -> Fraction:
-    """Fraction of samples with no enumerated harmful variant that evades warning.
-
-    Counts every sample, certified or not; certification soundness makes
-    this ratio at least the certification rate.
-    """
-    run = run_soundness(
-        classifier, records, mask_set, [defender], cfg,
-        checks={CHECK_RSUC}, workers=workers,
-    )
-    return run.success_ratio(defender.name)

@@ -36,8 +36,9 @@ class Rect:
     """Axis-aligned rectangle in (row, column) coordinates.
 
     `top`/`left` are inclusive, extents are at least 1. Ordering is
-    lexicographic on (top, left, height, width), which is also the
-    deterministic placement order used everywhere.
+    lexicographic on (top, left, height, width). Placements are not
+    enumerated in this order: see `iter_placements`, which walks
+    rectangle specs by (height, width, top, left).
     """
 
     top: int

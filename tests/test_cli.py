@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def first_label_at_least(data_path, n):
+    """Id of the first dataset sample whose label is n or more."""
+    for line in pathlib.Path(data_path).read_text().splitlines():
+        row = json.loads(line)
+        if row["label"] >= n:
+            return row["id"]
+    raise AssertionError(f"no label >= {n} in {data_path}")
+
+
 @pytest.fixture
 def workspace(tmp_path, capsys):
     """A small dataset plus verified mask set, generated through the CLI."""
@@ -208,6 +217,19 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert "needs --tau" in err
 
+    def test_label_outside_num_labels_is_a_usage_error(self, capsys, workspace):
+        data = workspace / "data.jsonl"
+        code, _, err = run(
+            capsys, "evaluate", "--dataset", str(data),
+            "--masks", str(workspace / "masks.json"),
+            "--classifier", "linear", "--num-labels", "2", "--seed", "7",
+            "--defender", "doma", "--out-dir", str(workspace / "out"),
+        )
+        assert code == EXIT_USAGE
+        sample_id = first_label_at_least(data, 2)
+        assert f"{data}: sample {sample_id!r} has label" in err
+        assert not (workspace / "out" / "report_doma.json").exists()
+
     def test_table_classifier_needs_predictions(self, capsys, workspace):
         code, _, err = run(
             capsys, "evaluate",
@@ -294,6 +316,49 @@ class TestVerify:
         )
         assert code == EXIT_USAGE
         assert str(4**64) in err
+
+    def test_label_outside_num_labels_is_a_usage_error(self, capsys, workspace):
+        data = workspace / "data.jsonl"
+        code, _, err = run(
+            capsys, "verify", "--dataset", str(data),
+            "--masks", str(workspace / "masks.json"),
+            "--num-labels", "2", "--seed", "7",
+            "--defender", "hicert", "--tau", "0.8",
+        )
+        assert code == EXIT_USAGE
+        assert f"{data}: sample {first_label_at_least(data, 2)!r} has label" in err
+
+    def verify_patch_flags(self, capsys, workspace, *flags):
+        return run(
+            capsys, "verify",
+            "--dataset", str(workspace / "data.jsonl"),
+            "--masks", str(workspace / "masks.json"),
+            "--num-labels", "5", "--seed", "7",
+            "--defender", "hicert", "--tau", "0.8", *flags,
+        )
+
+    def test_patch_size_and_area_are_mutually_exclusive(self, capsys, workspace):
+        code, stdout, err = self.verify_patch_flags(
+            capsys, workspace, "--patch-size", "2", "--patch-area", "3"
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "not allowed with argument" in err
+
+    def test_multiple_patches_need_patch_size(self, capsys, workspace):
+        for flags in (("--patch-area", "2", "--patches", "2"), ("--patches", "2")):
+            code, stdout, err = self.verify_patch_flags(capsys, workspace, *flags)
+            assert code == EXIT_USAGE, flags
+            assert stdout == ""
+            assert "multiple patches need --patch-size" in err
+
+    def test_override_with_bad_tau_is_a_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "--fixture", FIXTURE,
+            "--defender-override", "certify=hicert:abc,warn=doma",
+        )
+        assert code == EXIT_USAGE
+        assert "'abc'" in err
 
     def test_unknown_check_is_a_usage_error(self, capsys, workspace):
         code, _, err = run(

@@ -330,6 +330,32 @@ class TestReports:
         save_report({"alpha": {"a": 3, "b": 2}, "zeta": 1}, str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_writes_keep_the_old_file(self, tmp_path):
+        """A save that fails midway leaves the previous file and no temp
+        file behind, for single documents and for JSON lines alike."""
+        report = tmp_path / "report.json"
+        save_report({"ok": True}, str(report))
+        before = report.read_bytes()
+        with pytest.raises(TypeError):
+            save_report({"ok": object()}, str(report))
+        assert report.read_bytes() == before
+
+        data = tmp_path / "data.jsonl"
+        records = gen_synthetic_dataset(3, (2, 2), 1, 4, 3, seed=1)
+        save_dataset(records, str(data))
+        saved = data.read_bytes()
+
+        def failing():
+            yield records[0]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            save_dataset(failing(), str(data))
+        assert data.read_bytes() == saved
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.jsonl", "report.json"
+        ]
+
 
 class TestProfileFixture:
     def test_bundled_negative_control_loads(self):

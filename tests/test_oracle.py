@@ -25,11 +25,9 @@ from patchcert.oracle import (
     CHECK_RSUC,
     CHECK_THM1,
     AttackConfig,
-    check_certified_detection,
+    SoundnessRun,
     check_profile_fixture,
-    check_theorem1,
     count_variants,
-    defense_success_ratio,
     enumerate_variants,
     run_soundness,
 )
@@ -211,6 +209,13 @@ def naive_certified_detection(classifier, image, true_label, mask_set,
     return certified, variants, violations
 
 
+def certified_detection(classifier, image, true_label, mask_set, defender, cfg):
+    """The def1 report of a one-sample `run_soundness`."""
+    record = DatasetRecord("sample", true_label, image)
+    run = run_soundness(classifier, [record], mask_set, [defender], cfg)
+    return run.def1[defender.name]
+
+
 def engine_violation_keys(report):
     return [
         (v["variant_index"], tuple(tuple(r) for r in v["placement"]))
@@ -240,9 +245,7 @@ def find_unsound_setup(backend=HashClassifier, warner=DefenderSpec("pgpp", 0.99)
         true_label = profile.base.label
         if not defender.certify(profile, true_label):
             continue
-        report = check_certified_detection(
-            clf, img, true_label, mask_set, defender, cfg
-        )
+        report = certified_detection(clf, img, true_label, mask_set, defender, cfg)
         if report.violations:
             return clf, img, true_label, mask_set, defender, cfg, report
     raise AssertionError("no unsound setup found in 200 seeds")
@@ -281,7 +284,7 @@ class TestEngineAgainstNaive:
     def test_sound_defender_sees_no_violations_where_unsound_does(self):
         clf, img, y0, ms, _, cfg, _ = find_unsound_setup()
         sound = make_defender(DefenderSpec("hicert", 0.8))
-        report = check_certified_detection(clf, img, y0, ms, sound, cfg)
+        report = certified_detection(clf, img, y0, ms, sound, cfg)
         assert not report.violations
 
     def test_random_findings_are_a_subset_of_exhaustive(self):
@@ -289,9 +292,7 @@ class TestEngineAgainstNaive:
         random_cfg = AttackConfig(
             patch_spec=cfg.patch_spec, mode="random", trials=300, seed=17
         )
-        sampled = check_certified_detection(
-            clf, img, y0, ms, defender, random_cfg
-        )
+        sampled = certified_detection(clf, img, y0, ms, defender, random_cfg)
         exhaustive_keys = {
             (tuple(tuple(r) for r in v["placement"]), v["content_digest"])
             for v in exhaustive.violations
@@ -325,7 +326,8 @@ class TestEngineAgainstNaive:
                     break
         want = Fraction(len(records) - evaded, len(records))
 
-        got = defense_success_ratio(clf, records, ms, defender, cfg)
+        run = run_soundness(clf, records, ms, [defender], cfg, checks={CHECK_RSUC})
+        got = run.success_ratio(defender.name)
         assert isinstance(got, Fraction)
         assert got == want
         assert got >= Fraction(certified, len(records))
@@ -343,7 +345,10 @@ class TestTheorem1:
             img = make_image(rng, h, h, alphabet_size=2)
             ms = gen_square_cover((h, h), p, k)
             cfg = AttackConfig(patch_spec=ms.spec, alphabet_size=2)
-            report = check_theorem1(clf, img, 0, ms, cfg)
+            record = DatasetRecord("sample", 0, img)
+            report = run_soundness(
+                clf, [record], ms, [], cfg, checks={CHECK_THM1}
+            ).theorem1
             assert report.thm1_violations == []
             assert report.variants_evaluated > 0
 
@@ -401,6 +406,48 @@ class TestRunSoundness:
         rep = run.def1[never.name]
         assert rep.certified_count == 0
         assert rep.variants_evaluated == 0
+
+    def test_run_is_the_fold_of_one_sample_runs(self):
+        """A run over N records sums the N one-record runs and lists
+        their findings in dataset order. At this seed three samples
+        carry violations and two evade the second defender."""
+        records = gen_synthetic_dataset(12, (4, 4), 1, 2, 2, seed=5)
+        ms = gen_square_cover((4, 4), 1, 2)
+        clf = HashClassifier(seed=5, num_labels=2)
+        cfg = square_cfg(4, 4, 1)
+        defenders = [
+            make_composite(DefenderSpec("c2"), DefenderSpec("pgpp", 0.99)),
+            make_defender(DefenderSpec("hicert", 0.5)),
+        ]
+        checks = {CHECK_DEF1, CHECK_THM1, CHECK_RSUC}
+        whole = run_soundness(clf, records, ms, defenders, cfg, checks=checks)
+        parts = [
+            run_soundness(clf, [r], ms, defenders, cfg, checks=checks)
+            for r in records
+        ]
+        assert whole.samples == len(parts) == 12
+        for d in defenders:
+            rep = whole.def1[d.name].to_dict()
+            ones = [p.def1[d.name].to_dict() for p in parts]
+            for key in ("samples_checked", "certified_count", "variants_evaluated"):
+                assert rep[key] == sum(o[key] for o in ones), (d.name, key)
+            assert rep["violations"] == [v for o in ones for v in o["violations"]]
+            for clause, n in rep["thm2_clause_stats"].items():
+                assert n == sum(o["thm2_clause_stats"][clause] for o in ones)
+            assert whole.evaded_samples[d.name] == sum(
+                p.evaded_samples[d.name] for p in parts
+            )
+        thm1 = whole.theorem1.to_dict()
+        assert thm1["variants_evaluated"] == sum(
+            p.theorem1.variants_evaluated for p in parts
+        )
+        assert thm1["thm1_violations"] == []
+        violators = [v["sample_id"] for v in whole.def1[defenders[0].name].violations]
+        assert sorted(set(violators)) == ["s00001", "s00007", "s00011"]
+        assert violators == sorted(violators)
+        assert whole.evaded_samples[defenders[1].name] == 2
+        folded = functools.reduce(SoundnessRun.merge, parts)
+        assert folded.def1 == whole.def1 and folded.theorem1 == whole.theorem1
 
     def test_validation_errors(self):
         clf, records, ms, defenders, cfg = self.make_grid()
