@@ -41,11 +41,9 @@ from .defenders import (
     Defender,
     DefenderSpec,
     MutantProfile,
-    SampleTaxonomy,
     Verdict,
     assign_case,
     c2_certify,
-    classify_sample,
     doma_certify,
     doma_warn,
     hicert_certify,

@@ -7,7 +7,7 @@ The same image always yields the same prediction, on any platform.
 
 Every pixel backend implements `_predict_packed(data, bytes_per_pixel)`:
 it classifies bytes-like `data` in the encoding of `Image.packed` and
-returns a `(label, confidence)` pair. `classify(image)` only wraps it.
+returns a `Prediction`. `classify(image)` returns that same value.
 Mutants are classified from `tensor.masked_packed` bytes, and the
 oracle's variants from patched copies of those bytes, so no `Image` is
 built per mutant or per variant.
@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .cover import MaskSet
 from .defenders import MutantProfile
@@ -52,20 +52,15 @@ def clamp_confidence(value: float) -> float:
     return lo if value < lo else hi if value > hi else value
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """A label with the classifier's confidence for it."""
+class Prediction(NamedTuple):
+    """A label with the classifier's confidence for it.
+
+    A plain value: pixel backends clamp confidences into (0, 1), and the
+    file loaders check label and confidence where a table is read.
+    """
 
     label: int
     confidence: float
-
-    def __post_init__(self):
-        if self.label < 0:
-            raise InvalidInputError("label must be non-negative")
-        if not 0.0 < self.confidence < 1.0:
-            raise InvalidInputError(
-                f"confidence must lie strictly inside (0, 1), got {self.confidence}"
-            )
 
 
 _CONF_DENOM = 65538  # (1 + value mod 2^16) / (2^16 + 2) stays inside (0, 1)
@@ -105,9 +100,9 @@ class HashClassifier:
             raise InvalidInputError("seed must fit in 64 bits")
 
     def classify(self, image: Image) -> Prediction:
-        return Prediction(*self._predict_packed(image.packed, image.bytes_per_pixel))
+        return self._predict_packed(image.packed, image.bytes_per_pixel)
 
-    def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> tuple[int, float]:
+    def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> Prediction:
         # The digest reads the bytes as they are; the pixel width is unused.
         keyed_label, keyed_conf = _keyed_digests(self.seed)
         h_label = keyed_label.copy()
@@ -116,7 +111,7 @@ class HashClassifier:
         h_conf.update(data)
         label = int.from_bytes(h_label.digest(), "little") % self.num_labels
         raw = int.from_bytes(h_conf.digest(), "little") & 0xFFFF
-        return label, clamp_confidence((1 + raw) / _CONF_DENOM)
+        return Prediction(label, clamp_confidence((1 + raw) / _CONF_DENOM))
 
 
 @lru_cache(maxsize=64)
@@ -172,9 +167,9 @@ class LinearClassifier:
         return _seeded_weights(self.seed, self.num_labels, num_features)
 
     def classify(self, image: Image) -> Prediction:
-        return Prediction(*self._predict_packed(image.packed, image.bytes_per_pixel))
+        return self._predict_packed(image.packed, image.bytes_per_pixel)
 
-    def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> tuple[int, float]:
+    def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> Prediction:
         pixels = unpack_pixels(data, bytes_per_pixel)
         rows = self._weight_rows(len(pixels))
         logits = [sum(w * v for w, v in zip(row, pixels)) for row in rows]
@@ -184,7 +179,7 @@ class LinearClassifier:
                 best = i
         peak = logits[best]
         denom = sum(math.exp((l - peak) / self.temperature) for l in logits)
-        return best, clamp_confidence(1.0 / denom)
+        return Prediction(best, clamp_confidence(1.0 / denom))
 
 
 @dataclass(frozen=True)
@@ -212,9 +207,6 @@ class TableClassifier:
         )
         return MutantProfile(base, mutants)
 
-    def sample_ids(self) -> list[str]:
-        return sorted({sid for sid, _ in self.rows})
-
 
 def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
                      sample_id: str | None = None) -> MutantProfile:
@@ -237,7 +229,5 @@ def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
         raise InvalidInputError("image classifiers need pixels")
     base = classifier.classify(image)
     predict, bpp = classifier._predict_packed, image.bytes_per_pixel
-    mutants = tuple(
-        Prediction(*predict(masked_packed(image, m), bpp)) for m in mask_set.masks
-    )
+    mutants = tuple(predict(masked_packed(image, m), bpp) for m in mask_set.masks)
     return MutantProfile(base, mutants)

@@ -29,9 +29,9 @@ from .defenders import (
     DEFENDER_KINDS,
     Defender,
     DefenderSpec,
-    classify_sample,
     make_composite,
     make_defender,
+    oma,
 )
 from .errors import FileFormatError, InvalidInputError, PatchCertError
 from .metrics import EvalRecord, compute_metrics
@@ -51,6 +51,13 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# verify flags that only a dataset scan reads; --fixture refuses them.
+_SCAN_FLAGS = (
+    "dataset", "masks", "classifier", "num_labels", "seed", "predictions",
+    "patch_size", "patch_area", "patches", "mode", "trials", "attack_seed",
+    "budget", "workers", "timing", "checks",
+)
 
 
 def _default_workers() -> int:
@@ -145,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive("workers"), default=None)
     p.add_argument("--timing", action="store_true",
                    help="print the scan's wall time to stderr")
-    p.set_defaults(func=cmd_verify)
+    # No default kind, so an explicit --defender next to
+    # --defender-override can be refused; a plain verify means hicert.
+    p.set_defaults(func=cmd_verify, defender=None)
 
     p = sub.add_parser("report", help="recompute metrics from saved records")
     p.add_argument("--records", required=True)
@@ -229,13 +238,12 @@ def _classifier_doc(args) -> dict:
     return doc
 
 
-def _taus(args) -> list[float]:
-    spec_probe = DefenderSpec(args.defender, 0.0)
-    if not spec_probe.uses_tau:
+def _taus(kind: str, taus: list[float] | None) -> list[float]:
+    if not DefenderSpec(kind, 0.0).uses_tau:
         return [0.0]
-    if not args.tau:
-        raise InvalidInputError(f"--defender {args.defender} needs --tau")
-    return args.tau
+    if not taus:
+        raise InvalidInputError(f"--defender {kind} needs --tau")
+    return taus
 
 
 def _parse_override(text: str) -> Defender:
@@ -263,6 +271,18 @@ def _parse_override(text: str) -> Defender:
 
 def _tau_tag(tau: float) -> str:
     return f"{tau:g}".replace("-", "m")
+
+
+def _refuse_given(args, dests: Sequence[str], message: str) -> None:
+    """Fail naming each flag in `dests` that differs from verify's default."""
+    defaults = build_parser().parse_args(["verify"])
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest in dests
+        if getattr(args, dest) != getattr(defaults, dest)
+    ]
+    if given:
+        raise InvalidInputError(f"{message} {', '.join(given)}")
 
 
 def _resolved_workers(args) -> int:
@@ -317,7 +337,7 @@ def cmd_gen_data(args) -> int:
 def cmd_evaluate(args) -> int:
     records, mask_set, classifier = _load_inputs(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    taus = _taus(args)
+    taus = _taus(args.defender, args.tau)
     defenders = [make_defender(DefenderSpec(args.defender, tau)) for tau in taus]
     # Each sample is profiled once; every tau's verdict reads that profile.
     per_tau: list[list[EvalRecord]] = [[] for _ in taus]
@@ -326,7 +346,7 @@ def cmd_evaluate(args) -> int:
         profile = classify_mutants(
             classifier, record.image, mask_set, sample_id=record.id
         )
-        consistent = classify_sample(profile, record.true_label).consistent
+        consistent = oma(profile, record.true_label)
         for defender, eval_records in zip(defenders, per_tau):
             verdict = defender.verdict(profile, record.true_label)
             eval_records.append(EvalRecord(
@@ -391,14 +411,17 @@ def _verify_fixture(args, defender: Defender) -> int:
 
 def cmd_verify(args) -> int:
     if args.defender_override:
+        _refuse_given(args, ("defender", "tau"), "--defender-override replaces")
         defender = _parse_override(args.defender_override)
     else:
-        taus = _taus(args)
+        kind = args.defender or "hicert"
+        taus = _taus(kind, args.tau)
         if len(taus) != 1:
             raise InvalidInputError("verify takes a single --tau")
-        defender = make_defender(DefenderSpec(args.defender, taus[0]))
+        defender = make_defender(DefenderSpec(kind, taus[0]))
 
     if args.fixture:
+        _refuse_given(args, _SCAN_FLAGS, "--fixture does not read")
         return _verify_fixture(args, defender)
 
     if not args.dataset or not args.masks:

@@ -26,6 +26,7 @@ from .errors import (
     InvalidInputError,
     MalformedLineError,
     SchemaViolationError,
+    TableLookupError,
     ValueOutOfRangeError,
 )
 from .metrics import EvalRecord
@@ -179,6 +180,11 @@ def _need(path: str, lineno: int, obj: dict, key: str, types,
     return val
 
 
+def _all_ints(values: Iterable) -> bool:
+    """True when every value is an int proper (not a bool or a float)."""
+    return set(map(type, values)) <= {int}
+
+
 # ---------- datasets ----------
 
 
@@ -213,12 +219,12 @@ def load_dataset(path: str) -> list[DatasetRecord]:
         if label < 0:
             raise ValueOutOfRangeError(path, lineno, "label must be non-negative")
         shape = _need(path, lineno, obj, "shape", list)
-        if len(shape) != 3 or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in shape
-        ):
+        if len(shape) != 3 or not _all_ints(shape):
             raise SchemaViolationError(path, lineno, "shape must be [h, w, c]")
         alphabet = _need(path, lineno, obj, "alphabet", int)
         pixels = _need(path, lineno, obj, "pixels", list)
+        if not _all_ints(pixels):
+            raise SchemaViolationError(path, lineno, "pixels must be integers")
         try:
             image = Image(shape[0], shape[1], shape[2], alphabet, tuple(pixels))
         except (InvalidInputError, TypeError) as e:
@@ -258,22 +264,28 @@ def load_maskset(path: str) -> MaskSet:
     if version != FORMAT_VERSION:
         raise SchemaViolationError(path, 0, f"unsupported format_version {version}")
     plane = _need(path, 0, doc, "plane", list)
-    if len(plane) != 2:
+    if len(plane) != 2 or not _all_ints(plane):
         raise SchemaViolationError(path, 0, "plane must be [h, w]")
     spec_doc = _need(path, 0, doc, "spec", dict)
+    if not _all_ints(spec_doc[k] for k in ("size", "area", "count") if k in spec_doc):
+        raise SchemaViolationError(path, 0, "patch spec sizes must be integers")
     masks_doc = _need(path, 0, doc, "masks", list)
+    per_axis = (
+        _need(path, 0, doc, "masks_per_axis", int) if "masks_per_axis" in doc else 1
+    )
+    compound = _need(path, 0, doc, "compound", bool) if "compound" in doc else False
     try:
         spec = PatchSpec.from_dict(plane[0], plane[1], spec_doc)
         masks = []
         for m in masks_doc:
-            rects = tuple(Rect(*r) for r in m["rects"])
-            masks.append(Mask(plane[0], plane[1], rects))
-        return MaskSet(
-            tuple(masks),
-            spec,
-            doc.get("masks_per_axis", 1),
-            compound=bool(doc.get("compound", False)),
-        )
+            rects = m["rects"]
+            if not all(isinstance(r, list) and len(r) == 4 and _all_ints(r)
+                       for r in rects):
+                raise SchemaViolationError(
+                    path, 0, "mask rects must be four integers each"
+                )
+            masks.append(Mask(plane[0], plane[1], tuple(Rect(*r) for r in rects)))
+        return MaskSet(tuple(masks), spec, per_axis, compound=compound)
     except (InvalidInputError, KeyError, TypeError) as e:
         raise SchemaViolationError(path, 0, f"bad mask set: {e}")
 
@@ -326,7 +338,9 @@ def _prediction_table(
             )
         table[key] = Prediction(label, float(confidence))
     mask_indices = [v for _, v in table if isinstance(v, int)]
-    return TableClassifier(table, num_masks=max(mask_indices, default=-1) + 1)
+    if not mask_indices:
+        raise SchemaViolationError(path, 0, "prediction table holds no mask rows")
+    return TableClassifier(table, num_masks=max(mask_indices) + 1)
 
 
 def save_predictions(
@@ -344,12 +358,9 @@ def save_predictions(
 
 
 def load_predictions(path: str) -> TableClassifier:
-    table = _prediction_table(
+    return _prediction_table(
         path, ((lineno, "", obj) for lineno, obj in _read_jsonl(path))
     )
-    if not table.rows:
-        raise SchemaViolationError(path, 0, "prediction table holds no rows")
-    return table
 
 
 # ---------- evaluation records ----------
@@ -465,7 +476,12 @@ def load_profile_fixture(path: str) -> ProfileFixture:
         num_masks=table.num_masks,
         table=table,
     )
-    # Fail fast if any referenced profile is incomplete.
-    fixture.benign_profile()
-    fixture.variant_profiles()
+    # Fail fast, naming the file, if any referenced profile is incomplete.
+    try:
+        fixture.benign_profile()
+        fixture.variant_profiles()
+    except TableLookupError as e:
+        raise SchemaViolationError(
+            path, 0, f"no row for sample {e.sample_id!r}, variant {e.variant!r}"
+        ) from None
     return fixture

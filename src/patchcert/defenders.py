@@ -17,7 +17,7 @@ tau falls on the non-certify / non-warn side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, UnsupportedOperationError
 
@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MutantProfile",
-    "SampleTaxonomy",
     "Verdict",
     "DefenderSpec",
     "Defender",
@@ -45,30 +44,14 @@ __all__ = [
     "make_defender",
     "make_composite",
     "assign_case",
-    "classify_sample",
 ]
 
 
-@dataclass(frozen=True)
-class MutantProfile:
+class MutantProfile(NamedTuple):
     """Base prediction plus one prediction per mask, in mask-set order."""
 
     base: "Prediction"
     mutants: tuple["Prediction", ...]
-
-    def __post_init__(self):
-        if not isinstance(self.mutants, tuple):
-            object.__setattr__(self, "mutants", tuple(self.mutants))
-        if not self.mutants:
-            raise InvalidInputError("a profile needs at least one mutant")
-
-
-@dataclass(frozen=True)
-class SampleTaxonomy:
-    """Whether all mutants agree with the true label, and which do not."""
-
-    consistent: bool
-    inconsistent_mutant_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -204,7 +187,6 @@ def pgpp_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bo
 
 
 DEFENDER_KINDS = ("doma", "c2", "pgpp", "hicert", "hicert_flip", "pgpp_flip")
-_KIND_ALIASES = {"c2_variant": "c2"}
 _FLIP_KINDS = ("hicert_flip", "pgpp_flip")
 _TAU_KINDS = ("pgpp", "hicert", "hicert_flip", "pgpp_flip")
 
@@ -217,9 +199,6 @@ class DefenderSpec:
     tau: float = 0.0
 
     def __post_init__(self):
-        kind = _KIND_ALIASES.get(self.kind, self.kind)
-        if kind != self.kind:
-            object.__setattr__(self, "kind", kind)
         if self.kind not in DEFENDER_KINDS:
             raise InvalidInputError(
                 f"unknown defender kind {self.kind!r}; expected one of "
@@ -287,19 +266,7 @@ class Defender:
         return _certify(self.certify_kind, self.certify_tau, profile, true_label)
 
     def warn(self, profile: MutantProfile) -> bool:
-        kind = self.warn_kind
-        if kind is None:
-            raise UnsupportedOperationError(
-                f"{DefenderSpec(self.certify_kind, self.certify_tau).name} "
-                "defines no warning rule"
-            )
-        if kind == "doma" or kind == "c2":
-            return doma_warn(profile)
-        if kind == "pgpp":
-            return pgpp_warn(profile, self.warn_tau)
-        if kind == "hicert":
-            return hicert_warn(profile, self.warn_tau)
-        raise UnsupportedOperationError(f"no warning rule for {kind!r}")
+        return any(self.warn_clauses(profile))
 
     def warn_clauses(self, profile: MutantProfile) -> tuple[bool, bool]:
         """(label difference, low confidence) clause values for this warner.
@@ -310,7 +277,16 @@ class Defender:
         kind = self.warn_kind
         if kind == "hicert":
             return hicert_warn_parts(profile, self.warn_tau)
-        return self.warn(profile), False
+        if kind == "doma" or kind == "c2":
+            return doma_warn(profile), False
+        if kind == "pgpp":
+            return pgpp_warn(profile, self.warn_tau), False
+        if kind is None:
+            raise UnsupportedOperationError(
+                f"{DefenderSpec(self.certify_kind, self.certify_tau).name} "
+                "defines no warning rule"
+            )
+        raise UnsupportedOperationError(f"no warning rule for {kind!r}")
 
     def verdict(self, profile: MutantProfile, true_label: int) -> Verdict:
         certified = self.certify(profile, true_label)
@@ -354,11 +330,3 @@ def assign_case(correct: bool, verdict: Verdict) -> int:
         + (0 if verdict.certified else 2)
         + (0 if verdict.warned else 1)
     )
-
-
-def classify_sample(profile: MutantProfile, true_label: int) -> SampleTaxonomy:
-    """Consistency of every mutant with the true label, plus the offenders."""
-    bad = tuple(
-        i for i, m in enumerate(profile.mutants) if m.label != true_label
-    )
-    return SampleTaxonomy(not bad, bad)

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .tensor import Image, PatchSpec, Placement, apply_patch, count_placements, \
-    iter_placements, masked_packed, write_packed
+    iter_placements, masked_packed, rectangle_shapes, write_packed
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -185,12 +185,10 @@ def count_variants(
         return placements * a ** (spec.size * spec.size * c), True
     if spec.kind == "rectangle":
         h, w = spec.plane_height, spec.plane_width
-        total = 0
-        for rh in range(1, min(h, spec.area) + 1):
-            max_rw = min(w, spec.area // rh)
-            for rw in range(1, max_rw + 1):
-                total += (h - rh + 1) * (w - rw + 1) * a ** (rh * rw * c)
-        return total, True
+        return sum(
+            (h - rh + 1) * (w - rw + 1) * a ** (rh * rw * c)
+            for rh, rw in rectangle_shapes(spec)
+        ), True
     per_placement = a ** (spec.count * spec.size * spec.size * c)
     if cap is not None and per_placement > cap:
         return per_placement, False
@@ -366,10 +364,12 @@ class _MutantOracle:
     """Classify tampered variants and their one-mask mutants as packed bytes.
 
     Every pixel backend implements `_predict_packed(data,
-    bytes_per_pixel)` over the encoding of `Image.packed`. A variant is
-    a copy of the packed sample with the patch content written in; its
-    mutant under mask i is a copy of the packed masked sample with the
-    content written back at the patch positions that survive the mask.
+    bytes_per_pixel)` over the encoding of `Image.packed` and returns a
+    `Prediction`. A variant is a copy of the packed sample with the patch
+    content written in; its `classify_variant` prediction is the base of
+    its profile, and its mutant under mask i is a copy of the packed
+    masked sample with the content written back at the patch positions
+    that survive the mask.
     When no position survives, the mutant is the sample's own benign
     mutant. Other mutants are memoized per placement plan; the memo
     holds real classifier outputs on real mutant bytes. The `benign`
@@ -382,11 +382,11 @@ class _MutantOracle:
         self.packed = image.packed
         self.masked_packed = [masked_packed(image, m) for m in mask_set.masks]
         self.benign = MutantProfile(
-            Prediction(*predict(self.packed, bpp)),
-            tuple(Prediction(*predict(b, bpp)) for b in self.masked_packed),
+            predict(self.packed, bpp),
+            tuple(predict(b, bpp) for b in self.masked_packed),
         )
 
-    def classify_variant(self, plan: _PlacementPlan, content) -> tuple[int, float]:
+    def classify_variant(self, plan: _PlacementPlan, content) -> Prediction:
         buf = bytearray(self.packed)
         write_packed(buf, plan.positions, content, self.bpp)
         return self.predict(buf, self.bpp)
@@ -402,7 +402,7 @@ class _MutantOracle:
             buf = bytearray(self.masked_packed[mask_idx])
             positions = plan.positions
             write_packed(buf, [positions[k] for k in proj], values, self.bpp)
-            pred = Prediction(*self.predict(buf, self.bpp))
+            pred = self.predict(buf, self.bpp)
             plan.mutants[key] = pred
         return pred
 
@@ -460,7 +460,8 @@ def _scan_sample(
     ):
         if plan is None or plan.placement is not placement:
             plan = _PlacementPlan(placement, image, grids, benign_labels, true_label)
-        label, confidence = oracle.classify_variant(plan, content)
+        variant = oracle.classify_variant(plan, content)
+        label = variant.label
         if label == true_label:
             continue  # not harmful; nothing to detect
 
@@ -478,7 +479,7 @@ def _scan_sample(
 
         if not active:
             continue
-        vprofile = oracle.profile(plan, content, Prediction(label, confidence))
+        vprofile = oracle.profile(plan, content, variant)
         for d, report in active:
             clause = _caught_by(d, vprofile)
             if clause is not None:

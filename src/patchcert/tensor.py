@@ -420,6 +420,13 @@ def _square_anchors(spec: PatchSpec) -> Iterator[Rect]:
             yield Rect(top, left, p, p)
 
 
+def rectangle_shapes(spec: PatchSpec) -> Iterator[tuple[int, int]]:
+    """Every (height, width) within a rectangle spec's area, in placement order."""
+    for rh in range(1, min(spec.plane_height, spec.area) + 1):
+        for rw in range(1, min(spec.plane_width, spec.area // rh) + 1):
+            yield rh, rw
+
+
 def iter_placements(spec: PatchSpec) -> Iterator[Placement]:
     """Every legal placement under the spec, in deterministic lexicographic order.
 
@@ -431,12 +438,10 @@ def iter_placements(spec: PatchSpec) -> Iterator[Placement]:
         for r in _square_anchors(spec):
             yield (r,)
     elif spec.kind == "rectangle":
-        for rh in range(1, min(spec.plane_height, spec.area) + 1):
-            max_rw = min(spec.plane_width, spec.area // rh)
-            for rw in range(1, max_rw + 1):
-                for top in range(spec.plane_height - rh + 1):
-                    for left in range(spec.plane_width - rw + 1):
-                        yield (Rect(top, left, rh, rw),)
+        for rh, rw in rectangle_shapes(spec):
+            for top in range(spec.plane_height - rh + 1):
+                for left in range(spec.plane_width - rw + 1):
+                    yield (Rect(top, left, rh, rw),)
     elif spec.kind == "multi":
         anchors = list(_square_anchors(spec))
         for combo in itertools.combinations(anchors, spec.count):
@@ -463,12 +468,8 @@ def count_placements(spec: PatchSpec, cap: int | None = None) -> tuple[int, bool
         p = spec.size
         return (h - p + 1) * (w - p + 1), True
     if spec.kind == "rectangle":
-        total = 0
-        for rh in range(1, min(h, spec.area) + 1):
-            max_rw = min(w, spec.area // rh)
-            for rw in range(1, max_rw + 1):
-                total += (h - rh + 1) * (w - rw + 1)
-        return total, True
+        shapes = rectangle_shapes(spec)
+        return sum((h - rh + 1) * (w - rw + 1) for rh, rw in shapes), True
     total = 0
     for _ in iter_placements(spec):
         total += 1

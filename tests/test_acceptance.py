@@ -22,13 +22,13 @@ from patchcert.dataset_io import gen_synthetic_dataset, load_profile_fixture
 from patchcert.defenders import (
     DefenderSpec,
     Verdict,
-    classify_sample,
     doma_certify,
     doma_warn,
     hicert_certify,
     hicert_warn,
     make_composite,
     make_defender,
+    oma,
     pgpp_certify,
 )
 from patchcert.metrics import EvalRecord, case_histogram, compute_metrics
@@ -209,7 +209,7 @@ def test_criterion_5_inclusions_and_threshold_monotonicity(
                 true_label=label,
                 base=prof.base,
                 verdict=defender.verdict(prof, label),
-                consistent=classify_sample(prof, label).consistent,
+                consistent=oma(prof, label),
             )
             for prof, label, sid in profiles
         ]

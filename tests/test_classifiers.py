@@ -1,4 +1,5 @@
 """Deterministic classifier backends."""
+import json
 import math
 
 import pytest
@@ -12,21 +13,43 @@ from patchcert.classifiers import (
     classify_mutants,
 )
 from patchcert.cover import MaskSet, gen_square_cover
-from patchcert.errors import InvalidInputError, TableLookupError
+from patchcert.dataset_io import load_predictions
+from patchcert.errors import InvalidInputError, TableLookupError, ValueOutOfRangeError
 from patchcert.tensor import Image, Mask, Rect, apply_mask
 
 from conftest import make_image
 
 
 class TestPrediction:
-    def test_rejects_negative_label(self):
-        with pytest.raises(InvalidInputError):
-            Prediction(-1, 0.5)
+    """Predictions are plain values. Pixel backends clamp confidences;
+    a prediction read from a file is checked by the table loader."""
+
+    def assert_row_rejected(self, tmp_path, label, confidence):
+        path = tmp_path / "preds.jsonl"
+        rows = [{"sample_id": "a", "variant": {"mask_index": 0},
+                 "label": 0, "confidence": 0.5},
+                {"sample_id": "a", "variant": "base",
+                 "label": label, "confidence": confidence}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ValueOutOfRangeError) as exc:
+            load_predictions(str(path))
+        assert f"{path}:2:" in str(exc.value)
+
+    def test_rejects_negative_label(self, tmp_path):
+        self.assert_row_rejected(tmp_path, -1, 0.5)
 
     @pytest.mark.parametrize("conf", [0.0, 1.0, -0.1, 1.5])
-    def test_rejects_confidence_outside_open_interval(self, conf):
-        with pytest.raises(InvalidInputError):
-            Prediction(0, conf)
+    def test_rejects_confidence_outside_open_interval(self, tmp_path, conf):
+        self.assert_row_rejected(tmp_path, 0, conf)
+
+    @pytest.mark.parametrize("clf", [HashClassifier(7, 5), LinearClassifier(7, 5)],
+                             ids=["hash", "linear"])
+    def test_packed_path_returns_the_classify_prediction(self, clf, rng):
+        for alphabet in (4, 300):  # one- and two-byte pixels
+            img = make_image(rng, 4, 4, channels=2, alphabet_size=alphabet)
+            pred = clf._predict_packed(img.packed, img.bytes_per_pixel)
+            assert type(pred) is Prediction
+            assert pred == clf.classify(img)
 
 
 class TestHashClassifier:
@@ -145,14 +168,6 @@ class TestTableClassifier:
         assert "b" in str(exc.value)
         with pytest.raises(TableLookupError):
             clf.lookup("a", 2)
-
-    def test_sample_ids_sorted(self):
-        rows = {
-            ("z", "base"): Prediction(0, 0.5),
-            ("a", "base"): Prediction(0, 0.5),
-        }
-        clf = TableClassifier(rows=rows, num_masks=0)
-        assert clf.sample_ids() == ["a", "z"]
 
 
 class TestClassifyMutants:

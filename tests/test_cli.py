@@ -360,6 +360,38 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "'abc'" in err
 
+    def test_fixture_refuses_the_flags_it_does_not_read(self, capsys):
+        code, stdout, err = run(
+            capsys, "verify", "--fixture", FIXTURE,
+            "--defender", "hicert", "--tau", "0.8", "--patch-size", "2",
+            "--mode", "random", "--checks", "thm1", "--trials", "5",
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "does not read --patch-size, --mode, --trials, --checks" in err
+
+    def test_override_refuses_defender_and_tau(self, capsys):
+        code, stdout, err = run(
+            capsys, "verify", "--fixture", FIXTURE,
+            "--defender-override", "certify=hicert:0.8,warn=doma",
+            "--tau", "0.1", "--defender", "doma",
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "--defender-override replaces --defender, --tau" in err
+
+    def test_fixture_missing_row_is_a_file_error(self, capsys, tmp_path):
+        doc = json.loads(pathlib.Path(FIXTURE).read_text())
+        doc["variants"] = ["ghost"]
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "verify", "--fixture", str(path),
+            "--defender", "hicert", "--tau", "0.8",
+        )
+        assert code == EXIT_IO
+        assert f"{path}: no row for sample 'ghost', variant 'base'" in err
+
     def test_unknown_check_is_a_usage_error(self, capsys, workspace):
         code, _, err = run(
             capsys, "verify",

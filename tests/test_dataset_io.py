@@ -26,7 +26,6 @@ from patchcert.errors import (
     InvalidInputError,
     MalformedLineError,
     SchemaViolationError,
-    TableLookupError,
     ValueOutOfRangeError,
 )
 from patchcert.metrics import EvalRecord
@@ -128,6 +127,16 @@ class TestDatasetErrors:
             load_dataset(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("pixel", [1.5, True, "1", None])
+    def test_non_integer_pixel_names_the_line(self, tmp_path, pixel):
+        doc = json.loads(self.good_line("s1"))
+        doc["pixels"] = [0, pixel]
+        path = self.write(tmp_path, [self.good_line(), json.dumps(doc)])
+        with pytest.raises(SchemaViolationError) as exc:
+            load_dataset(path)
+        assert exc.value.line == 2
+        assert path in str(exc.value)
+
     def test_pixel_out_of_alphabet(self, tmp_path):
         doc = json.loads(self.good_line())
         doc["pixels"] = [0, 4]
@@ -190,6 +199,26 @@ class TestMaskSetFormat:
         with pytest.raises(SchemaViolationError):
             load_maskset(str(path))
 
+    @pytest.mark.parametrize("key,value", [
+        ("plane", [4.0, 4.0]),
+        ("plane", [4, True]),
+        ("masks", [{"rects": [[0.5, 0, 3, 3]]}]),
+        ("masks", [{"rects": [[0, 0, 4, True]]}]),
+        ("spec", {"kind": "square", "size": 2.0}),
+        ("masks_per_axis", 1.5),
+        ("compound", "no"),
+    ])
+    def test_rejects_non_integers(self, tmp_path, key, value):
+        ms = gen_square_cover((4, 4), 2, 2)
+        path = tmp_path / "masks.json"
+        save_maskset(ms, str(path))
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaViolationError) as exc:
+            load_maskset(str(path))
+        assert str(path) in str(exc.value)
+
     def test_rejects_missing_masks(self, tmp_path):
         path = tmp_path / "masks.json"
         path.write_text(json.dumps({"format_version": 1, "plane": [4, 4],
@@ -222,7 +251,6 @@ class TestPredictionTables:
         assert table.num_masks == 2
         assert table.lookup("a", "base") == Prediction(1, 0.9)
         assert table.lookup("b", 1) == Prediction(0, 0.7)
-        assert table.sample_ids() == ["a", "b"]
 
     def test_rejects_confidence_one(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -257,6 +285,14 @@ class TestPredictionTables:
         path.write_text("\n")
         with pytest.raises(SchemaViolationError):
             load_predictions(str(path))
+
+    def test_rejects_base_only_table(self, tmp_path):
+        """Without mask rows there is no mutant to build a profile from."""
+        path = tmp_path / "preds.jsonl"
+        save_predictions([("a", "base", Prediction(0, 0.5))], str(path))
+        with pytest.raises(SchemaViolationError) as exc:
+            load_predictions(str(path))
+        assert "mask rows" in str(exc.value)
 
 
 class TestEvalRecords:
@@ -368,22 +404,40 @@ class TestProfileFixture:
         assert benign.base == Prediction(0, 0.7)
         assert [m.label for m in benign.mutants] == [1, 0]
 
-    def test_missing_variant_row_fails_fast(self, tmp_path):
-        doc = {
-            "format_version": 1,
-            "true_label": 0,
-            "benign": "x",
-            "variants": ["ghost"],
-            "rows": [
-                {"sample_id": "x", "variant": "base", "label": 0, "confidence": 0.5},
-                {"sample_id": "x", "variant": {"mask_index": 0}, "label": 0,
-                 "confidence": 0.5},
-            ],
-        }
+    def write(self, tmp_path, variants, rows):
+        doc = {"format_version": 1, "true_label": 0, "benign": "x",
+               "variants": variants, "rows": rows}
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(TableLookupError):
-            load_profile_fixture(str(path))
+        return str(path)
+
+    def row(self, sample_id, variant, label=0):
+        if variant != "base":
+            variant = {"mask_index": variant}
+        return {"sample_id": sample_id, "variant": variant, "label": label,
+                "confidence": 0.5}
+
+    def test_missing_variant_row_fails_fast(self, tmp_path):
+        path = self.write(tmp_path, ["ghost"], [self.row("x", "base"), self.row("x", 0)])
+        with pytest.raises(SchemaViolationError) as exc:
+            load_profile_fixture(path)
+        assert path in str(exc.value)
+        assert "'ghost', variant 'base'" in str(exc.value)
+
+    def test_variant_missing_a_mask_row_names_it(self, tmp_path):
+        rows = [self.row("x", "base"), self.row("x", 0), self.row("x", 1),
+                self.row("v", "base", 1), self.row("v", 0, 1)]
+        path = self.write(tmp_path, ["v"], rows)
+        with pytest.raises(SchemaViolationError) as exc:
+            load_profile_fixture(path)
+        assert path in str(exc.value)
+        assert "'v', variant 1" in str(exc.value)
+
+    def test_rejects_base_only_rows(self, tmp_path):
+        path = self.write(tmp_path, [], [self.row("x", "base")])
+        with pytest.raises(SchemaViolationError) as exc:
+            load_profile_fixture(path)
+        assert "mask rows" in str(exc.value)
 
     def test_rejects_out_of_range_confidence(self, tmp_path):
         doc = {

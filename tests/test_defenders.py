@@ -3,15 +3,12 @@ import pickle
 
 import pytest
 
-from patchcert.classifiers import Prediction
 from patchcert.defenders import (
     Defender,
     DefenderSpec,
-    MutantProfile,
     Verdict,
     assign_case,
     c2_certify,
-    classify_sample,
     doma_certify,
     doma_warn,
     hicert_certify,
@@ -177,7 +174,8 @@ class TestReductions:
 
 class TestDefenderSpec:
     def test_alias_and_name(self):
-        assert DefenderSpec("c2_variant").kind == "c2"
+        with pytest.raises(InvalidInputError):
+            DefenderSpec("c2_variant")
         assert DefenderSpec("doma").name == "doma"
         assert DefenderSpec("hicert", 0.8).name == "hicert(tau=0.8)"
 
@@ -222,6 +220,20 @@ class TestDefender:
         p = profile((0, 0.7), [(0, 0.3)])
         assert d.warn_clauses(p) == (False, True)
 
+    def test_warn_is_any_clause_and_matches_the_rule(self, rng):
+        rules = {
+            "doma": lambda p, t: doma_warn(p),
+            "c2": lambda p, t: doma_warn(p),
+            "pgpp": pgpp_warn,
+            "hicert": hicert_warn,
+        }
+        for _ in range(200):
+            p = random_profile(rng)
+            tau = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0])
+            for kind, rule in rules.items():
+                d = make_defender(DefenderSpec(kind, tau))
+                assert d.warn(p) == any(d.warn_clauses(p)) == rule(p, tau)
+
     def test_defender_pickles(self):
         d = make_composite(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))
         assert pickle.loads(pickle.dumps(d)) == d
@@ -247,20 +259,3 @@ class TestCaseAssignment:
     def test_needs_a_warning_decision(self):
         with pytest.raises(UnsupportedOperationError):
             assign_case(True, Verdict(True, None))
-
-
-class TestTaxonomy:
-    def test_offending_mutants_are_indexed(self):
-        p = profile((0, 0.7), [(0, 0.9), (1, 0.5), (0, 0.8), (2, 0.5)])
-        tax = classify_sample(p, 0)
-        assert not tax.consistent
-        assert tax.inconsistent_mutant_indices == (1, 3)
-
-    def test_consistent_sample(self):
-        p = profile((0, 0.7), [(0, 0.9), (0, 0.5)])
-        assert classify_sample(p, 0) == classify_sample(p, 0)
-        assert classify_sample(p, 0).consistent
-
-    def test_profile_needs_mutants(self):
-        with pytest.raises(InvalidInputError):
-            MutantProfile(Prediction(0, 0.5), ())
