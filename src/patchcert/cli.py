@@ -239,11 +239,11 @@ def _classifier_doc(args) -> dict:
 
 
 def _taus(kind: str, taus: list[float] | None) -> list[float]:
-    if not DefenderSpec(kind, 0.0).uses_tau:
-        return [0.0]
-    if not taus:
-        raise InvalidInputError(f"--defender {kind} needs --tau")
-    return taus
+    uses_tau = DefenderSpec(kind, 0.0).uses_tau
+    if uses_tau != bool(taus):
+        verb = "needs" if uses_tau else "takes no"
+        raise InvalidInputError(f"--defender {kind} {verb} --tau")
+    return taus or [0.0]
 
 
 def _parse_override(text: str) -> Defender:

@@ -8,9 +8,12 @@ draws a warning. Violations are recorded in the report, never raised;
 negative controls rely on being able to count them.
 
 The scan also attributes every warned harmful variant to the warning
-clause that caught it (label difference or low confidence), and can
-check the stronger claim that a consistent covering mask forces a label
-difference among the variant's mutants, independent of any defender.
+clause that caught it (label difference or low confidence). Independent
+of any defender, it can check the erasure that the stronger claim rests
+on: masking a patched sample with a consistent mask that covers the
+patch gives back the benign mutant, whose true label then differs from
+any harmful variant's label. That check compares bytes once per
+placement and classifies nothing.
 """
 
 from __future__ import annotations
@@ -109,10 +112,6 @@ class SoundnessReport:
         default_factory=lambda: {CLAUSE_LABEL_DIFF: 0, CLAUSE_LOW_CONF: 0}
     )
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.thm1_violations
-
     def merge(self, other: SoundnessReport) -> None:
         """Add `other`'s tallies, appending its findings after these."""
         self.samples_checked += other.samples_checked
@@ -205,14 +204,16 @@ def _check_spec_matches(image: Image, spec: PatchSpec) -> None:
         )
 
 
-def _guard_budget(image: Image, cfg: AttackConfig) -> None:
+def _guard_budget(image: Image, cfg: AttackConfig) -> int:
+    """The number of in-scope variants; refuse it when over budget."""
     if cfg.mode == "random":
         if cfg.trials > cfg.budget:
             raise BudgetExceededError(cfg.trials, cfg.budget, mode="random")
-        return
+        return cfg.trials
     total, exact = count_variants(image, cfg, cap=cfg.budget)
     if total > cfg.budget:
         raise BudgetExceededError(total, cfg.budget, exact=exact)
+    return total
 
 
 def _sample_rng(seed: int, sample_id: str) -> random.Random:
@@ -276,19 +277,6 @@ def _content_digest(content: Sequence[int]) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
-def _witness(sample_id: str, index: int, placement_doc: list, content,
-             label: int, **extra) -> dict:
-    """A report entry that locates one harmful variant."""
-    return {
-        "sample_id": sample_id,
-        "variant_index": index,
-        "placement": placement_doc,
-        "content_digest": _content_digest(content),
-        "variant_label": label,
-        **extra,
-    }
-
-
 def _caught_by(defender: Defender, vprofile: MutantProfile) -> str | None:
     """The warning clause that catches a harmful variant; None if it evades."""
     label_diff, low_conf = defender.warn_clauses(vprofile)
@@ -310,9 +298,11 @@ class _PlacementPlan:
 
     `positions` are the flat pixel indices the patch content lands on,
     in content order. `grids` are the `Mask.to_matrix` views, built once
-    per scanned sample. `mutants` memoizes this placement's mutant
-    predictions; with the placement fixed, a mutant's pixels depend only
-    on the mask and the content values that survive it.
+    per scanned sample. `proj_positions[i]` lists the content indices
+    that survive mask i; it is empty when the mask covers the placement.
+    `mutants` memoizes this placement's mutant predictions; with the
+    placement fixed, a mutant's pixels depend only on the mask and the
+    content values that survive it.
     """
 
     __slots__ = (
@@ -320,7 +310,6 @@ class _PlacementPlan:
         "placement_doc",
         "positions",
         "proj_positions",
-        "consistent_covering",
         "mutants",
     )
 
@@ -329,8 +318,6 @@ class _PlacementPlan:
         placement: Placement,
         image: Image,
         grids: Sequence[list[list[bool]]],
-        benign_labels: Sequence[int],
-        true_label: int,
     ):
         self.placement = placement
         self.placement_doc = [r.to_list() for r in placement]
@@ -351,12 +338,6 @@ class _PlacementPlan:
             )
             for grid in grids
         ]
-        # A mask covers the placement when no patch position survives it.
-        self.consistent_covering = [
-            i
-            for i, proj in enumerate(self.proj_positions)
-            if not proj and benign_labels[i] == true_label
-        ]
         self.mutants: dict[tuple, Prediction] = {}
 
 
@@ -371,46 +352,71 @@ class _MutantOracle:
     masked sample with the content written back at the patch positions
     that survive the mask.
     When no position survives, the mutant is the sample's own benign
-    mutant. Other mutants are memoized per placement plan; the memo
-    holds real classifier outputs on real mutant bytes. The `benign`
-    profile is classified from the same masked bytes.
+    mutant; `erasure_check` tests that shortcut on real bytes. Other
+    mutants are memoized per placement plan; the memo holds real
+    classifier outputs on real mutant bytes. The `benign` profile is
+    classified from the same masked bytes.
     """
 
     def __init__(self, classifier, image: Image, mask_set: MaskSet):
         predict = self.predict = classifier._predict_packed
         bpp = self.bpp = image.bytes_per_pixel
+        self.masks = mask_set.masks
         self.packed = image.packed
-        self.masked_packed = [masked_packed(image, m) for m in mask_set.masks]
+        self.masked_packed = [masked_packed(image, m) for m in self.masks]
         self.benign = MutantProfile(
             predict(self.packed, bpp),
             tuple(predict(b, bpp) for b in self.masked_packed),
         )
+
+    def erasure_check(self, plan: _PlacementPlan, record: DatasetRecord) -> list[dict]:
+        """A `thm1` entry per consistent covering mask that keeps a patch byte.
+
+        The probe is the sample patched through the reference
+        `apply_patch` with content that differs from it at every patch
+        position. When a covering mask gives the probe the benign masked
+        bytes, its mutant is the benign one for every content.
+        """
+        covering = [
+            i for i, m in enumerate(self.benign.mutants)
+            if m.label == record.true_label and not plan.proj_positions[i]
+        ]
+        if not covering:
+            return []
+        image = record.image
+        top = image.alphabet_size - 1
+        probe = apply_patch(image, plan.placement, [
+            top - v if 2 * v != top else 0
+            for v in map(image.pixels.__getitem__, plan.positions)
+        ])
+        return [
+            {"sample_id": record.id, "placement": plan.placement_doc, "mask": i,
+             "reason": "consistent covering mask leaves patch bytes"}
+            for i in covering
+            if masked_packed(probe, self.masks[i]) != self.masked_packed[i]
+        ]
 
     def classify_variant(self, plan: _PlacementPlan, content) -> Prediction:
         buf = bytearray(self.packed)
         write_packed(buf, plan.positions, content, self.bpp)
         return self.predict(buf, self.bpp)
 
-    def mutant(self, plan: _PlacementPlan, content, mask_idx: int) -> Prediction:
-        proj = plan.proj_positions[mask_idx]
-        if not proj:
-            return self.benign.mutants[mask_idx]
-        values = tuple(content[k] for k in proj)
-        key = (mask_idx, values)
-        pred = plan.mutants.get(key)
-        if pred is None:
-            buf = bytearray(self.masked_packed[mask_idx])
-            positions = plan.positions
-            write_packed(buf, [positions[k] for k in proj], values, self.bpp)
-            pred = self.predict(buf, self.bpp)
-            plan.mutants[key] = pred
-        return pred
-
     def profile(self, plan: _PlacementPlan, content, base: Prediction) -> MutantProfile:
-        mutants = tuple(
-            self.mutant(plan, content, i) for i in range(len(self.masked_packed))
-        )
-        return MutantProfile(base, mutants)
+        mutants = list(self.benign.mutants)
+        for i, proj in enumerate(plan.proj_positions):
+            if not proj:
+                continue
+            values = tuple(content[k] for k in proj)
+            key = (i, values)
+            pred = plan.mutants.get(key)
+            if pred is None:
+                buf = bytearray(self.masked_packed[i])
+                positions = plan.positions
+                write_packed(buf, [positions[k] for k in proj], values, self.bpp)
+                pred = self.predict(buf, self.bpp)
+                plan.mutants[key] = pred
+            mutants[i] = pred
+        return MutantProfile(base, tuple(mutants))
 
 
 def _scan_sample(
@@ -424,22 +430,24 @@ def _scan_sample(
     """Scan one sample into a one-sample `SoundnessRun`."""
     image, true_label, sample_id = record.image, record.true_label, record.id
     _check_spec_matches(image, cfg.patch_spec)
-    _guard_budget(image, cfg)
+    in_scope = _guard_budget(image, cfg)
 
     oracle = _MutantOracle(classifier, image, mask_set)
     profile = oracle.benign
-    benign_labels = [m.label for m in profile.mutants]
     certified = {d.name: d.certify(profile, true_label) for d in defenders}
 
     run = SoundnessRun(cfg.mode, 1, {}, None, {d.name: 0 for d in defenders})
     if CHECK_DEF1 in checks:
         run.def1 = {
-            name: SoundnessReport(name, cfg.mode, 1, int(ok))
+            name: SoundnessReport(name, cfg.mode, 1, int(ok), in_scope)
             for name, ok in certified.items()
         }
     if CHECK_THM1 in checks:
-        run.theorem1 = SoundnessReport("(defender independent)", cfg.mode, 1)
+        run.theorem1 = SoundnessReport(
+            "(defender independent)", cfg.mode, 1, 0, in_scope
+        )
     thm1 = run.theorem1
+    erasure_checked: set[Placement] = set()
     want_rsuc = CHECK_RSUC in checks
     # Each defender to warn-check, with its def1 report when the sample
     # is certified for it.
@@ -452,33 +460,22 @@ def _scan_sample(
         return run
 
     grids = [m.to_matrix() for m in mask_set.masks]
-    num_masks = len(mask_set.masks)
     plan = None
-    variant_index = -1
     for variant_index, (placement, content) in enumerate(
         _attack_pairs(image, cfg, sample_id)
     ):
         if plan is None or plan.placement is not placement:
-            plan = _PlacementPlan(placement, image, grids, benign_labels, true_label)
+            plan = _PlacementPlan(placement, image, grids)
+            # Random draws may return to a placement; check it once.
+            if thm1 is not None and placement not in erasure_checked:
+                erasure_checked.add(placement)
+                thm1.thm1_violations += oracle.erasure_check(plan, record)
+        if not active:
+            continue
         variant = oracle.classify_variant(plan, content)
         label = variant.label
         if label == true_label:
             continue  # not harmful; nothing to detect
-
-        covering = plan.consistent_covering
-        if thm1 is not None and covering:
-            # A consistent covering mask's mutant is the benign one, with
-            # the true label, so checking those masks first settles a
-            # harmful variant without classifying anything.
-            order = itertools.chain(covering, range(num_masks))
-            if all(oracle.mutant(plan, content, i).label == label for i in order):
-                thm1.thm1_violations.append(_witness(
-                    sample_id, variant_index, plan.placement_doc, content, label,
-                    consistent_covering_masks=list(covering),
-                ))
-
-        if not active:
-            continue
         vprofile = oracle.profile(plan, content, variant)
         for d, report in active:
             clause = _caught_by(d, vprofile)
@@ -489,13 +486,14 @@ def _scan_sample(
             if want_rsuc:
                 run.evaded_samples[d.name] = 1
             if report is not None:
-                report.violations.append(_witness(
-                    sample_id, variant_index, plan.placement_doc, content, label,
-                    reason="harmful variant drew no warning",
-                ))
-    for report in (*run.def1.values(), thm1):
-        if report is not None:
-            report.variants_evaluated = variant_index + 1
+                report.violations.append({
+                    "sample_id": sample_id,
+                    "variant_index": variant_index,
+                    "placement": plan.placement_doc,
+                    "content_digest": _content_digest(content),
+                    "variant_label": label,
+                    "reason": "harmful variant drew no warning",
+                })
     return run
 
 
@@ -552,13 +550,13 @@ def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> Soundn
     set; profiles come straight from the table.
     """
     _require_warn(defender)
-    report = SoundnessReport(defender.name, "fixture", samples_checked=1)
     certified = defender.certify(fixture.benign_profile(), fixture.true_label)
-    report.certified_count = int(certified)
+    report = SoundnessReport(
+        defender.name, "fixture", 1, int(certified), len(fixture.variant_ids)
+    )
     if not certified:
         return report
     for variant_id, vprofile in fixture.variant_profiles():
-        report.variants_evaluated += 1
         if vprofile.base.label == fixture.true_label:
             continue
         clause = _caught_by(defender, vprofile)

@@ -217,6 +217,15 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert "needs --tau" in err
 
+    def test_tau_for_a_defender_without_tau_is_a_usage_error(self, capsys, workspace):
+        code, out_dir, stdout, err = self.evaluate(
+            capsys, workspace, "doma", "--tau", "0.3", "--tau", "0.9"
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "--defender doma takes no --tau" in err
+        assert not list(out_dir.iterdir())
+
     def test_label_outside_num_labels_is_a_usage_error(self, capsys, workspace):
         data = workspace / "data.jsonl"
         code, _, err = run(
@@ -369,6 +378,15 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert "does not read --patch-size, --mode, --trials, --checks" in err
+
+    def test_tau_for_a_defender_without_tau_is_a_usage_error(self, capsys):
+        code, stdout, err = run(
+            capsys, "verify", "--fixture", FIXTURE, "--defender", "doma",
+            "--tau", "0.5",
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "--defender doma takes no --tau" in err
 
     def test_override_refuses_defender_and_tau(self, capsys):
         code, stdout, err = run(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from patchcert import oracle
 from patchcert.classifiers import HashClassifier, LinearClassifier, \
     TableClassifier, Prediction, classify_mutants
 from patchcert.cover import gen_square_cover
@@ -31,7 +32,8 @@ from patchcert.oracle import (
     enumerate_variants,
     run_soundness,
 )
-from patchcert.tensor import Image, PatchSpec, Rect, apply_patch
+from patchcert.tensor import Image, PatchSpec, Rect, apply_mask, apply_patch, \
+    mask_covers, masked_packed
 
 from conftest import make_image
 
@@ -216,6 +218,27 @@ def certified_detection(classifier, image, true_label, mask_set, defender, cfg):
     return run.def1[defender.name]
 
 
+class CountingClassifier:
+    """Delegates `_predict_packed` to `inner` and counts the calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def _predict_packed(self, data, bytes_per_pixel):
+        self.calls += 1
+        return self.inner._predict_packed(data, bytes_per_pixel)
+
+
+def leaky_masked_packed(image, mask):
+    """`masked_packed` that keeps the first byte of the mask's first rect."""
+    r = mask.rects[0]
+    keep = (r.top * image.width + r.left) * image.channels * image.bytes_per_pixel
+    data = bytearray(masked_packed(image, mask))
+    data[keep] = image.packed[keep]
+    return bytes(data)
+
+
 def engine_violation_keys(report):
     return [
         (v["variant_index"], tuple(tuple(r) for r in v["placement"]))
@@ -352,6 +375,70 @@ class TestTheorem1:
             assert report.thm1_violations == []
             assert report.variants_evaluated > 0
 
+    def test_engine_agrees_with_the_naive_reference(self):
+        """Classify every harmful variant masked by every consistent mask
+        that covers its placement: the mutant never keeps the variant's
+        label. Both pixel backends, 2-byte pixels on two channels."""
+        ms = gen_square_cover((4, 4), 2, 2)
+        cfg = AttackConfig(patch_spec=ms.spec, alphabet_size=2)
+        for backend in (
+            HashClassifier,
+            functools.partial(LinearClassifier, temperature=3000),
+        ):
+            for seed in (1, 2):
+                clf = backend(seed=seed, num_labels=3)
+                pixels = tuple((seed * 7919 + i * 104729) % 300 for i in range(32))
+                img = Image(4, 4, 2, 300, pixels)
+                benign = classify_mutants(clf, img, ms)
+                # Mask 0 is consistent by construction.
+                true_label = benign.mutants[0].label
+                consistent = [
+                    m for m, p in zip(ms.masks, benign.mutants)
+                    if p.label == true_label
+                ]
+                checked = 0
+                for placement, _, variant in enumerate_variants(img, cfg):
+                    label = clf.classify(variant).label
+                    if label == true_label:
+                        continue
+                    for m in consistent:
+                        if mask_covers(m, placement):
+                            checked += 1
+                            mutant = clf.classify(apply_mask(variant, m))
+                            assert mutant.label != label, (seed, placement, m)
+                assert checked > 0, seed
+                record = DatasetRecord("sample", true_label, img)
+                report = run_soundness(
+                    clf, [record], ms, [], cfg, checks={CHECK_THM1}
+                ).theorem1
+                assert report.thm1_violations == [], seed
+
+    def test_masking_that_keeps_a_patch_byte_is_a_counterexample(self, monkeypatch):
+        """Negative control: with a masking that leaves the first byte of
+        each mask, the 1x1 patch on that byte survives its covering mask."""
+        monkeypatch.setattr(oracle, "masked_packed", leaky_masked_packed)
+        clf = HashClassifier(seed=3, num_labels=2)
+        img = Image(4, 4, 1, 2, tuple(i % 3 % 2 for i in range(16)))
+        ms = gen_square_cover((4, 4), 1, 2)
+        first = ms.masks[0]
+        # Make the leaky mask consistent: the sample's label is its mutant's.
+        leaked = Image(4, 4, 1, 2, tuple(leaky_masked_packed(img, first)))
+        record = DatasetRecord("sample", clf.classify(leaked).label, img)
+        for mode in ("exhaustive", "random"):
+            cfg = AttackConfig(ms.spec, mode=mode, trials=200, seed=1)
+            report = run_soundness(
+                clf, [record], ms, [], cfg, checks={CHECK_THM1}
+            ).theorem1
+            r = first.rects[0]
+            assert {
+                "sample_id": "sample",
+                "placement": [[r.top, r.left, 1, 1]],
+                "mask": 0,
+                "reason": "consistent covering mask leaves patch bytes",
+            } in report.thm1_violations, mode
+            keys = [(str(v["placement"]), v["mask"]) for v in report.thm1_violations]
+            assert len(keys) == len(set(keys)), mode
+
 
 class TestRunSoundness:
     def make_grid(self):
@@ -399,13 +486,19 @@ class TestRunSoundness:
         assert rep.violations == []
 
     def test_uncertified_samples_are_skipped(self):
-        # an always-rejecting certifier scans nothing
+        """An always-rejecting certifier classifies each sample's benign
+        profile and nothing else, with or without thm1; the reports still
+        count every variant in scope."""
         clf, records, ms, _, cfg = self.make_grid()
         never = make_defender(DefenderSpec("pgpp", 1.0))
-        run = run_soundness(clf, records, ms, [never], cfg)
-        rep = run.def1[never.name]
-        assert rep.certified_count == 0
-        assert rep.variants_evaluated == 0
+        in_scope = len(records) * count_variants(records[0].image, cfg)[0]
+        for checks in ({CHECK_DEF1}, {CHECK_DEF1, CHECK_THM1}):
+            counting = CountingClassifier(clf)
+            run = run_soundness(counting, records, ms, [never], cfg, checks=checks)
+            rep = run.def1[never.name]
+            assert rep.certified_count == 0
+            assert rep.variants_evaluated == in_scope
+            assert counting.calls == len(records) * (1 + len(ms.masks)), checks
 
     def test_run_is_the_fold_of_one_sample_runs(self):
         """A run over N records sums the N one-record runs and lists
@@ -496,11 +589,14 @@ class TestProfileFixtureCheck:
         assert report.thm2_clause_stats["label_difference"] == 0
 
     def test_uncertified_fixture_scans_nothing(self):
+        # `variants_evaluated` counts the fixture's variants either way.
         fixture = self.load()
         strict = make_defender(DefenderSpec("pgpp", 0.99))
         report = check_profile_fixture(fixture, strict)
         assert report.certified_count == 0
-        assert report.variants_evaluated == 0
+        assert report.variants_evaluated == 1
+        assert report.violations == []
+        assert report.thm2_clause_stats == {"label_difference": 0, "low_confidence": 0}
 
     def test_flip_defender_rejected(self):
         fixture = self.load()
