@@ -335,10 +335,19 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    records, mask_set, classifier = _load_inputs(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     taus = _taus(args.defender, args.tau)
     defenders = [make_defender(DefenderSpec(args.defender, tau)) for tau in taus]
+    # Taus that print alike share one report file; refuse them before writing.
+    tau_of: dict[str, float] = {}
+    for tau, defender in zip(taus, defenders):
+        if defender.name in tau_of:
+            raise InvalidInputError(
+                f"--tau {tau_of[defender.name]} and --tau {tau} both name "
+                f"{defender.name}"
+            )
+        tau_of[defender.name] = tau
+    records, mask_set, classifier = _load_inputs(args)
+    os.makedirs(args.out_dir, exist_ok=True)
     # Each sample is profiled once; every tau's verdict reads that profile.
     per_tau: list[list[EvalRecord]] = [[] for _ in taus]
     for record in records:

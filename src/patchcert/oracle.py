@@ -2,10 +2,12 @@
 
 Certification claims are universally quantified over every in-scope
 tampered variant of a sample, so at desk scale they can be checked by
-brute force: enumerate every (placement, content) pair, classify the
-variant and its one-mask mutants, and confirm that each harmful variant
-draws a warning. Violations are recorded in the report, never raised;
-negative controls rely on being able to count them.
+brute force. The scan walks the attack placement by placement: each
+placement comes with the patch contents in scope for it, and for a
+sample that some defender must warn-check, every content's variant and
+its one-mask mutants are classified to confirm that each harmful
+variant draws a warning. Violations are recorded in the report, never
+raised; negative controls rely on being able to count them.
 
 The scan also attributes every warned harmful variant to the warning
 clause that caught it (label difference or low confidence). Independent
@@ -23,7 +25,7 @@ import hashlib
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -123,16 +125,7 @@ class SoundnessReport:
             self.thm2_clause_stats[clause] += n
 
     def to_dict(self) -> dict:
-        return {
-            "defender": self.defender,
-            "mode": self.mode,
-            "samples_checked": self.samples_checked,
-            "certified_count": self.certified_count,
-            "variants_evaluated": self.variants_evaluated,
-            "violations": self.violations,
-            "thm1_violations": self.thm1_violations,
-            "thm2_clause_stats": dict(self.thm2_clause_stats),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -143,7 +136,6 @@ class SoundnessRun:
     order.
     """
 
-    mode: str
     samples: int
     def1: dict[str, SoundnessReport]
     theorem1: SoundnessReport | None
@@ -196,16 +188,15 @@ def count_variants(
     return placements * per_placement, exact
 
 
-def _check_spec_matches(image: Image, spec: PatchSpec) -> None:
+def _guard_scope(image: Image, cfg: AttackConfig) -> int:
+    """The number of in-scope variants; refuse a patch spec for another
+    plane, or a count over budget."""
+    spec = cfg.patch_spec
     if (spec.plane_height, spec.plane_width) != (image.height, image.width):
         raise DimensionMismatchError(
             f"patch spec plane {spec.plane_height}x{spec.plane_width} does not "
             f"match image {image.height}x{image.width}"
         )
-
-
-def _guard_budget(image: Image, cfg: AttackConfig) -> int:
-    """The number of in-scope variants; refuse it when over budget."""
     if cfg.mode == "random":
         if cfg.trials > cfg.budget:
             raise BudgetExceededError(cfg.trials, cfg.budget, mode="random")
@@ -229,13 +220,14 @@ def _placement_list(spec: PatchSpec) -> tuple[Placement, ...]:
     return tuple(iter_placements(spec))
 
 
-def _attack_pairs(
+def _placement_groups(
     image: Image, cfg: AttackConfig, sample_id: str
-) -> Iterator[tuple[Placement, tuple[int, ...]]]:
-    """Every (placement, content) pair in scope, in enumerate_variants order.
+) -> Iterator[tuple[Placement, Iterable[tuple[int, ...]]]]:
+    """Every in-scope (placement, contents) group, in enumerate_variants order.
 
-    A placement object is yielded once per content drawn for it, so
-    consumers can tell a new placement by identity.
+    Exhaustive mode gives each placement once, with every content for
+    it. Random mode gives one group per trial: the drawn placement with
+    the one content drawn for it, so a placement may come back.
     """
     a = cfg.resolve_alphabet(image)
     c = image.channels
@@ -245,12 +237,11 @@ def _attack_pairs(
         for _ in range(cfg.trials):
             placement = placements[rng.randrange(len(placements))]
             npix = sum(r.area for r in placement) * c
-            yield placement, tuple(rng.randrange(a) for _ in range(npix))
+            yield placement, (tuple(rng.randrange(a) for _ in range(npix)),)
         return
     for placement in iter_placements(cfg.patch_spec):
         npix = sum(r.area for r in placement) * c
-        for content in itertools.product(range(a), repeat=npix):
-            yield placement, content
+        yield placement, itertools.product(range(a), repeat=npix)
 
 
 def enumerate_variants(
@@ -263,10 +254,10 @@ def enumerate_variants(
     value fastest. Random mode yields `trials` i.i.d. draws instead and
     may repeat itself.
     """
-    _check_spec_matches(image, cfg.patch_spec)
-    _guard_budget(image, cfg)
-    for placement, content in _attack_pairs(image, cfg, sample_id):
-        yield placement, content, apply_patch(image, placement, content)
+    _guard_scope(image, cfg)
+    for placement, contents in _placement_groups(image, cfg, sample_id):
+        for content in contents:
+            yield placement, content, apply_patch(image, placement, content)
 
 
 def _content_digest(content: Sequence[int]) -> str:
@@ -294,15 +285,17 @@ def _require_warn(defender: Defender) -> None:
 
 
 class _PlacementPlan:
-    """Everything the inner loop needs about one placement, precomputed.
+    """Everything one placement group's contents need, precomputed.
 
-    `positions` are the flat pixel indices the patch content lands on,
-    in content order. `grids` are the `Mask.to_matrix` views, built once
-    per scanned sample. `proj_positions[i]` lists the content indices
-    that survive mask i; it is empty when the mask covers the placement.
-    `mutants` memoizes this placement's mutant predictions; with the
-    placement fixed, a mutant's pixels depend only on the mask and the
-    content values that survive it.
+    The scan builds one plan at the head of each placement group and
+    drops it when the group ends. `positions` are the flat pixel indices
+    the patch content lands on, in content order. `grids` are the
+    `Mask.to_matrix` views, built once per scanned sample.
+    `proj_positions[i]` lists the content indices that survive mask i;
+    it is empty when the mask covers the placement. `mutants` memoizes
+    the group's mutant predictions; with the placement fixed, a mutant's
+    pixels depend only on the mask and the content values that survive
+    it.
     """
 
     __slots__ = (
@@ -429,14 +422,13 @@ def _scan_sample(
 ) -> SoundnessRun:
     """Scan one sample into a one-sample `SoundnessRun`."""
     image, true_label, sample_id = record.image, record.true_label, record.id
-    _check_spec_matches(image, cfg.patch_spec)
-    in_scope = _guard_budget(image, cfg)
+    in_scope = _guard_scope(image, cfg)
 
     oracle = _MutantOracle(classifier, image, mask_set)
     profile = oracle.benign
     certified = {d.name: d.certify(profile, true_label) for d in defenders}
 
-    run = SoundnessRun(cfg.mode, 1, {}, None, {d.name: 0 for d in defenders})
+    run = SoundnessRun(1, {}, None, {d.name: 0 for d in defenders})
     if CHECK_DEF1 in checks:
         run.def1 = {
             name: SoundnessReport(name, cfg.mode, 1, int(ok), in_scope)
@@ -460,45 +452,40 @@ def _scan_sample(
         return run
 
     grids = [m.to_matrix() for m in mask_set.masks]
-    plan = None
-    for variant_index, (placement, content) in enumerate(
-        _attack_pairs(image, cfg, sample_id)
-    ):
-        if plan is None or plan.placement is not placement:
-            plan = _PlacementPlan(placement, image, grids)
-            # Random draws may return to a placement; check it once.
-            if thm1 is not None and placement not in erasure_checked:
-                erasure_checked.add(placement)
-                thm1.thm1_violations += oracle.erasure_check(plan, record)
+    variant_indices = itertools.count()
+    for placement, contents in _placement_groups(image, cfg, sample_id):
+        plan = _PlacementPlan(placement, image, grids)
+        # Random draws may return to a placement; check it once.
+        if thm1 is not None and placement not in erasure_checked:
+            erasure_checked.add(placement)
+            thm1.thm1_violations += oracle.erasure_check(plan, record)
         if not active:
             continue
-        variant = oracle.classify_variant(plan, content)
-        label = variant.label
-        if label == true_label:
-            continue  # not harmful; nothing to detect
-        vprofile = oracle.profile(plan, content, variant)
-        for d, report in active:
-            clause = _caught_by(d, vprofile)
-            if clause is not None:
+        # Contents first: zip then takes no index when a group runs out.
+        for content, variant_index in zip(contents, variant_indices):
+            variant = oracle.classify_variant(plan, content)
+            label = variant.label
+            if label == true_label:
+                continue  # not harmful; nothing to detect
+            vprofile = oracle.profile(plan, content, variant)
+            for d, report in active:
+                clause = _caught_by(d, vprofile)
+                if clause is not None:
+                    if report is not None:
+                        report.thm2_clause_stats[clause] += 1
+                    continue
+                if want_rsuc:
+                    run.evaded_samples[d.name] = 1
                 if report is not None:
-                    report.thm2_clause_stats[clause] += 1
-                continue
-            if want_rsuc:
-                run.evaded_samples[d.name] = 1
-            if report is not None:
-                report.violations.append({
-                    "sample_id": sample_id,
-                    "variant_index": variant_index,
-                    "placement": plan.placement_doc,
-                    "content_digest": _content_digest(content),
-                    "variant_label": label,
-                    "reason": "harmful variant drew no warning",
-                })
+                    report.violations.append({
+                        "sample_id": sample_id,
+                        "variant_index": variant_index,
+                        "placement": plan.placement_doc,
+                        "content_digest": _content_digest(content),
+                        "variant_label": label,
+                        "reason": "harmful variant drew no warning",
+                    })
     return run
-
-
-def _scan_task(args) -> SoundnessRun:
-    return _scan_sample(*args)
 
 
 def run_soundness(
@@ -533,14 +520,15 @@ def run_soundness(
             "use a profile fixture instead"
         )
 
-    tasks = [
-        (classifier, r, mask_set, tuple(defenders), cfg, checks) for r in records
-    ]
+    scan = functools.partial(
+        _scan_sample, classifier, mask_set=mask_set,
+        defenders=tuple(defenders), cfg=cfg, checks=checks,
+    )
     if workers > 1 and len(records) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = pool.map(_scan_task, tasks, chunksize=1)
+            runs = pool.map(scan, records, chunksize=1)
             return functools.reduce(SoundnessRun.merge, runs)
-    return functools.reduce(SoundnessRun.merge, map(_scan_task, tasks))
+    return functools.reduce(SoundnessRun.merge, map(scan, records))
 
 
 def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> SoundnessReport:

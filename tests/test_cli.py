@@ -213,9 +213,10 @@ class TestEvaluate:
         assert record["case"] is None
 
     def test_tau_defender_without_tau_is_a_usage_error(self, capsys, workspace):
-        code, _, _, err = self.evaluate(capsys, workspace, "hicert")
+        code, out_dir, _, err = self.evaluate(capsys, workspace, "hicert")
         assert code == EXIT_USAGE
         assert "needs --tau" in err
+        assert not out_dir.exists()
 
     def test_tau_for_a_defender_without_tau_is_a_usage_error(self, capsys, workspace):
         code, out_dir, stdout, err = self.evaluate(
@@ -224,7 +225,21 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert "--defender doma takes no --tau" in err
-        assert not list(out_dir.iterdir())
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("taus", [
+        ("0.1234567", "0.1234568"),
+        ("0.8", "0.8"),
+    ])
+    def test_taus_with_one_name_are_a_usage_error(self, capsys, workspace, taus):
+        """Two taus that print alike would write one report over the other."""
+        code, out_dir, stdout, err = self.evaluate(
+            capsys, workspace, "hicert", "--tau", taus[0], "--tau", taus[1]
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert f"--tau {taus[0]} and --tau {taus[1]} both name hicert(tau=" in err
+        assert not out_dir.exists()
 
     def test_label_outside_num_labels_is_a_usage_error(self, capsys, workspace):
         data = workspace / "data.jsonl"

@@ -500,6 +500,34 @@ class TestRunSoundness:
             assert rep.variants_evaluated == in_scope
             assert counting.calls == len(records) * (1 + len(ms.masks)), checks
 
+    def test_uncertified_samples_consume_no_content(self, monkeypatch):
+        """With no defender to warn-check, the scan walks placements
+        only: it draws no patch content, and its thm1 report equals the
+        one of a run that walks every variant. The leaky masking gives
+        that report counterexamples to compare."""
+        clf, records, ms, _, cfg = self.make_grid()
+        monkeypatch.setattr(oracle, "masked_packed", leaky_masked_packed)
+        consumed = []
+        product = oracle.itertools.product
+
+        def counting_product(*args, **kwargs):
+            for content in product(*args, **kwargs):
+                consumed.append(content)
+                yield content
+
+        monkeypatch.setattr(oracle.itertools, "product", counting_product)
+        always = make_defender(DefenderSpec("hicert", 1.0))
+        walked = run_soundness(
+            clf, records, ms, [always], cfg, checks={CHECK_DEF1, CHECK_THM1}
+        ).theorem1.to_dict()
+        assert consumed and walked["thm1_violations"]
+        never = make_defender(DefenderSpec("pgpp", 1.0))
+        for checks in ({CHECK_THM1}, {CHECK_DEF1, CHECK_THM1}):
+            consumed.clear()
+            run = run_soundness(clf, records, ms, [never], cfg, checks=checks)
+            assert consumed == [], checks
+            assert run.theorem1.to_dict() == walked
+
     def test_run_is_the_fold_of_one_sample_runs(self):
         """A run over N records sums the N one-record runs and lists
         their findings in dataset order. At this seed three samples
