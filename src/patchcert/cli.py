@@ -52,12 +52,9 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# verify flags that only a dataset scan reads; --fixture refuses them.
-_SCAN_FLAGS = (
-    "dataset", "masks", "classifier", "num_labels", "seed", "predictions",
-    "patch_size", "patch_area", "patches", "mode", "trials", "attack_seed",
-    "budget", "workers", "timing", "checks",
-)
+# The verify dests a fixture run reads; --fixture refuses any other flag.
+_FIXTURE_READS = ("command", "func", "defender", "tau", "fixture",
+                  "defender_override", "out")
 
 
 def _default_workers() -> int:
@@ -239,7 +236,7 @@ def _classifier_doc(args) -> dict:
 
 
 def _taus(kind: str, taus: list[float] | None) -> list[float]:
-    uses_tau = DefenderSpec(kind, 0.0).uses_tau
+    uses_tau = DefenderSpec(kind).uses_tau
     if uses_tau != bool(taus):
         verb = "needs" if uses_tau else "takes no"
         raise InvalidInputError(f"--defender {kind} {verb} --tau")
@@ -267,10 +264,6 @@ def _parse_override(text: str) -> Defender:
     if set(parts) != {"certify", "warn"}:
         raise InvalidInputError("override needs both certify= and warn=")
     return make_composite(parts["certify"], parts["warn"])
-
-
-def _tau_tag(tau: float) -> str:
-    return f"{tau:g}".replace("-", "m")
 
 
 def _refuse_given(args, dests: Sequence[str], message: str) -> None:
@@ -364,10 +357,9 @@ def cmd_evaluate(args) -> int:
         if args.timing:
             ms = (time.perf_counter() - t0) * 1000
             print(f"{record.id}: {ms:.2f} ms", file=sys.stderr)
-    for tau, defender, eval_records in zip(taus, defenders, per_tau):
-        tag = args.defender
-        if DefenderSpec(args.defender, tau).uses_tau:
-            tag = f"{args.defender}_tau{_tau_tag(tau)}"
+    for defender, eval_records in zip(defenders, per_tau):
+        spec = defender.certifier
+        tag = f"{spec.kind}_tau{spec.tau:g}" if spec.uses_tau else spec.kind
         records_path = os.path.join(args.out_dir, f"records_{tag}.jsonl")
         dataset_io.save_records(eval_records, records_path)
         report = compute_metrics(eval_records)
@@ -376,7 +368,7 @@ def cmd_evaluate(args) -> int:
             "dataset": args.dataset,
             "masks": args.masks,
             "classifier": _classifier_doc(args),
-            "defender": {"kind": args.defender, "tau": tau,
+            "defender": {"kind": spec.kind, "tau": spec.tau,
                          "name": defender.name},
         }
         report_path = os.path.join(args.out_dir, f"report_{tag}.json")
@@ -386,20 +378,13 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_checks(text: str) -> frozenset:
-    mapping = {"def1": CHECK_DEF1, "thm1": CHECK_THM1}
-    out = set()
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part not in mapping:
-            raise InvalidInputError(
-                f"unknown check {part!r}; expected def1, thm1"
-            )
-        out.add(mapping[part])
-    if not out:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    for part in parts:
+        if part not in (CHECK_DEF1, CHECK_THM1):
+            raise InvalidInputError(f"unknown check {part!r}; expected def1, thm1")
+    if not parts:
         raise InvalidInputError("no checks requested")
-    return frozenset(out)
+    return frozenset(parts)
 
 
 def _verify_fixture(args, defender: Defender) -> int:
@@ -430,7 +415,8 @@ def cmd_verify(args) -> int:
         defender = make_defender(DefenderSpec(kind, taus[0]))
 
     if args.fixture:
-        _refuse_given(args, _SCAN_FLAGS, "--fixture does not read")
+        unread = [dest for dest in vars(args) if dest not in _FIXTURE_READS]
+        _refuse_given(args, unread, "--fixture does not read")
         return _verify_fixture(args, defender)
 
     if not args.dataset or not args.masks:

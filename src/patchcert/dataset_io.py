@@ -180,6 +180,21 @@ def _need(path: str, lineno: int, obj: dict, key: str, types,
     return val
 
 
+def _read_document(path: str) -> dict:
+    """A single-document JSON file of the current format version."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise MalformedLineError(path, e.lineno, f"invalid JSON: {e.msg}")
+    if not isinstance(doc, dict):
+        raise SchemaViolationError(path, 0, "document must be an object")
+    version = _need(path, 0, doc, "format_version", int)
+    if version != FORMAT_VERSION:
+        raise SchemaViolationError(path, 0, f"unsupported format_version {version}")
+    return doc
+
+
 def _all_ints(values: Iterable) -> bool:
     """True when every value is an int proper (not a bool or a float)."""
     return set(map(type, values)) <= {int}
@@ -253,16 +268,7 @@ def save_maskset(mask_set: MaskSet, path: str) -> None:
 
 
 def load_maskset(path: str) -> MaskSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise MalformedLineError(path, e.lineno, f"invalid JSON: {e.msg}")
-    if not isinstance(doc, dict):
-        raise SchemaViolationError(path, 0, "document must be an object")
-    version = _need(path, 0, doc, "format_version", int)
-    if version != FORMAT_VERSION:
-        raise SchemaViolationError(path, 0, f"unsupported format_version {version}")
+    doc = _read_document(path)
     plane = _need(path, 0, doc, "plane", list)
     if len(plane) != 2 or not _all_ints(plane):
         raise SchemaViolationError(path, 0, "plane must be [h, w]")
@@ -449,16 +455,7 @@ def save_report(doc: dict, path: str) -> None:
 
 
 def load_profile_fixture(path: str) -> ProfileFixture:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise MalformedLineError(path, e.lineno, f"invalid JSON: {e.msg}")
-    if not isinstance(doc, dict):
-        raise SchemaViolationError(path, 0, "document must be an object")
-    version = _need(path, 0, doc, "format_version", int)
-    if version != FORMAT_VERSION:
-        raise SchemaViolationError(path, 0, f"unsupported format_version {version}")
+    doc = _read_document(path)
     true_label = _need(path, 0, doc, "true_label", int)
     benign = _need(path, 0, doc, "benign", str)
     variants = _need(path, 0, doc, "variants", list)

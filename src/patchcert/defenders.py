@@ -17,7 +17,7 @@ tau falls on the non-certify / non-warn side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import InvalidInputError, UnsupportedOperationError
 
@@ -135,9 +135,10 @@ def hicert_warn_parts(profile: MutantProfile, tau: float) -> tuple[bool, bool]:
     """The two warning clauses separately: (label difference, low confidence).
 
     Label difference: some mutant disagrees with the arriving label.
-    Low confidence: all mutants agree but the least confident of them
-    falls below tau. With no agreeing mutants there is no minimum to
-    test, so the low-confidence clause is False by convention (the
+    Low confidence: the least confident of the mutants that agree with
+    the arriving label falls below tau, whether or not another mutant
+    disagrees. With no agreeing mutants there is no minimum to test, so
+    the low-confidence clause is False by convention (the
     label-difference clause is necessarily True then).
     """
     base_label = profile.base.label
@@ -186,9 +187,32 @@ def pgpp_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bo
     return True
 
 
-DEFENDER_KINDS = ("doma", "c2", "pgpp", "hicert", "hicert_flip", "pgpp_flip")
-_FLIP_KINDS = ("hicert_flip", "pgpp_flip")
-_TAU_KINDS = ("pgpp", "hicert", "hicert_flip", "pgpp_flip")
+class _Family(NamedTuple):
+    """One family's rules in a uniform shape, tau last.
+
+    `warn_clauses` is None for the flipped ablations. Families without a
+    confidence clause report their whole warning in the first slot.
+    """
+
+    certify: Callable[[MutantProfile, int, float], bool]
+    warn_clauses: Callable[[MutantProfile, float], tuple[bool, bool]] | None
+    uses_tau: bool
+
+
+def _label_difference(profile: MutantProfile, tau: float) -> tuple[bool, bool]:
+    return doma_warn(profile), False
+
+
+# The only place that defines a family; DEFENDER_KINDS keeps this order.
+_FAMILIES: dict[str, _Family] = {
+    "doma": _Family(lambda p, y, tau: doma_certify(p, y), _label_difference, False),
+    "c2": _Family(lambda p, y, tau: c2_certify(p), _label_difference, False),
+    "pgpp": _Family(pgpp_certify, lambda p, tau: (pgpp_warn(p, tau), False), True),
+    "hicert": _Family(hicert_certify, hicert_warn_parts, True),
+    "hicert_flip": _Family(hicert_flip_certify, None, True),
+    "pgpp_flip": _Family(pgpp_flip_certify, None, True),
+}
+DEFENDER_KINDS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -199,17 +223,19 @@ class DefenderSpec:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in DEFENDER_KINDS:
+        if self.kind not in _FAMILIES:
             raise InvalidInputError(
                 f"unknown defender kind {self.kind!r}; expected one of "
                 f"{', '.join(DEFENDER_KINDS)}"
             )
         if not 0.0 <= self.tau <= 1.0:
             raise InvalidInputError(f"tau must lie in [0, 1], got {self.tau}")
+        # -0.0 would name a second defender that decides like 0.0.
+        object.__setattr__(self, "tau", self.tau + 0.0)
 
     @property
     def uses_tau(self) -> bool:
-        return self.kind in _TAU_KINDS
+        return _FAMILIES[self.kind].uses_tau
 
     @property
     def name(self) -> str:
@@ -218,75 +244,50 @@ class DefenderSpec:
         return self.kind
 
 
-def _certify(kind: str, tau: float, profile: MutantProfile, true_label: int) -> bool:
-    if kind == "doma":
-        return doma_certify(profile, true_label)
-    if kind == "c2":
-        return c2_certify(profile)
-    if kind == "pgpp":
-        return pgpp_certify(profile, true_label, tau)
-    if kind == "hicert":
-        return hicert_certify(profile, true_label, tau)
-    if kind == "hicert_flip":
-        return hicert_flip_certify(profile, true_label, tau)
-    if kind == "pgpp_flip":
-        return pgpp_flip_certify(profile, true_label, tau)
-    raise InvalidInputError(f"unknown defender kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class Defender:
     """A bound (certify, warn) pair, possibly from two different families.
 
-    Kinds and thresholds are plain data so defenders pickle cleanly for
-    worker processes. `warn_kind` is None for the flipped ablations,
-    whose warning rule is deliberately undefined.
+    Both halves are plain specs so defenders pickle cleanly for worker
+    processes. `warner` is None for the flipped ablations, whose warning
+    rule is deliberately undefined.
     """
 
-    certify_kind: str
-    certify_tau: float
-    warn_kind: str | None
-    warn_tau: float
+    certifier: DefenderSpec
+    warner: DefenderSpec | None
+
+    def __post_init__(self):
+        if self.warner is not None and not _FAMILIES[self.warner.kind].warn_clauses:
+            raise InvalidInputError(f"{self.warner.kind} has no warning rule to borrow")
 
     @property
     def name(self) -> str:
-        cert = DefenderSpec(self.certify_kind, self.certify_tau).name
-        if self.warn_kind is None:
+        cert = self.certifier.name
+        if self.warner is None:
             return f"{cert}, no warning rule"
-        if self.warn_kind == self.certify_kind and self.warn_tau == self.certify_tau:
+        if self.warner == self.certifier:
             return cert
-        warn = DefenderSpec(self.warn_kind, self.warn_tau).name
-        return f"certify={cert}, warn={warn}"
+        return f"certify={cert}, warn={self.warner.name}"
 
     @property
     def has_warn(self) -> bool:
-        return self.warn_kind is not None
+        return self.warner is not None
 
     def certify(self, profile: MutantProfile, true_label: int) -> bool:
-        return _certify(self.certify_kind, self.certify_tau, profile, true_label)
+        spec = self.certifier
+        return _FAMILIES[spec.kind].certify(profile, true_label, spec.tau)
 
     def warn(self, profile: MutantProfile) -> bool:
         return any(self.warn_clauses(profile))
 
     def warn_clauses(self, profile: MutantProfile) -> tuple[bool, bool]:
-        """(label difference, low confidence) clause values for this warner.
-
-        Families without a confidence clause report their entire warning
-        through the label-difference slot.
-        """
-        kind = self.warn_kind
-        if kind == "hicert":
-            return hicert_warn_parts(profile, self.warn_tau)
-        if kind == "doma" or kind == "c2":
-            return doma_warn(profile), False
-        if kind == "pgpp":
-            return pgpp_warn(profile, self.warn_tau), False
-        if kind is None:
+        """(label difference, low confidence) clause values for this warner."""
+        spec = self.warner
+        if spec is None:
             raise UnsupportedOperationError(
-                f"{DefenderSpec(self.certify_kind, self.certify_tau).name} "
-                "defines no warning rule"
+                f"{self.certifier.name} defines no warning rule"
             )
-        raise UnsupportedOperationError(f"no warning rule for {kind!r}")
+        return _FAMILIES[spec.kind].warn_clauses(profile, spec.tau)
 
     def verdict(self, profile: MutantProfile, true_label: int) -> Verdict:
         certified = self.certify(profile, true_label)
@@ -296,9 +297,7 @@ class Defender:
 
 def make_defender(spec: DefenderSpec) -> Defender:
     """Bind a spec to its own family's certify and warn rules."""
-    if spec.kind in _FLIP_KINDS:
-        return Defender(spec.kind, spec.tau, None, 0.0)
-    return Defender(spec.kind, spec.tau, spec.kind, spec.tau)
+    return Defender(spec, spec if _FAMILIES[spec.kind].warn_clauses else None)
 
 
 def make_composite(certify: DefenderSpec, warn: DefenderSpec) -> Defender:
@@ -307,9 +306,7 @@ def make_composite(certify: DefenderSpec, warn: DefenderSpec) -> Defender:
     Exists for negative controls: soundness is a joint property of the
     pair, and mismatched pairs are exactly how it breaks.
     """
-    if warn.kind in _FLIP_KINDS:
-        raise InvalidInputError(f"{warn.kind} has no warning rule to borrow")
-    return Defender(certify.kind, certify.tau, warn.kind, warn.tau)
+    return Defender(certify, warn)
 
 
 def assign_case(correct: bool, verdict: Verdict) -> int:

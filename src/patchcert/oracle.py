@@ -27,7 +27,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .classifiers import Prediction, TableClassifier
 from .cover import MaskSet
@@ -268,12 +268,27 @@ def _content_digest(content: Sequence[int]) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
-def _caught_by(defender: Defender, vprofile: MutantProfile) -> str | None:
-    """The warning clause that catches a harmful variant; None if it evades."""
+def _judge(defender: Defender, report: SoundnessReport | None,
+           vprofile: MutantProfile, witness: Callable[[], dict]) -> bool:
+    """Judge a harmful variant: True when it evades `defender`'s warning.
+
+    `report` (None when only `rsuc` asks) credits the catching clause,
+    label difference first, or records a violation: `witness()`'s
+    fields, then the variant's label.
+    """
     label_diff, low_conf = defender.warn_clauses(vprofile)
-    if label_diff:
-        return CLAUSE_LABEL_DIFF
-    return CLAUSE_LOW_CONF if low_conf else None
+    if label_diff or low_conf:
+        if report is not None:
+            clause = CLAUSE_LABEL_DIFF if label_diff else CLAUSE_LOW_CONF
+            report.thm2_clause_stats[clause] += 1
+        return False
+    if report is not None:
+        report.violations.append({
+            **witness(),
+            "variant_label": vprofile.base.label,
+            "reason": "harmful variant drew no warning",
+        })
+    return True
 
 
 def _require_warn(defender: Defender) -> None:
@@ -464,27 +479,17 @@ def _scan_sample(
         # Contents first: zip then takes no index when a group runs out.
         for content, variant_index in zip(contents, variant_indices):
             variant = oracle.classify_variant(plan, content)
-            label = variant.label
-            if label == true_label:
+            if variant.label == true_label:
                 continue  # not harmful; nothing to detect
             vprofile = oracle.profile(plan, content, variant)
             for d, report in active:
-                clause = _caught_by(d, vprofile)
-                if clause is not None:
-                    if report is not None:
-                        report.thm2_clause_stats[clause] += 1
-                    continue
-                if want_rsuc:
+                evaded = _judge(d, report, vprofile, lambda: {
+                    "sample_id": sample_id, "variant_index": variant_index,
+                    "placement": plan.placement_doc,
+                    "content_digest": _content_digest(content),
+                })
+                if evaded and want_rsuc:
                     run.evaded_samples[d.name] = 1
-                if report is not None:
-                    report.violations.append({
-                        "sample_id": sample_id,
-                        "variant_index": variant_index,
-                        "placement": plan.placement_doc,
-                        "content_digest": _content_digest(content),
-                        "variant_label": label,
-                        "reason": "harmful variant drew no warning",
-                    })
     return run
 
 
@@ -545,18 +550,8 @@ def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> Soundn
     if not certified:
         return report
     for variant_id, vprofile in fixture.variant_profiles():
-        if vprofile.base.label == fixture.true_label:
-            continue
-        clause = _caught_by(defender, vprofile)
-        if clause is not None:
-            report.thm2_clause_stats[clause] += 1
-            continue
-        report.violations.append(
-            {
-                "sample_id": fixture.benign_id,
-                "variant_id": variant_id,
-                "variant_label": vprofile.base.label,
-                "reason": "harmful variant drew no warning",
-            }
-        )
+        if vprofile.base.label != fixture.true_label:
+            _judge(defender, report, vprofile, lambda: {
+                "sample_id": fixture.benign_id, "variant_id": variant_id,
+            })
     return report

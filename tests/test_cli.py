@@ -230,6 +230,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("taus", [
         ("0.1234567", "0.1234568"),
         ("0.8", "0.8"),
+        ("0.0", "-0.0"),
     ])
     def test_taus_with_one_name_are_a_usage_error(self, capsys, workspace, taus):
         """Two taus that print alike would write one report over the other."""
@@ -240,6 +241,19 @@ class TestEvaluate:
         assert stdout == ""
         assert f"--tau {taus[0]} and --tau {taus[1]} both name hicert(tau=" in err
         assert not out_dir.exists()
+
+    def test_negative_zero_tau_is_tau_zero(self, capsys, workspace):
+        """-0 decides like 0, so it writes the same files under the same names."""
+        outputs = []
+        for tau in ("0", "-0"):
+            code, out_dir, stdout, _ = self.evaluate(
+                capsys, workspace, "hicert", "--tau", tau
+            )
+            assert code == EXIT_OK
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            outputs.append((stdout, files))
+            out_dir.rename(workspace / f"tau{tau}")
+        assert outputs[0] == outputs[1]
 
     def test_label_outside_num_labels_is_a_usage_error(self, capsys, workspace):
         data = workspace / "data.jsonl"

@@ -88,6 +88,8 @@ class TestWarnRules:
         p = profile((0, 0.7), [(0, 0.9), (3, 0.6)])
         assert hicert_warn_parts(p, tau=0.0) == (True, False)
         assert hicert_warn(p, tau=0.0)
+        # The agreeing mutants' minimum counts even beside a disagreement.
+        assert hicert_warn_parts(p, tau=0.95) == (True, True)
 
     def test_hicert_warn_on_weak_unanimity(self):
         p = profile((0, 0.7), [(0, 0.3), (0, 0.9)])
@@ -209,6 +211,8 @@ class TestDefender:
     def test_composite_rejects_flip_warner(self):
         with pytest.raises(InvalidInputError):
             make_composite(DefenderSpec("doma"), DefenderSpec("hicert_flip", 0.5))
+        with pytest.raises(InvalidInputError, match="no warning rule to borrow"):
+            Defender(DefenderSpec("hicert", 0.8), DefenderSpec("pgpp_flip", 0.5))
 
     def test_warn_clauses_for_plain_warners(self):
         d = make_defender(DefenderSpec("doma"))
