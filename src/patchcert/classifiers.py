@@ -184,28 +184,20 @@ class LinearClassifier:
 
 @dataclass(frozen=True)
 class TableClassifier:
-    """Predictions imported from a file, keyed by (sample_id, variant).
+    """Complete mutant profiles imported from a file, keyed by sample id.
 
-    The variant key is "base" for the unmasked sample or the integer
-    mask index for a mutant. There is no way to classify raw pixels;
-    a missing key is an explicit error, never a default.
+    The loader refuses a table in which any sample lacks its base row or
+    a mask row. There is no way to classify raw pixels; an unknown
+    sample is an explicit error, never a default.
     """
 
-    rows: Mapping[tuple[str, VariantKey], Prediction]
-    num_masks: int
-
-    def lookup(self, sample_id: str, variant: VariantKey) -> Prediction:
-        try:
-            return self.rows[(sample_id, variant)]
-        except KeyError:
-            raise TableLookupError(sample_id, variant) from None
+    profiles: Mapping[str, MutantProfile]
 
     def profile_for(self, sample_id: str) -> MutantProfile:
-        base = self.lookup(sample_id, "base")
-        mutants = tuple(
-            self.lookup(sample_id, i) for i in range(self.num_masks)
-        )
-        return MutantProfile(base, mutants)
+        try:
+            return self.profiles[sample_id]
+        except KeyError:
+            raise TableLookupError(sample_id, "base") from None
 
 
 def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
@@ -219,12 +211,13 @@ def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
     if isinstance(classifier, TableClassifier):
         if sample_id is None:
             raise InvalidInputError("table classifier needs a sample_id")
-        if classifier.num_masks != len(mask_set.masks):
+        profile = classifier.profile_for(sample_id)
+        if len(profile.mutants) != len(mask_set.masks):
             raise InvalidInputError(
-                f"table holds {classifier.num_masks} mutant columns, "
+                f"table holds {len(profile.mutants)} mutant columns, "
                 f"mask set has {len(mask_set.masks)}"
             )
-        return classifier.profile_for(sample_id)
+        return profile
     if image is None:
         raise InvalidInputError("image classifiers need pixels")
     base = classifier.classify(image)

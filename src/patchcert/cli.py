@@ -235,11 +235,16 @@ def _classifier_doc(args) -> dict:
     return doc
 
 
-def _taus(kind: str, taus: list[float] | None) -> list[float]:
+def _check_tau(kind: str, given: bool, where: str, flag: str) -> None:
+    """A family that reads tau needs `flag`; any other family takes none."""
     uses_tau = DefenderSpec(kind).uses_tau
-    if uses_tau != bool(taus):
+    if uses_tau != given:
         verb = "needs" if uses_tau else "takes no"
-        raise InvalidInputError(f"--defender {kind} {verb} --tau")
+        raise InvalidInputError(f"{where} {verb} {flag}")
+
+
+def _taus(kind: str, taus: list[float] | None) -> list[float]:
+    _check_tau(kind, bool(taus), f"--defender {kind}", "--tau")
     return taus or [0.0]
 
 
@@ -255,12 +260,16 @@ def _parse_override(text: str) -> Defender:
         role = role.strip()
         if role not in ("certify", "warn"):
             raise InvalidInputError(f"override role must be certify or warn, got {role!r}")
-        kind, _, tau_text = value.partition(":")
+        if role in parts:
+            raise InvalidInputError(f"override gives {role}= twice")
+        kind, colon, tau_text = value.partition(":")
+        kind = kind.strip()
+        _check_tau(kind, bool(colon), f"override chunk {chunk!r}: {kind}", ":tau")
         try:
-            tau = float(tau_text) if tau_text else 0.0
+            tau = float(tau_text) if colon else 0.0
         except ValueError:
             raise InvalidInputError(f"bad override tau {tau_text!r} in {chunk!r}")
-        parts[role] = DefenderSpec(kind.strip(), tau)
+        parts[role] = DefenderSpec(kind, tau)
     if set(parts) != {"certify", "warn"}:
         raise InvalidInputError("override needs both certify= and warn=")
     return make_composite(parts["certify"], parts["warn"])
@@ -423,6 +432,8 @@ def cmd_verify(args) -> int:
         raise InvalidInputError("verify needs --dataset and --masks (or --fixture)")
     records, mask_set, classifier = _load_inputs(args)
     checks = _parse_checks(args.checks)
+    if args.mode != "random":
+        _refuse_given(args, ("trials", "attack_seed"), "--mode exhaustive does not read")
 
     spec = mask_set.spec
     if args.patch_size or args.patch_area or args.patches > 1:

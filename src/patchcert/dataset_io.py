@@ -26,7 +26,6 @@ from .errors import (
     InvalidInputError,
     MalformedLineError,
     SchemaViolationError,
-    TableLookupError,
     ValueOutOfRangeError,
 )
 from .metrics import EvalRecord
@@ -68,22 +67,16 @@ class DatasetRecord:
 class ProfileFixture:
     """Hand-written attack scenario expressed purely as predictions.
 
-    `benign` names the clean sample; every id in `variants` is treated
-    as an in-scope tampered version of it. Profiles come from the
-    bundled prediction rows, so scenarios stay classifier-free.
+    `benign` is the clean sample's profile; every (id, profile) in
+    `variants` is treated as an in-scope tampered version of it. Profiles
+    come from the bundled prediction rows, so scenarios stay
+    classifier-free.
     """
 
     true_label: int
     benign_id: str
-    variant_ids: tuple[str, ...]
-    num_masks: int
-    table: TableClassifier
-
-    def benign_profile(self) -> MutantProfile:
-        return self.table.profile_for(self.benign_id)
-
-    def variant_profiles(self) -> list[tuple[str, MutantProfile]]:
-        return [(vid, self.table.profile_for(vid)) for vid in self.variant_ids]
+    benign: MutantProfile
+    variants: tuple[tuple[str, MutantProfile], ...]
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -312,14 +305,16 @@ def _variant_key(path: str, lineno: int, raw, where: str) -> VariantKey:
 
 
 def _prediction_table(
-    path: str, rows: Iterable[tuple[int, str, Any]]
-) -> TableClassifier:
-    """Parse `sample_id`/`variant`/`label`/`confidence` rows into a table.
+    path: str, rows: Iterable[tuple[int, str, Any]], required: Sequence[str] = ()
+) -> dict[str, MutantProfile]:
+    """Parse `sample_id`/`variant`/`label`/`confidence` rows into profiles.
 
     Each row comes as (line number, message prefix, parsed object); the
-    prefix names the row where the file has no line for it.
+    prefix names the row where the file has no line for it. The mask
+    count is the highest mask index plus one. Every sample in the rows,
+    and every id in `required`, needs a base row and one row per mask.
     """
-    table: dict[tuple[str, VariantKey], Prediction] = {}
+    by_sample: dict[str, dict[VariantKey, Prediction]] = {}
     for lineno, where, obj in rows:
         if not isinstance(obj, dict):
             raise SchemaViolationError(path, lineno, f"{where}row must be an object")
@@ -337,16 +332,27 @@ def _prediction_table(
             raise ValueOutOfRangeError(
                 path, lineno, f"{where}confidence must lie strictly inside (0, 1)"
             )
-        key = (sample_id, variant)
-        if key in table:
+        preds = by_sample.setdefault(sample_id, {})
+        if variant in preds:
             raise DuplicateKeyError(
-                path, lineno, f"{where}duplicate prediction for {key!r}"
+                path, lineno, f"{where}duplicate prediction for {(sample_id, variant)!r}"
             )
-        table[key] = Prediction(label, float(confidence))
-    mask_indices = [v for _, v in table if isinstance(v, int)]
+        preds[variant] = Prediction(label, float(confidence))
+    mask_indices = [v for preds in by_sample.values() for v in preds if v != "base"]
     if not mask_indices:
         raise SchemaViolationError(path, 0, "prediction table holds no mask rows")
-    return TableClassifier(table, num_masks=max(mask_indices) + 1)
+    masks = range(max(mask_indices) + 1)
+    for sample_id in (*by_sample, *required):
+        preds = by_sample.get(sample_id, {})
+        for variant in ("base", *masks):
+            if variant not in preds:
+                raise SchemaViolationError(
+                    path, 0, f"no row for sample {sample_id!r}, variant {variant!r}"
+                )
+    return {
+        sample_id: MutantProfile(preds["base"], tuple(preds[i] for i in masks))
+        for sample_id, preds in by_sample.items()
+    }
 
 
 def save_predictions(
@@ -364,9 +370,9 @@ def save_predictions(
 
 
 def load_predictions(path: str) -> TableClassifier:
-    return _prediction_table(
+    return TableClassifier(_prediction_table(
         path, ((lineno, "", obj) for lineno, obj in _read_jsonl(path))
-    )
+    ))
 
 
 # ---------- evaluation records ----------
@@ -463,22 +469,13 @@ def load_profile_fixture(path: str) -> ProfileFixture:
         raise SchemaViolationError(path, 0, "variants must be sample id strings")
     rows_doc = _need(path, 0, doc, "rows", list)
 
-    table = _prediction_table(
-        path, ((0, f"row {i}: ", obj) for i, obj in enumerate(rows_doc))
+    profiles = _prediction_table(
+        path, ((0, f"row {i}: ", obj) for i, obj in enumerate(rows_doc)),
+        required=(benign, *variants),
     )
-    fixture = ProfileFixture(
+    return ProfileFixture(
         true_label=true_label,
         benign_id=benign,
-        variant_ids=tuple(variants),
-        num_masks=table.num_masks,
-        table=table,
+        benign=profiles[benign],
+        variants=tuple((v, profiles[v]) for v in variants),
     )
-    # Fail fast, naming the file, if any referenced profile is incomplete.
-    try:
-        fixture.benign_profile()
-        fixture.variant_profiles()
-    except TableLookupError as e:
-        raise SchemaViolationError(
-            path, 0, f"no row for sample {e.sample_id!r}, variant {e.variant!r}"
-        ) from None
-    return fixture

@@ -171,10 +171,7 @@ def count_variants(
     spec = cfg.patch_spec
     a = cfg.resolve_alphabet(image)
     c = image.channels
-    if spec.kind == "square":
-        placements, _ = count_placements(spec)
-        return placements * a ** (spec.size * spec.size * c), True
-    if spec.kind == "rectangle":
+    if spec.kind != "multi":
         h, w = spec.plane_height, spec.plane_width
         return sum(
             (h - rh + 1) * (w - rw + 1) * a ** (rh * rw * c)
@@ -543,13 +540,13 @@ def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> Soundn
     set; profiles come straight from the table.
     """
     _require_warn(defender)
-    certified = defender.certify(fixture.benign_profile(), fixture.true_label)
+    certified = defender.certify(fixture.benign, fixture.true_label)
     report = SoundnessReport(
-        defender.name, "fixture", 1, int(certified), len(fixture.variant_ids)
+        defender.name, "fixture", 1, int(certified), len(fixture.variants)
     )
     if not certified:
         return report
-    for variant_id, vprofile in fixture.variant_profiles():
+    for variant_id, vprofile in fixture.variants:
         if vprofile.base.label != fixture.true_label:
             _judge(defender, report, vprofile, lambda: {
                 "sample_id": fixture.benign_id, "variant_id": variant_id,

@@ -413,47 +413,44 @@ def mask_covers(mask: Mask, placement: Placement) -> bool:
 # ---------- placement enumeration ----------
 
 
-def _square_anchors(spec: PatchSpec) -> Iterator[Rect]:
-    p = spec.size
-    for top in range(spec.plane_height - p + 1):
-        for left in range(spec.plane_width - p + 1):
-            yield Rect(top, left, p, p)
+def rectangle_shapes(spec: PatchSpec) -> list[tuple[int, int]]:
+    """Every (height, width) of one patch rect, in placement order.
 
-
-def rectangle_shapes(spec: PatchSpec) -> Iterator[tuple[int, int]]:
-    """Every (height, width) within a rectangle spec's area, in placement order."""
-    for rh in range(1, min(spec.plane_height, spec.area) + 1):
-        for rw in range(1, min(spec.plane_width, spec.area // rh) + 1):
-            yield rh, rw
+    Square and multi specs have the one shape (size, size); a rectangle
+    spec has every shape within its area.
+    """
+    if spec.kind != "rectangle":
+        return [(spec.size, spec.size)]
+    return [
+        (rh, rw)
+        for rh in range(1, min(spec.plane_height, spec.area) + 1)
+        for rw in range(1, min(spec.plane_width, spec.area // rh) + 1)
+    ]
 
 
 def iter_placements(spec: PatchSpec) -> Iterator[Placement]:
     """Every legal placement under the spec, in deterministic lexicographic order.
 
-    Square and rectangle placements are single rects ordered by
-    (height, width, top, left); multi placements are index combinations
-    of the square anchor list, so combination order is lexicographic too.
+    Single rects are ordered by (height, width, top, left). Multi
+    placements are combinations of the square rects in that order, so
+    combination order is lexicographic too.
     """
-    if spec.kind == "square":
-        for r in _square_anchors(spec):
+    rects = (
+        Rect(top, left, rh, rw)
+        for rh, rw in rectangle_shapes(spec)
+        for top in range(spec.plane_height - rh + 1)
+        for left in range(spec.plane_width - rw + 1)
+    )
+    if spec.kind != "multi":
+        for r in rects:
             yield (r,)
-    elif spec.kind == "rectangle":
-        for rh, rw in rectangle_shapes(spec):
-            for top in range(spec.plane_height - rh + 1):
-                for left in range(spec.plane_width - rw + 1):
-                    yield (Rect(top, left, rh, rw),)
-    elif spec.kind == "multi":
-        anchors = list(_square_anchors(spec))
-        for combo in itertools.combinations(anchors, spec.count):
-            ok = True
-            for a, b in itertools.combinations(combo, 2):
-                if a.intersects(b):
-                    ok = False
-                    break
-            if ok:
-                yield combo
-    else:  # unreachable; PatchSpec validates kind
-        raise InvalidInputError(f"unknown patch kind {spec.kind!r}")
+        return
+    for combo in itertools.combinations(tuple(rects), spec.count):
+        for a, b in itertools.combinations(combo, 2):
+            if a.intersects(b):
+                break
+        else:
+            yield combo
 
 
 def count_placements(spec: PatchSpec, cap: int | None = None) -> tuple[int, bool]:
@@ -464,10 +461,7 @@ def count_placements(spec: PatchSpec, cap: int | None = None) -> tuple[int, bool
     is a lower bound and the second element is False.
     """
     h, w = spec.plane_height, spec.plane_width
-    if spec.kind == "square":
-        p = spec.size
-        return (h - p + 1) * (w - p + 1), True
-    if spec.kind == "rectangle":
+    if spec.kind != "multi":
         shapes = rectangle_shapes(spec)
         return sum((h - rh + 1) * (w - rw + 1) for rh, rw in shapes), True
     total = 0

@@ -13,7 +13,8 @@ from patchcert.classifiers import (
     classify_mutants,
 )
 from patchcert.cover import MaskSet, gen_square_cover
-from patchcert.dataset_io import load_predictions
+from patchcert.dataset_io import load_predictions, save_predictions
+from patchcert.defenders import MutantProfile
 from patchcert.errors import InvalidInputError, TableLookupError, ValueOutOfRangeError
 from patchcert.tensor import Image, Mask, Rect, apply_mask
 
@@ -146,28 +147,26 @@ class TestLinearClassifier:
 
 
 class TestTableClassifier:
-    def build(self):
-        rows = {
-            ("a", "base"): Prediction(1, 0.9),
-            ("a", 0): Prediction(1, 0.8),
-            ("a", 1): Prediction(2, 0.6),
-        }
-        return TableClassifier(rows=rows, num_masks=2)
+    def build(self, tmp_path):
+        """A table loaded from rows written out of mask order."""
+        path = tmp_path / "preds.jsonl"
+        save_predictions([
+            ("a", 1, Prediction(2, 0.6)),
+            ("a", "base", Prediction(1, 0.9)),
+            ("a", 0, Prediction(1, 0.8)),
+        ], str(path))
+        return load_predictions(str(path))
 
-    def test_lookup_and_profile_order(self):
-        clf = self.build()
-        assert clf.lookup("a", "base") == Prediction(1, 0.9)
-        profile = clf.profile_for("a")
+    def test_lookup_and_profile_order(self, tmp_path):
+        profile = self.build(tmp_path).profile_for("a")
         assert profile.base == Prediction(1, 0.9)
         assert profile.mutants == (Prediction(1, 0.8), Prediction(2, 0.6))
 
-    def test_missing_key_is_an_error(self):
-        clf = self.build()
+    def test_missing_key_is_an_error(self, tmp_path):
+        clf = self.build(tmp_path)
         with pytest.raises(TableLookupError) as exc:
-            clf.lookup("b", "base")
-        assert "b" in str(exc.value)
-        with pytest.raises(TableLookupError):
-            clf.lookup("a", 2)
+            clf.profile_for("b")
+        assert "'b', variant 'base'" in str(exc.value)
 
 
 class TestClassifyMutants:
@@ -190,8 +189,8 @@ class TestClassifyMutants:
         assert p1.mutants == p2.mutants
 
     def test_table_backend_requires_sample_id(self):
-        rows = {("a", "base"): Prediction(0, 0.5), ("a", 0): Prediction(0, 0.5)}
-        clf = TableClassifier(rows=rows, num_masks=1)
+        profile = MutantProfile(Prediction(0, 0.5), (Prediction(0, 0.5),))
+        clf = TableClassifier({"a": profile})
         ms = MaskSet(
             (Mask(4, 4, (Rect(0, 0, 4, 4),)),),
             spec=gen_square_cover((4, 4), 4, 1).spec,
@@ -203,11 +202,12 @@ class TestClassifyMutants:
             classify_mutants(clf, None, ms)
 
     def test_table_backend_checks_mask_count(self):
-        rows = {("a", "base"): Prediction(0, 0.5), ("a", 0): Prediction(0, 0.5)}
-        clf = TableClassifier(rows=rows, num_masks=1)
+        profile = MutantProfile(Prediction(0, 0.5), (Prediction(0, 0.5),))
+        clf = TableClassifier({"a": profile})
         ms = gen_square_cover((8, 8), 2, 3)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             classify_mutants(clf, None, ms, sample_id="a")
+        assert "table holds 1 mutant columns, mask set has 9" in str(exc.value)
 
     def test_image_backend_requires_pixels(self):
         clf = HashClassifier(seed=1, num_labels=2)

@@ -4,8 +4,9 @@ import pathlib
 
 import pytest
 
+from patchcert.classifiers import HashClassifier, classify_mutants
 from patchcert.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from patchcert.dataset_io import load_maskset
+from patchcert.dataset_io import load_dataset, load_maskset, save_predictions
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 FIXTURE = str(DATA_DIR / "negative_control.json")
@@ -279,6 +280,52 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert "--predictions" in err
 
+    def evaluate_table(self, capsys, workspace, rows):
+        """Evaluate hicert at tau 0.8 from a table holding `rows`."""
+        preds = workspace / "preds.jsonl"
+        save_predictions(rows, str(preds))
+        out_dir = workspace / "out_table"
+        code, stdout, err = run(
+            capsys, "evaluate",
+            "--dataset", str(workspace / "data.jsonl"),
+            "--masks", str(workspace / "masks.json"),
+            "--classifier", "table", "--predictions", str(preds),
+            "--defender", "hicert", "--tau", "0.8",
+            "--out-dir", str(out_dir),
+        )
+        return code, out_dir, preds, err
+
+    def hash_rows(self, workspace):
+        """The hash classifier's profiles as prediction table rows."""
+        clf = HashClassifier(seed=7, num_labels=5)
+        mask_set = load_maskset(str(workspace / "masks.json"))
+        rows = []
+        for record in load_dataset(str(workspace / "data.jsonl")):
+            profile = classify_mutants(clf, record.image, mask_set)
+            rows.append((record.id, "base", profile.base))
+            rows += [(record.id, i, p) for i, p in enumerate(profile.mutants)]
+        return rows
+
+    def test_table_of_hash_profiles_matches_the_hash_run(self, capsys, workspace):
+        code, hash_dir, _, _ = self.evaluate(
+            capsys, workspace, "hicert", "--tau", "0.8"
+        )
+        assert code == EXIT_OK
+        code, table_dir, _, _ = self.evaluate_table(
+            capsys, workspace, self.hash_rows(workspace)
+        )
+        assert code == EXIT_OK
+        name = "records_hicert_tau0.8.jsonl"
+        assert (table_dir / name).read_bytes() == (hash_dir / name).read_bytes()
+
+    def test_incomplete_table_is_a_file_error(self, capsys, workspace):
+        code, out_dir, preds, err = self.evaluate_table(
+            capsys, workspace, self.hash_rows(workspace)[:-1]
+        )
+        assert code == EXIT_IO
+        assert err == f"error: {preds}: no row for sample 's00005', variant 8\n"
+        assert not out_dir.exists()
+
 
 class TestVerify:
     def test_fixture_negative_control(self, capsys):
@@ -390,13 +437,22 @@ class TestVerify:
             assert stdout == ""
             assert "multiple patches need --patch-size" in err
 
-    def test_override_with_bad_tau_is_a_usage_error(self, capsys):
-        code, _, err = run(
-            capsys, "verify", "--fixture", FIXTURE,
-            "--defender-override", "certify=hicert:abc,warn=doma",
+    @pytest.mark.parametrize("override, message", [
+        pytest.param("certify=hicert:abc,warn=doma", "'abc'", id="not-a-number"),
+        pytest.param("certify=doma:0.5,warn=doma",
+                     "'certify=doma:0.5': doma takes no :tau", id="tau-for-doma"),
+        pytest.param("certify=hicert,warn=hicert",
+                     "'certify=hicert': hicert needs :tau", id="no-tau-for-hicert"),
+        pytest.param("certify=doma,certify=hicert:0.8,warn=doma",
+                     "override gives certify= twice", id="repeated-role"),
+    ])
+    def test_override_with_bad_tau_is_a_usage_error(self, capsys, override, message):
+        code, stdout, err = run(
+            capsys, "verify", "--fixture", FIXTURE, "--defender-override", override,
         )
         assert code == EXIT_USAGE
-        assert "'abc'" in err
+        assert stdout == ""
+        assert message in err
 
     def test_fixture_refuses_the_flags_it_does_not_read(self, capsys):
         code, stdout, err = run(
@@ -438,6 +494,14 @@ class TestVerify:
         )
         assert code == EXIT_IO
         assert f"{path}: no row for sample 'ghost', variant 'base'" in err
+
+    def test_exhaustive_refuses_trials_and_attack_seed(self, capsys, workspace):
+        code, stdout, err = self.verify_patch_flags(
+            capsys, workspace, "--trials", "5", "--attack-seed", "9"
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "--mode exhaustive does not read --trials, --attack-seed" in err
 
     def test_unknown_check_is_a_usage_error(self, capsys, workspace):
         code, _, err = run(

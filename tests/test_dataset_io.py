@@ -19,7 +19,7 @@ from patchcert.dataset_io import (
     save_records,
     save_report,
 )
-from patchcert.defenders import Verdict
+from patchcert.defenders import MutantProfile, Verdict
 from patchcert.errors import (
     DuplicateKeyError,
     FileFormatError,
@@ -248,9 +248,14 @@ class TestPredictionTables:
         path = tmp_path / "preds.jsonl"
         save_predictions(self.rows(), str(path))
         table = load_predictions(str(path))
-        assert table.num_masks == 2
-        assert table.lookup("a", "base") == Prediction(1, 0.9)
-        assert table.lookup("b", 1) == Prediction(0, 0.7)
+        assert table.profiles == {
+            "a": MutantProfile(
+                Prediction(1, 0.9), (Prediction(1, 0.8), Prediction(2, 0.6))
+            ),
+            "b": MutantProfile(
+                Prediction(0, 0.7), (Prediction(0, 0.7), Prediction(0, 0.7))
+            ),
+        }
 
     def test_rejects_confidence_one(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -293,6 +298,21 @@ class TestPredictionTables:
         with pytest.raises(SchemaViolationError) as exc:
             load_predictions(str(path))
         assert "mask rows" in str(exc.value)
+
+    @pytest.mark.parametrize("dropped, gap", [
+        pytest.param(5, "'b', variant 1", id="mask-row"),
+        pytest.param(3, "'b', variant 'base'", id="base-row"),
+    ])
+    def test_rejects_a_sample_with_a_gap(self, tmp_path, dropped, gap):
+        """Each sample needs a base row and a row for every mask index,
+        even a sample that nothing looks up."""
+        rows = self.rows()
+        del rows[dropped]
+        path = tmp_path / "preds.jsonl"
+        save_predictions(rows, str(path))
+        with pytest.raises(SchemaViolationError) as exc:
+            load_predictions(str(path))
+        assert str(exc.value) == f"{path}: no row for sample {gap}"
 
 
 class TestEvalRecords:
@@ -398,9 +418,9 @@ class TestProfileFixture:
         fixture = load_profile_fixture(str(DATA_DIR / "negative_control.json"))
         assert fixture.true_label == 0
         assert fixture.benign_id == "x"
-        assert fixture.variant_ids == ("x-patched",)
-        assert fixture.num_masks == 2
-        benign = fixture.benign_profile()
+        assert [vid for vid, _ in fixture.variants] == ["x-patched"]
+        benign = fixture.benign
+        assert len(benign.mutants) == 2
         assert benign.base == Prediction(0, 0.7)
         assert [m.label for m in benign.mutants] == [1, 0]
 

@@ -14,7 +14,8 @@ from patchcert.dataset_io import (
     gen_synthetic_dataset,
     load_profile_fixture,
 )
-from patchcert.defenders import DefenderSpec, make_composite, make_defender
+from patchcert.defenders import DefenderSpec, MutantProfile, make_composite, \
+    make_defender
 from patchcert.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -584,9 +585,8 @@ class TestRunSoundness:
 
     def test_table_classifier_is_rejected(self):
         _, records, ms, defenders, cfg = self.make_grid()
-        table = TableClassifier(
-            rows={("s00000", "base"): Prediction(0, 0.5)}, num_masks=0
-        )
+        profile = MutantProfile(Prediction(0, 0.5), (Prediction(0, 0.5),))
+        table = TableClassifier({"s00000": profile})
         with pytest.raises(InvalidInputError):
             run_soundness(table, records, ms, defenders, cfg)
 
