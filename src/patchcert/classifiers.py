@@ -178,7 +178,11 @@ class LinearClassifier:
             if logits[i] > logits[best]:
                 best = i
         peak = logits[best]
-        denom = sum(math.exp((l - peak) / self.temperature) for l in logits)
+        # Left to right from 0.0: from Python 3.12 on the builtin sum
+        # compensates float rounding, which would change the last bits.
+        denom = 0.0
+        for l in logits:
+            denom += math.exp((l - peak) / self.temperature)
         return Prediction(best, clamp_confidence(1.0 / denom))
 
 

@@ -200,11 +200,12 @@ def _load_inputs(args):
     """Dataset, mask set and classifier for evaluate and verify.
 
     Pixel classifiers only emit labels below --num-labels, so a dataset
-    label at or above it is a configuration error.
+    label at or above it is a configuration error. A prediction table
+    must hold a complete profile for every dataset sample.
     """
     records = dataset_io.load_dataset(args.dataset)
     mask_set = dataset_io.load_maskset(args.masks)
-    classifier = _build_classifier(args)
+    classifier = _build_classifier(args, [r.id for r in records])
     if args.classifier != "table":
         for r in records:
             if r.true_label >= args.num_labels:
@@ -215,14 +216,14 @@ def _load_inputs(args):
     return records, mask_set, classifier
 
 
-def _build_classifier(args):
+def _build_classifier(args, sample_ids: Sequence[str]):
     if args.classifier == "hash":
         return HashClassifier(seed=args.seed, num_labels=args.num_labels)
     if args.classifier == "linear":
         return LinearClassifier(seed=args.seed, num_labels=args.num_labels)
     if not args.predictions:
         raise InvalidInputError("--classifier table needs --predictions")
-    return dataset_io.load_predictions(args.predictions)
+    return dataset_io.load_predictions(args.predictions, required=sample_ids)
 
 
 def _classifier_doc(args) -> dict:

@@ -369,9 +369,10 @@ def save_predictions(
     ))
 
 
-def load_predictions(path: str) -> TableClassifier:
+def load_predictions(path: str, required: Sequence[str] = ()) -> TableClassifier:
+    """A prediction table; each sample id in `required` needs a full profile."""
     return TableClassifier(_prediction_table(
-        path, ((lineno, "", obj) for lineno, obj in _read_jsonl(path))
+        path, ((lineno, "", obj) for lineno, obj in _read_jsonl(path)), required
     ))
 
 

@@ -17,7 +17,7 @@ tau falls on the non-certify / non-warn side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .errors import InvalidInputError, UnsupportedOperationError
 
@@ -30,6 +30,7 @@ __all__ = [
     "DefenderSpec",
     "Defender",
     "DEFENDER_KINDS",
+    "CLAUSE_NAMES",
     "oma",
     "doma_certify",
     "doma_warn",
@@ -48,10 +49,15 @@ __all__ = [
 
 
 class MutantProfile(NamedTuple):
-    """Base prediction plus one prediction per mask, in mask-set order."""
+    """Base prediction plus one prediction per mask.
+
+    The rules only iterate `mutants`, and a warning rule may iterate
+    them more than once. Eager profiles hold a tuple in mask-set order;
+    the oracle's scan passes a lazy re-iterable in covering-first order.
+    """
 
     base: "Prediction"
-    mutants: tuple["Prediction", ...]
+    mutants: Iterable["Prediction"]
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,21 @@ def hicert_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
     return worst < tau
 
 
+def _low_confidence(profile: MutantProfile, tau: float) -> bool:
+    """Some mutant that agrees with the arriving label is below tau.
+
+    This is HiCert's low-confidence clause: the least confident
+    agreeing mutant falls below tau exactly when some agreeing mutant
+    does, so the walk stops at the first one. With no agreeing mutants
+    there is no minimum to test, and the clause is False.
+    """
+    base_label = profile.base.label
+    for m in profile.mutants:
+        if m.label == base_label and m.confidence < tau:
+            return True
+    return False
+
+
 def hicert_warn_parts(profile: MutantProfile, tau: float) -> tuple[bool, bool]:
     """The two warning clauses separately: (label difference, low confidence).
 
@@ -141,22 +162,12 @@ def hicert_warn_parts(profile: MutantProfile, tau: float) -> tuple[bool, bool]:
     the low-confidence clause is False by convention (the
     label-difference clause is necessarily True then).
     """
-    base_label = profile.base.label
-    label_diff = False
-    lowest = None
-    for m in profile.mutants:
-        if m.label != base_label:
-            label_diff = True
-        elif lowest is None or m.confidence < lowest:
-            lowest = m.confidence
-    low_conf = lowest is not None and lowest < tau
-    return label_diff, low_conf
+    return doma_warn(profile), _low_confidence(profile, tau)
 
 
 def hicert_warn(profile: MutantProfile, tau: float) -> bool:
     """Warn on any label difference, or on unanimity with a weak link."""
-    label_diff, low_conf = hicert_warn_parts(profile, tau)
-    return label_diff or low_conf
+    return doma_warn(profile) or _low_confidence(profile, tau)
 
 
 def hicert_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
@@ -187,30 +198,35 @@ def pgpp_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bo
     return True
 
 
+# The warning clauses, in the order they are judged. A family without a
+# confidence clause has a single clause, counted as a label difference.
+CLAUSE_NAMES = ("label_difference", "low_confidence")
+
+
 class _Family(NamedTuple):
     """One family's rules in a uniform shape, tau last.
 
-    `warn_clauses` is None for the flipped ablations. Families without a
-    confidence clause report their whole warning in the first slot.
+    `warn_clauses` holds the warning clauses in `CLAUSE_NAMES` order; it
+    is empty for the flipped ablations, which have no warning rule.
     """
 
     certify: Callable[[MutantProfile, int, float], bool]
-    warn_clauses: Callable[[MutantProfile, float], tuple[bool, bool]] | None
+    warn_clauses: tuple[Callable[[MutantProfile, float], bool], ...]
     uses_tau: bool
 
 
-def _label_difference(profile: MutantProfile, tau: float) -> tuple[bool, bool]:
-    return doma_warn(profile), False
+def _label_difference(profile: MutantProfile, tau: float) -> bool:
+    return doma_warn(profile)
 
 
 # The only place that defines a family; DEFENDER_KINDS keeps this order.
 _FAMILIES: dict[str, _Family] = {
-    "doma": _Family(lambda p, y, tau: doma_certify(p, y), _label_difference, False),
-    "c2": _Family(lambda p, y, tau: c2_certify(p), _label_difference, False),
-    "pgpp": _Family(pgpp_certify, lambda p, tau: (pgpp_warn(p, tau), False), True),
-    "hicert": _Family(hicert_certify, hicert_warn_parts, True),
-    "hicert_flip": _Family(hicert_flip_certify, None, True),
-    "pgpp_flip": _Family(pgpp_flip_certify, None, True),
+    "doma": _Family(lambda p, y, tau: doma_certify(p, y), (_label_difference,), False),
+    "c2": _Family(lambda p, y, tau: c2_certify(p), (_label_difference,), False),
+    "pgpp": _Family(pgpp_certify, (pgpp_warn,), True),
+    "hicert": _Family(hicert_certify, (_label_difference, _low_confidence), True),
+    "hicert_flip": _Family(hicert_flip_certify, (), True),
+    "pgpp_flip": _Family(pgpp_flip_certify, (), True),
 }
 DEFENDER_KINDS = tuple(_FAMILIES)
 
@@ -278,16 +294,28 @@ class Defender:
         return _FAMILIES[spec.kind].certify(profile, true_label, spec.tau)
 
     def warn(self, profile: MutantProfile) -> bool:
-        return any(self.warn_clauses(profile))
+        return self.warn_clauses(profile) is not None
 
-    def warn_clauses(self, profile: MutantProfile) -> tuple[bool, bool]:
-        """(label difference, low confidence) clause values for this warner."""
+    def warn_clauses(self, profile: MutantProfile) -> str | None:
+        """The name of the first warning clause that fires, or None.
+
+        The warner's clauses run in `CLAUSE_NAMES` order, each only when
+        the ones before it stayed False, and each stops reading
+        `profile.mutants` once its answer is settled: the label
+        difference at the first disagreeing mutant, pgpp's clause at the
+        first confident disagreement. So when the mutants are a lazy
+        re-iterable, such as the scan's covering-first walk, only a
+        silent warner or a low-confidence catch reaches every mutant.
+        """
         spec = self.warner
         if spec is None:
             raise UnsupportedOperationError(
                 f"{self.certifier.name} defines no warning rule"
             )
-        return _FAMILIES[spec.kind].warn_clauses(profile, spec.tau)
+        for name, clause in zip(CLAUSE_NAMES, _FAMILIES[spec.kind].warn_clauses):
+            if clause(profile, spec.tau):
+                return name
+        return None
 
     def verdict(self, profile: MutantProfile, true_label: int) -> Verdict:
         certified = self.certify(profile, true_label)

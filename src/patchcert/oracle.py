@@ -4,10 +4,15 @@ Certification claims are universally quantified over every in-scope
 tampered variant of a sample, so at desk scale they can be checked by
 brute force. The scan walks the attack placement by placement: each
 placement comes with the patch contents in scope for it, and for a
-sample that some defender must warn-check, every content's variant and
-its one-mask mutants are classified to confirm that each harmful
-variant draws a warning. Violations are recorded in the report, never
-raised; negative controls rely on being able to count them.
+sample that some defender must warn-check, every content's variant is
+classified. A harmful variant's one-mask mutants are then walked
+covering masks first: a mask that covers the patch gives back the
+benign mutant at no classifier call, and the other masks' mutants are
+classified only when the warning rule reads that far. A label
+difference stops the walk; only a low-confidence catch or a variant
+that draws no warning needs every mutant. Violations are recorded in
+the report, never raised; negative controls rely on being able to
+count them.
 
 The scan also attributes every warned harmful variant to the warning
 clause that caught it (label difference or low confidence). Independent
@@ -32,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .classifiers import Prediction, TableClassifier
 from .cover import MaskSet
 from .dataset_io import DatasetRecord, ProfileFixture
-from .defenders import Defender, MutantProfile
+from .defenders import CLAUSE_NAMES, Defender, MutantProfile
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -59,9 +64,6 @@ CHECK_DEF1 = "def1"
 CHECK_THM1 = "thm1"
 CHECK_RSUC = "rsuc"
 ALL_CHECKS = frozenset({CHECK_DEF1, CHECK_THM1, CHECK_RSUC})
-
-CLAUSE_LABEL_DIFF = "label_difference"
-CLAUSE_LOW_CONF = "low_confidence"
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class SoundnessReport:
     violations: list[dict] = field(default_factory=list)
     thm1_violations: list[dict] = field(default_factory=list)
     thm2_clause_stats: dict[str, int] = field(
-        default_factory=lambda: {CLAUSE_LABEL_DIFF: 0, CLAUSE_LOW_CONF: 0}
+        default_factory=lambda: dict.fromkeys(CLAUSE_NAMES, 0)
     )
 
     def merge(self, other: SoundnessReport) -> None:
@@ -269,14 +271,13 @@ def _judge(defender: Defender, report: SoundnessReport | None,
            vprofile: MutantProfile, witness: Callable[[], dict]) -> bool:
     """Judge a harmful variant: True when it evades `defender`'s warning.
 
-    `report` (None when only `rsuc` asks) credits the catching clause,
-    label difference first, or records a violation: `witness()`'s
+    `report` (None when only `rsuc` asks) credits the first clause that
+    fires, label difference first, or records a violation: `witness()`'s
     fields, then the variant's label.
     """
-    label_diff, low_conf = defender.warn_clauses(vprofile)
-    if label_diff or low_conf:
+    clause = defender.warn_clauses(vprofile)
+    if clause is not None:
         if report is not None:
-            clause = CLAUSE_LABEL_DIFF if label_diff else CLAUSE_LOW_CONF
             report.thm2_clause_stats[clause] += 1
         return False
     if report is not None:
@@ -302,19 +303,22 @@ class _PlacementPlan:
     The scan builds one plan at the head of each placement group and
     drops it when the group ends. `positions` are the flat pixel indices
     the patch content lands on, in content order. `grids` are the
-    `Mask.to_matrix` views, built once per scanned sample.
-    `proj_positions[i]` lists the content indices that survive mask i;
-    it is empty when the mask covers the placement. `mutants` memoizes
-    the group's mutant predictions; with the placement fixed, a mutant's
-    pixels depend only on the mask and the content values that survive
-    it.
+    `Mask.to_matrix` views, built once per scanned sample. `covering`
+    lists the masks that cover the placement, and `covered` their benign
+    mutants, which are every variant's mutants under those masks.
+    `uncovered` pairs each other mask with the content indices that
+    survive it. `mutants` memoizes the group's other mutant predictions;
+    with the placement fixed, a mutant's pixels depend only on the mask
+    and the content values that survive it.
     """
 
     __slots__ = (
         "placement",
         "placement_doc",
         "positions",
-        "proj_positions",
+        "covering",
+        "covered",
+        "uncovered",
         "mutants",
     )
 
@@ -323,6 +327,7 @@ class _PlacementPlan:
         placement: Placement,
         image: Image,
         grids: Sequence[list[list[bool]]],
+        benign: MutantProfile,
     ):
         self.placement = placement
         self.placement_doc = [r.to_list() for r in placement]
@@ -337,13 +342,41 @@ class _PlacementPlan:
                         coords.append((y, x))
                         positions.append((y * w + x) * c + ch)
         self.positions = positions
-        self.proj_positions = [
-            tuple(
-                k for k, (y, x) in enumerate(coords) if not grid[y][x]
-            )
-            for grid in grids
-        ]
+        covering: list[int] = []
+        uncovered: list[tuple[int, tuple[int, ...]]] = []
+        for i, grid in enumerate(grids):
+            proj = tuple(k for k, (y, x) in enumerate(coords) if not grid[y][x])
+            if proj:
+                uncovered.append((i, proj))
+            else:
+                covering.append(i)
+        self.covering = covering
+        self.covered = tuple(benign.mutants[i] for i in covering)
+        self.uncovered = uncovered
         self.mutants: dict[tuple, Prediction] = {}
+
+
+class _VariantMutants:
+    """One variant's mutants, covering masks first, classified on demand.
+
+    Iteration yields the plan's `covered` benign mutants, then the other
+    masks' mutants in mask order, each looked up in the plan's memo or
+    classified when an iteration first reaches it. So a second clause or
+    a second defender reads the same mutants again at no call.
+    """
+
+    __slots__ = ("oracle", "plan", "content")
+
+    def __init__(self, oracle: _MutantOracle, plan: _PlacementPlan, content):
+        self.oracle = oracle
+        self.plan = plan
+        self.content = content
+
+    def __iter__(self) -> Iterator[Prediction]:
+        plan = self.plan
+        yield from plan.covered
+        for i, proj in plan.uncovered:
+            yield self.oracle.mutant(plan, i, proj, self.content)
 
 
 class _MutantOracle:
@@ -356,11 +389,14 @@ class _MutantOracle:
     its profile, and its mutant under mask i is a copy of the packed
     masked sample with the content written back at the patch positions
     that survive the mask.
-    When no position survives, the mutant is the sample's own benign
-    mutant; `erasure_check` tests that shortcut on real bytes. Other
-    mutants are memoized per placement plan; the memo holds real
-    classifier outputs on real mutant bytes. The `benign` profile is
-    classified from the same masked bytes.
+    When no position survives, the mask covers the patch and the mutant
+    is the sample's own benign mutant; `erasure_check` tests that
+    shortcut on real bytes. `profile` hands the judge those covering
+    mutants first, for free, and classifies the others only as far as a
+    warning rule reads them (`_VariantMutants`). They are memoized per
+    placement plan; the memo holds real classifier outputs on real
+    mutant bytes. The `benign` profile is classified from the same
+    masked bytes.
     """
 
     def __init__(self, classifier, image: Image, mask_set: MaskSet):
@@ -383,8 +419,8 @@ class _MutantOracle:
         bytes, its mutant is the benign one for every content.
         """
         covering = [
-            i for i, m in enumerate(self.benign.mutants)
-            if m.label == record.true_label and not plan.proj_positions[i]
+            i for i in plan.covering
+            if self.benign.mutants[i].label == record.true_label
         ]
         if not covering:
             return []
@@ -406,22 +442,23 @@ class _MutantOracle:
         write_packed(buf, plan.positions, content, self.bpp)
         return self.predict(buf, self.bpp)
 
+    def mutant(self, plan: _PlacementPlan, i: int, proj: tuple[int, ...],
+               content) -> Prediction:
+        """The mutant under mask i, which leaves content indices `proj`."""
+        values = tuple(content[k] for k in proj)
+        key = (i, values)
+        pred = plan.mutants.get(key)
+        if pred is None:
+            buf = bytearray(self.masked_packed[i])
+            positions = plan.positions
+            write_packed(buf, [positions[k] for k in proj], values, self.bpp)
+            pred = self.predict(buf, self.bpp)
+            plan.mutants[key] = pred
+        return pred
+
     def profile(self, plan: _PlacementPlan, content, base: Prediction) -> MutantProfile:
-        mutants = list(self.benign.mutants)
-        for i, proj in enumerate(plan.proj_positions):
-            if not proj:
-                continue
-            values = tuple(content[k] for k in proj)
-            key = (i, values)
-            pred = plan.mutants.get(key)
-            if pred is None:
-                buf = bytearray(self.masked_packed[i])
-                positions = plan.positions
-                write_packed(buf, [positions[k] for k in proj], values, self.bpp)
-                pred = self.predict(buf, self.bpp)
-                plan.mutants[key] = pred
-            mutants[i] = pred
-        return MutantProfile(base, tuple(mutants))
+        """The variant's profile, its mutants walked lazily, covering first."""
+        return MutantProfile(base, _VariantMutants(self, plan, content))
 
 
 def _scan_sample(
@@ -466,7 +503,7 @@ def _scan_sample(
     grids = [m.to_matrix() for m in mask_set.masks]
     variant_indices = itertools.count()
     for placement, contents in _placement_groups(image, cfg, sample_id):
-        plan = _PlacementPlan(placement, image, grids)
+        plan = _PlacementPlan(placement, image, grids, profile)
         # Random draws may return to a placement; check it once.
         if thm1 is not None and placement not in erasure_checked:
             erasure_checked.add(placement)

@@ -13,7 +13,8 @@ from patchcert.classifiers import (
     classify_mutants,
 )
 from patchcert.cover import MaskSet, gen_square_cover
-from patchcert.dataset_io import load_predictions, save_predictions
+from patchcert.dataset_io import gen_synthetic_dataset, load_predictions, \
+    save_predictions
 from patchcert.defenders import MutantProfile
 from patchcert.errors import InvalidInputError, TableLookupError, ValueOutOfRangeError
 from patchcert.tensor import Image, Mask, Rect, apply_mask
@@ -127,6 +128,15 @@ class TestLinearClassifier:
         clf = LinearClassifier(0, 2, weights=((1000,), (0,)))
         pred = clf.classify(Image(1, 1, 1, 4, (3,)))
         assert pred.confidence == 1.0 - CONFIDENCE_EPSILON
+
+    def test_confidence_bits_do_not_depend_on_the_interpreter(self):
+        """Walkthrough sample s00022 under the linear model; the softmax
+        denominator is summed left to right, so Python 3.12 and later
+        give the same bits as 3.11, where the builtin sum differed."""
+        record = gen_synthetic_dataset(100, (8, 8), 1, 4, 5, seed=1234)[22]
+        assert record.id == "s00022"
+        pred = LinearClassifier(seed=7, num_labels=5).classify(record.image)
+        assert pred == Prediction(3, 0.9975106459357607)
 
     def test_seeded_weights_are_reproducible(self, rng):
         a = LinearClassifier(seed=42, num_labels=3)

@@ -326,6 +326,19 @@ class TestEvaluate:
         assert err == f"error: {preds}: no row for sample 's00005', variant 8\n"
         assert not out_dir.exists()
 
+    def test_table_missing_a_dataset_sample_is_a_file_error(self, capsys, workspace):
+        """The table is complete in itself but lacks the last dataset
+        sample; the run names the table and that sample, and writes
+        nothing."""
+        rows = self.hash_rows(workspace)
+        last = rows[-1][0]
+        code, out_dir, preds, err = self.evaluate_table(
+            capsys, workspace, [row for row in rows if row[0] != last]
+        )
+        assert code == EXIT_IO
+        assert err == f"error: {preds}: no row for sample {last!r}, variant 'base'\n"
+        assert not out_dir.exists()
+
 
 class TestVerify:
     def test_fixture_negative_control(self, capsys):

@@ -217,12 +217,50 @@ class TestDefender:
     def test_warn_clauses_for_plain_warners(self):
         d = make_defender(DefenderSpec("doma"))
         p = profile((0, 0.7), [(3, 0.9)])
-        assert d.warn_clauses(p) == (True, False)
+        assert d.warn_clauses(p) == "label_difference"
 
     def test_warn_clauses_for_hicert(self):
         d = make_defender(DefenderSpec("hicert", 0.5))
         p = profile((0, 0.7), [(0, 0.3)])
-        assert d.warn_clauses(p) == (False, True)
+        assert d.warn_clauses(p) == "low_confidence"
+
+    def test_warn_clauses_names_the_first_clause_that_fires(self):
+        d = make_defender(DefenderSpec("hicert", 0.95))
+        p = profile((0, 0.7), [(0, 0.9), (3, 0.6)])
+        assert hicert_warn_parts(p, 0.95) == (True, True)
+        assert d.warn_clauses(p) == "label_difference"
+        assert d.warn_clauses(profile((0, 0.7), [(0, 0.99)])) is None
+
+    def test_warn_clauses_read_the_mutants_only_as_far_as_they_must(self):
+        """Each clause stops at the mutant that settles it; the
+        low-confidence clause runs only after a full silent walk."""
+
+        class Reads:
+            def __init__(self, preds):
+                self.preds = preds
+                self.reads = []
+
+            def __iter__(self):
+                for i, pred in enumerate(self.preds):
+                    self.reads.append(i)
+                    yield pred
+
+        def reads(spec, base, mutants):
+            p = profile(base, mutants)
+            lazy = Reads(p.mutants)
+            clause = make_defender(spec).warn_clauses(p._replace(mutants=lazy))
+            return clause, lazy.reads
+
+        hicert = DefenderSpec("hicert", 0.5)
+        assert reads(hicert, (0, 0.7), [(0, 0.9), (3, 0.9), (0, 0.1)]) == (
+            "label_difference", [0, 1])
+        assert reads(hicert, (0, 0.7), [(0, 0.9), (0, 0.1), (0, 0.9)]) == (
+            "low_confidence", [0, 1, 2, 0, 1])
+        assert reads(hicert, (0, 0.7), [(0, 0.9), (0, 0.8)]) == (
+            None, [0, 1, 0, 1])
+        pgpp = DefenderSpec("pgpp", 0.5)
+        assert reads(pgpp, (0, 0.7), [(3, 0.4), (3, 0.9), (3, 0.9)]) == (
+            "label_difference", [0, 1])
 
     def test_warn_is_any_clause_and_matches_the_rule(self, rng):
         rules = {
@@ -236,7 +274,12 @@ class TestDefender:
             tau = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0])
             for kind, rule in rules.items():
                 d = make_defender(DefenderSpec(kind, tau))
-                assert d.warn(p) == any(d.warn_clauses(p)) == rule(p, tau)
+                assert d.warn(p) == (d.warn_clauses(p) is not None) == rule(p, tau)
+                if kind == "hicert":
+                    parts = hicert_warn_parts(p, tau)
+                    want = ("label_difference" if parts[0] else
+                            "low_confidence" if parts[1] else None)
+                    assert d.warn_clauses(p) == want
 
     def test_defender_pickles(self):
         d = make_composite(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))

@@ -14,8 +14,8 @@ from patchcert.dataset_io import (
     gen_synthetic_dataset,
     load_profile_fixture,
 )
-from patchcert.defenders import DefenderSpec, MutantProfile, make_composite, \
-    make_defender
+from patchcert.defenders import DefenderSpec, MutantProfile, hicert_warn_parts, \
+    make_composite, make_defender
 from patchcert.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -356,6 +356,59 @@ class TestEngineAgainstNaive:
         assert got == want
         assert got >= Fraction(certified, len(records))
 
+    def test_low_confidence_regime_matches_the_naive_scan(self):
+        """A 6x6 binary regime where HiCert's low-confidence clause does
+        work: the lazy walk must still reach that clause. Full naive
+        profiles decide hicert, its label-difference-only composite and
+        a pgpp warner; the counts are pinned."""
+        records = gen_synthetic_dataset(40, (6, 6), 1, 2, 2, seed=1234)
+        ms = gen_square_cover((6, 6), 2, 2)
+        assert len(ms.masks) == 4
+        clf = HashClassifier(seed=7, num_labels=2)
+        cfg = AttackConfig(patch_spec=ms.spec)
+        hicert = DefenderSpec("hicert", 0.8)
+        defenders = [
+            make_defender(hicert),
+            make_composite(hicert, DefenderSpec("doma")),
+            make_composite(hicert, DefenderSpec("pgpp", 0.6)),
+        ]
+        run = run_soundness(clf, records, ms, defenders, cfg)
+
+        certified = 0
+        clause_stats = {"label_difference": 0, "low_confidence": 0}
+        violations = {d.name: [] for d in defenders}
+        for r in records:
+            if not defenders[0].certify(classify_mutants(clf, r.image, ms), r.true_label):
+                continue
+            certified += 1
+            for index, (placement, _, variant) in enumerate(
+                enumerate_variants(r.image, cfg, r.id)
+            ):
+                if clf.classify(variant).label == r.true_label:
+                    continue
+                vprofile = classify_mutants(clf, variant, ms)
+                label_diff, low_conf = hicert_warn_parts(vprofile, 0.8)
+                if label_diff or low_conf:
+                    clause_stats["label_difference" if label_diff
+                                 else "low_confidence"] += 1
+                for d in defenders:
+                    if not d.warn(vprofile):
+                        violations[d.name].append(
+                            (r.id, index, tuple(tuple(x.to_list()) for x in placement))
+                        )
+
+        assert certified == 26
+        assert clause_stats == {"label_difference": 5030, "low_confidence": 227}
+        assert run.def1[defenders[0].name].thm2_clause_stats == clause_stats
+        assert len(violations[defenders[1].name]) == 227
+        for d in defenders:
+            report = run.def1[d.name]
+            assert report.certified_count == certified, d.name
+            got = [(v["sample_id"], v["variant_index"],
+                    tuple(tuple(x) for x in v["placement"]))
+                   for v in report.violations]
+            assert got == violations[d.name], d.name
+
 
 class TestTheorem1:
     def test_holds_for_any_hash_seed(self, rng):
@@ -500,6 +553,52 @@ class TestRunSoundness:
             assert rep.certified_count == 0
             assert rep.variants_evaluated == in_scope
             assert counting.calls == len(records) * (1 + len(ms.masks)), checks
+
+    def test_covering_mutants_settle_variants_without_a_call(self):
+        """On a certified sample the scan classifies the benign profile,
+        every variant, and only the mutants a covering-first walk reaches:
+        the masks that cover the patch give back benign mutants for free,
+        and a walk stops at its first label difference. Each distinct
+        (placement, mask, surviving bytes) mutant costs one call."""
+        records = gen_synthetic_dataset(40, (6, 6), 1, 2, 2, seed=1234)
+        ms = gen_square_cover((6, 6), 2, 2)
+        clf = HashClassifier(seed=7, num_labels=2)
+        cfg = AttackConfig(patch_spec=ms.spec)
+        defender = make_defender(DefenderSpec("hicert", 0.8))
+        record = next(
+            r for r in records
+            if defender.certify(classify_mutants(clf, r.image, ms), r.true_label)
+        )
+        benign = classify_mutants(clf, record.image, ms)
+
+        # Keys of the mutants the covering-first walk reaches, and of all
+        # uncovered mutants of harmful variants (what whole profiles need).
+        reached, whole = set(), set()
+        variants = settled_for_free = 0
+        for placement, _, variant in enumerate_variants(record.image, cfg):
+            variants += 1
+            label = clf.classify(variant).label
+            if label == record.true_label:
+                continue
+            covering = [i for i, m in enumerate(ms.masks) if mask_covers(m, placement)]
+            uncovered = [i for i in range(len(ms.masks)) if i not in covering]
+            keys = [(placement, i, apply_mask(variant, ms.masks[i]).packed)
+                    for i in uncovered]
+            whole.update(keys)
+            if any(benign.mutants[i].label != label for i in covering):
+                settled_for_free += 1
+                continue
+            for i, key in zip(uncovered, keys):
+                reached.add(key)
+                if clf.classify(apply_mask(variant, ms.masks[i])).label != label:
+                    break
+        assert settled_for_free > 0
+        assert len(reached) < len(whole)
+
+        counting = CountingClassifier(clf)
+        run = run_soundness(counting, [record], ms, [defender], cfg)
+        assert run.def1[defender.name].violations == []
+        assert counting.calls == 1 + len(ms.masks) + variants + len(reached)
 
     def test_uncertified_samples_consume_no_content(self, monkeypatch):
         """With no defender to warn-check, the scan walks placements
