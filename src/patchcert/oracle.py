@@ -44,8 +44,9 @@ from .errors import (
     InvalidInputError,
     UnsupportedOperationError,
 )
-from .tensor import Image, PatchSpec, Placement, apply_patch, count_placements, \
-    iter_placements, masked_packed, rectangle_shapes, write_packed
+from .tensor import Image, Mask, PatchSpec, Placement, _placement_ranks, apply_patch, \
+    count_placements, iter_placements, mask_covers, masked_packed, rectangle_shapes, \
+    write_packed
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -213,12 +214,6 @@ def _sample_rng(seed: int, sample_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "little"))
 
 
-@functools.lru_cache(maxsize=1)
-def _placement_list(spec: PatchSpec) -> tuple[Placement, ...]:
-    """Every placement of `spec`, listed once per process for random draws."""
-    return tuple(iter_placements(spec))
-
-
 def _placement_groups(
     image: Image, cfg: AttackConfig, sample_id: str
 ) -> Iterator[tuple[Placement, Iterable[tuple[int, ...]]]]:
@@ -226,15 +221,24 @@ def _placement_groups(
 
     Exhaustive mode gives each placement once, with every content for
     it. Random mode gives one group per trial: the drawn placement with
-    the one content drawn for it, so a placement may come back.
+    the one content drawn for it, so a placement may come back. A draw
+    takes a uniform rank in `iter_placements` order and builds the
+    placement at that rank; no placement list is built. A spec with no
+    legal placement has nothing to draw from and is refused.
     """
     a = cfg.resolve_alphabet(image)
     c = image.channels
     if cfg.mode == "random":
-        placements = _placement_list(cfg.patch_spec)
+        spec = cfg.patch_spec
+        count, unrank = _placement_ranks(spec)
+        if not count and cfg.trials:
+            raise InvalidInputError(
+                f"patch spec {spec.to_dict()} has no legal placement on plane "
+                f"{spec.plane_height}x{spec.plane_width}"
+            )
         rng = _sample_rng(cfg.seed, sample_id)
         for _ in range(cfg.trials):
-            placement = placements[rng.randrange(len(placements))]
+            placement = unrank(rng.randrange(count))
             npix = sum(r.area for r in placement) * c
             yield placement, (tuple(rng.randrange(a) for _ in range(npix)),)
         return
@@ -298,27 +302,32 @@ def _require_warn(defender: Defender) -> None:
 
 
 class _PlacementPlan:
-    """Everything one placement group's contents need, precomputed.
+    """What one placement group's contents share, built as the scan reads it.
 
     The scan builds one plan at the head of each placement group and
     drops it when the group ends. `positions` are the flat pixel indices
-    the patch content lands on, in content order. `grids` are the
-    `Mask.to_matrix` views, built once per scanned sample. `covering`
-    lists the masks that cover the placement, and `covered` their benign
-    mutants, which are every variant's mutants under those masks.
-    `uncovered` pairs each other mask with the content indices that
-    survive it. `mutants` memoizes the group's other mutant predictions;
-    with the placement fixed, a mutant's pixels depend only on the mask
-    and the content values that survive it.
+    the patch content lands on, in content order. `covering` lists the
+    masks that cover the placement (`mask_covers`), and `covered` their
+    benign mutants, which are every variant's mutants under those masks.
+    `uncovered` lists the other masks in mask order. `surviving[i]`
+    holds the content indices that survive mask i, computed from its
+    rects (`survivors`) the first time a variant's mutant walk reaches
+    it, so a plan that only `thm1` reads, or whose harmful variants the
+    covering mutants settle, builds none. `mutants` memoizes the group's
+    other mutant predictions; with the placement fixed, a mutant's
+    pixels depend only on the mask and the content values that survive
+    it.
     """
 
     __slots__ = (
         "placement",
         "placement_doc",
+        "channels",
         "positions",
         "covering",
         "covered",
         "uncovered",
+        "surviving",
         "mutants",
     )
 
@@ -326,34 +335,39 @@ class _PlacementPlan:
         self,
         placement: Placement,
         image: Image,
-        grids: Sequence[list[list[bool]]],
+        masks: Sequence[Mask],
         benign: MutantProfile,
     ):
         self.placement = placement
         self.placement_doc = [r.to_list() for r in placement]
-        c = image.channels
+        c = self.channels = image.channels
         w = image.width
-        coords: list[tuple[int, int]] = []
-        positions: list[int] = []
-        for r in placement:
-            for y in range(r.top, r.bottom):
-                for x in range(r.left, r.right):
-                    for ch in range(c):
-                        coords.append((y, x))
-                        positions.append((y * w + x) * c + ch)
-        self.positions = positions
-        covering: list[int] = []
-        uncovered: list[tuple[int, tuple[int, ...]]] = []
-        for i, grid in enumerate(grids):
-            proj = tuple(k for k, (y, x) in enumerate(coords) if not grid[y][x])
-            if proj:
-                uncovered.append((i, proj))
-            else:
-                covering.append(i)
-        self.covering = covering
-        self.covered = tuple(benign.mutants[i] for i in covering)
-        self.uncovered = uncovered
+        self.positions = [
+            pos
+            for r in placement
+            for y in range(r.top, r.bottom)
+            for pos in range((y * w + r.left) * c, (y * w + r.right) * c)
+        ]
+        covers = [mask_covers(m, placement) for m in masks]
+        self.covering = [i for i, hit in enumerate(covers) if hit]
+        self.covered = tuple(benign.mutants[i] for i in self.covering)
+        self.uncovered = [i for i, hit in enumerate(covers) if not hit]
+        self.surviving: list[tuple[int, ...] | None] = [None] * len(masks)
         self.mutants: dict[tuple, Prediction] = {}
+
+    def survivors(self, mask: Mask) -> tuple[int, ...]:
+        """The content indices that `mask` leaves, in content order."""
+        c = self.channels
+        hidden: set[int] = set()
+        n = 0
+        for r in self.placement:
+            for m in mask.rects:
+                for y in range(max(r.top, m.top), min(r.bottom, m.bottom)):
+                    row = n + (y - r.top) * r.width * c
+                    hidden.update(range(row + (max(r.left, m.left) - r.left) * c,
+                                        row + (min(r.right, m.right) - r.left) * c))
+            n += r.area * c
+        return tuple(k for k in range(n) if k not in hidden)
 
 
 class _VariantMutants:
@@ -375,8 +389,8 @@ class _VariantMutants:
     def __iter__(self) -> Iterator[Prediction]:
         plan = self.plan
         yield from plan.covered
-        for i, proj in plan.uncovered:
-            yield self.oracle.mutant(plan, i, proj, self.content)
+        for i in plan.uncovered:
+            yield self.oracle.mutant(plan, i, self.content)
 
 
 class _MutantOracle:
@@ -442,9 +456,11 @@ class _MutantOracle:
         write_packed(buf, plan.positions, content, self.bpp)
         return self.predict(buf, self.bpp)
 
-    def mutant(self, plan: _PlacementPlan, i: int, proj: tuple[int, ...],
-               content) -> Prediction:
-        """The mutant under mask i, which leaves content indices `proj`."""
+    def mutant(self, plan: _PlacementPlan, i: int, content) -> Prediction:
+        """The mutant under mask i, which does not cover the placement."""
+        proj = plan.surviving[i]
+        if proj is None:
+            proj = plan.surviving[i] = plan.survivors(self.masks[i])
         values = tuple(content[k] for k in proj)
         key = (i, values)
         pred = plan.mutants.get(key)
@@ -500,10 +516,9 @@ def _scan_sample(
     if not active and thm1 is None:
         return run
 
-    grids = [m.to_matrix() for m in mask_set.masks]
     variant_indices = itertools.count()
     for placement, contents in _placement_groups(image, cfg, sample_id):
-        plan = _PlacementPlan(placement, image, grids, profile)
+        plan = _PlacementPlan(placement, image, oracle.masks, profile)
         # Random draws may return to a placement; check it once.
         if thm1 is not None and placement not in erasure_checked:
             erasure_checked.add(placement)

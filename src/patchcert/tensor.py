@@ -9,10 +9,11 @@ here mutates its inputs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, InvalidInputError
 
@@ -206,8 +207,8 @@ class Mask:
     def to_matrix(self) -> list[list[bool]]:
         """Dense boolean grid, True where the mask zeroes the plane.
 
-        The tests' reference for `masked_packed`; the oracle builds one
-        per mask for each scanned sample.
+        Only the tests' reference, for `masked_packed`, `mask_covers` and
+        the oracle's placement plans, which all read the rects directly.
         """
         grid = [[False] * self.plane_width for _ in range(self.plane_height)]
         for r in self.rects:
@@ -451,6 +452,115 @@ def iter_placements(spec: PatchSpec) -> Iterator[Placement]:
                 break
         else:
             yield combo
+
+
+def _placement_ranks(spec: PatchSpec) -> tuple[int, Callable[[int], Placement]]:
+    """The number `n` of placements, and the placement at any rank.
+
+    `unrank(k)` is `list(iter_placements(spec))[k]` for 0 <= k < n,
+    found without listing. A single rect is a (height, width) block
+    found by bisection, then `divmod` for (top, left). A placement of
+    `count` squares is found by its first square, bisected over the
+    running totals of each square's disjoint completions, then by its
+    completion of that square.
+    """
+    h, w = spec.plane_height, spec.plane_width
+    if spec.kind != "multi" or spec.count == 1:
+        shapes = rectangle_shapes(spec)
+        starts = list(itertools.accumulate(
+            ((h - rh + 1) * (w - rw + 1) for rh, rw in shapes), initial=0
+        ))
+
+        def unrank(k: int) -> Placement:
+            b = bisect.bisect_right(starts, k) - 1
+            rh, rw = shapes[b]
+            top, left = divmod(k - starts[b], w - rw + 1)
+            return (Rect(top, left, rh, rw),)
+
+        return starts[-1], unrank
+    s = spec.size
+    rows, cols = h - s + 1, w - s + 1
+    if spec.count == 2:
+        completions, completion = _pair_completions(s, rows, cols)
+    else:
+        squares = [Rect(t, l, s, s) for t in range(rows) for l in range(cols)]
+        completions = (
+            _count_disjoint(_disjoint_after(squares, i), spec.count - 1)
+            for i in range(len(squares))
+        )
+
+        def completion(i: int, k: int) -> Placement:
+            return _unrank_disjoint(_disjoint_after(squares, i), spec.count - 1, k)
+
+    starts = list(itertools.accumulate(completions, initial=0))
+
+    def unrank(k: int) -> Placement:
+        i = bisect.bisect_right(starts, k) - 1
+        top, left = divmod(i, cols)
+        return (Rect(top, left, s, s),) + completion(i, k - starts[i])
+
+    return starts[-1], unrank
+
+
+def _pair_completions(s: int, rows: int, cols: int):
+    """Each square's number of later disjoint partners, and its k-th one.
+
+    Square i of the `rows` x `cols` grid of size-`s` squares sits at
+    divmod(i, cols). The later squares that overlap it form one run of
+    indices per row: the rest of its own row up to `s - 1` columns on,
+    then `s - 1` columns either side on each of the next `s - 1` rows.
+    """
+
+    def overlapping_runs(i: int) -> list[tuple[int, int]]:
+        top, left = divmod(i, cols)
+        lo, hi = max(0, left - s + 1), min(cols, left + s)
+        return [(i + 1, top * cols + hi)] + [
+            (y * cols + lo, y * cols + hi) for y in range(top + 1, min(rows, top + s))
+        ]
+
+    def partners(i: int) -> int:
+        top, left = divmod(i, cols)
+        lo, hi = max(0, left - s + 1), min(cols, left + s)
+        overlapping = hi - left - 1 + (min(rows, top + s) - top - 1) * (hi - lo)
+        return rows * cols - 1 - i - overlapping
+
+    def completion(i: int, k: int) -> Placement:
+        j = i + 1 + k
+        for start, stop in overlapping_runs(i):
+            if start > j:
+                break
+            j += stop - start
+        top, left = divmod(j, cols)
+        return (Rect(top, left, s, s),)
+
+    return map(partners, range(rows * cols)), completion
+
+
+def _disjoint_after(rects: Sequence[Rect], i: int) -> list[Rect]:
+    return [r for r in rects[i + 1:] if not r.intersects(rects[i])]
+
+
+def _count_disjoint(rects: Sequence[Rect], count: int) -> int:
+    """How many `count`-subsets of `rects` are pairwise disjoint."""
+    if count == 1:
+        return len(rects)
+    return sum(
+        _count_disjoint(_disjoint_after(rects, i), count - 1)
+        for i in range(len(rects))
+    )
+
+
+def _unrank_disjoint(rects: Sequence[Rect], count: int, k: int) -> Placement:
+    """The k-th pairwise disjoint `count`-subset of `rects`, in combination order."""
+    if count == 1:
+        return (rects[k],)
+    for i in range(len(rects)):
+        rest = _disjoint_after(rects, i)
+        n = _count_disjoint(rest, count - 1)
+        if k < n:
+            return (rects[i],) + _unrank_disjoint(rest, count - 1, k)
+        k -= n
+    raise IndexError(k)
 
 
 def count_placements(spec: PatchSpec, cap: int | None = None) -> tuple[int, bool]:

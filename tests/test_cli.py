@@ -403,6 +403,42 @@ class TestVerify:
         assert doc["mode"] == "random"
         assert doc["config"]["attack"]["trials"] == 50
 
+    def test_random_mode_without_a_legal_placement_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        """Two 2x2 patches never fit disjointly on 3x3: random mode has
+        nothing to draw from, while zero trials and exhaustive mode scan
+        the empty attack."""
+        masks, data, out = tmp_path / "m.json", tmp_path / "d.jsonl", tmp_path / "o.json"
+        assert run(
+            capsys, "maskgen", "--plane", "3", "3", "--patch-size", "2",
+            "--patches", "2", "--masks-per-axis", "2", "--out", str(masks),
+        )[0] == EXIT_OK
+        assert run(
+            capsys, "gen-data", "--count", "3", "--plane", "3", "3",
+            "--alphabet", "4", "--num-labels", "5", "--seed", "1",
+            "--out", str(data),
+        )[0] == EXIT_OK
+        verify = (
+            "verify", "--dataset", str(data), "--masks", str(masks),
+            "--num-labels", "5", "--seed", "7", "--defender", "hicert",
+            "--tau", "0.8", "--checks", "def1,thm1", "--out", str(out),
+        )
+        for workers in ("1", "2"):
+            code, stdout, err = run(
+                capsys, *verify, "--mode", "random", "--trials", "5",
+                "--workers", workers,
+            )
+            assert code == EXIT_USAGE
+            assert stdout == ""
+            assert ("patch spec {'kind': 'multi', 'size': 2, 'count': 2} "
+                    "has no legal placement on plane 3x3") in err
+            assert not out.exists()
+        for mode in (("--mode", "random", "--trials", "0"), ()):
+            code, stdout, _ = run(capsys, *verify, *mode)
+            assert code == EXIT_OK
+            assert "0 variants, 0 violation(s)" in stdout
+
     def test_budget_refusal_names_the_exact_count(self, capsys, workspace):
         code, _, err = run(
             capsys, "verify",

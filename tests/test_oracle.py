@@ -1,11 +1,15 @@
 """The exhaustive attack oracle, checked against naive reimplementations."""
 import functools
+import hashlib
 import pathlib
+import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from patchcert import oracle
+from patchcert import oracle, tensor
 from patchcert.classifiers import HashClassifier, LinearClassifier, \
     TableClassifier, Prediction, classify_mutants
 from patchcert.cover import gen_square_cover
@@ -33,8 +37,8 @@ from patchcert.oracle import (
     enumerate_variants,
     run_soundness,
 )
-from patchcert.tensor import Image, PatchSpec, Rect, apply_mask, apply_patch, \
-    mask_covers, masked_packed
+from patchcert.tensor import Image, Mask, PatchSpec, Rect, apply_mask, apply_patch, \
+    iter_placements, mask_covers, masked_packed
 
 from conftest import make_image
 
@@ -120,6 +124,23 @@ class TestBudgetGuard:
         assert sum(1 for _ in enumerate_variants(img, cfg)) == 32
 
 
+def listed_random_draws(image, cfg, sample_id):
+    """Random mode's (placement, content) draws, replayed by indexing the
+    full `iter_placements` list with the sample's own generator."""
+    digest = hashlib.blake2b(
+        sample_id.encode("utf-8"), digest_size=8, key=cfg.seed.to_bytes(8, "little")
+    ).digest()
+    rng = random.Random(int.from_bytes(digest, "little"))
+    placements = list(iter_placements(cfg.patch_spec))
+    a = cfg.resolve_alphabet(image)
+    draws = []
+    for _ in range(cfg.trials):
+        placement = placements[rng.randrange(len(placements))]
+        npix = sum(r.area for r in placement) * image.channels
+        draws.append((placement, tuple(rng.randrange(a) for _ in range(npix))))
+    return draws
+
+
 class TestEnumerateVariants:
     def test_exhaustive_order_is_lexicographic(self, rng):
         img = make_image(rng, 3, 3, alphabet_size=3)
@@ -149,6 +170,58 @@ class TestEnumerateVariants:
         a = [(p, c) for p, c, _ in enumerate_variants(img, one)]
         b = [(p, c) for p, c, _ in enumerate_variants(img, two)]
         assert a != b
+
+    @pytest.mark.parametrize("spec", [
+        PatchSpec.square(5, 6, 2),
+        PatchSpec.rectangle(4, 5, 3),
+        PatchSpec.multi(6, 6, 2, 2),
+        PatchSpec.multi(5, 5, 3, 2),
+    ], ids=lambda spec: f"{spec.kind}-count{spec.count}")
+    def test_random_draws_match_indexing_the_listed_placements(self, rng, spec):
+        img = make_image(rng, spec.plane_height, spec.plane_width, channels=2)
+        cfg = AttackConfig(spec, mode="random", trials=60, seed=11)
+        got = [(p, c) for p, c, _ in enumerate_variants(img, cfg, "s7")]
+        assert got == listed_random_draws(img, cfg, "s7")
+
+    def test_random_mode_never_lists_placements(self, rng, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("random mode listed the placements")
+
+        monkeypatch.setattr(tensor, "iter_placements", refuse)
+        monkeypatch.setattr(oracle, "iter_placements", refuse)
+        spec = PatchSpec.multi(6, 6, 2, 2)
+        img = make_image(rng, 6, 6)
+        cfg = AttackConfig(spec, mode="random", trials=30, seed=2)
+        assert sum(1 for _ in enumerate_variants(img, cfg)) == 30
+        ms = gen_square_cover((6, 6), 2, 2)
+        clf = HashClassifier(seed=3, num_labels=2)
+        record = DatasetRecord("s", clf.classify(img).label, img)
+        defender = make_defender(DefenderSpec("hicert", 0.5))
+        run = run_soundness(clf, [record], ms, [defender], cfg,
+                            checks={CHECK_DEF1, CHECK_THM1})
+        assert run.def1["hicert(tau=0.5)"].variants_evaluated == 30
+
+    def test_random_draws_at_paper_scale_list_nothing(self, rng):
+        """Two 32x32 patches on 224x224x3 have about 6.3e8 placements; a
+        list of them could not be held in memory."""
+        img = make_image(rng, 224, 224, channels=3, alphabet_size=256)
+        cfg = AttackConfig(PatchSpec.multi(224, 224, 2, 32), mode="random",
+                           trials=3, seed=4)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            placements = [p for p, _, _ in enumerate_variants(img, cfg)]
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(placements) == 3
+        for a, b in placements:
+            assert a.inside_plane(224, 224) and b.inside_plane(224, 224)
+            assert (a.height, a.width, b.height, b.width) == (32, 32, 32, 32)
+            assert not a.intersects(b)
+        assert elapsed < 1.0
+        assert peak < 16 * 2**20
 
     def test_plane_mismatch_rejected(self, rng):
         img = make_image(rng, 4, 4)
@@ -492,6 +565,55 @@ class TestTheorem1:
             } in report.thm1_violations, mode
             keys = [(str(v["placement"]), v["mask"]) for v in report.thm1_violations]
             assert len(keys) == len(set(keys)), mode
+
+
+class TestPlacementPlan:
+    def test_covering_and_survivors_match_the_dense_mask_grid(self, rng):
+        """A plan reads each mask's rects; `Mask.to_matrix` is the reference
+        for which masks cover the placement and which content survives."""
+
+        def random_rect(h, w):
+            top, left = rng.randrange(h), rng.randrange(w)
+            return Rect(top, left, rng.randint(1, h - top), rng.randint(1, w - left))
+
+        for _ in range(300):
+            h, w, c = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 3)
+            img = make_image(rng, h, w, channels=c)
+            masks = [
+                Mask(h, w, tuple(random_rect(h, w) for _ in range(rng.randint(1, 3))))
+                for _ in range(4)
+            ]
+            placement = []
+            for _ in range(rng.randint(1, 3)):
+                r = random_rect(h, w)
+                if not any(r.intersects(p) for p in placement):
+                    placement.append(r)
+            benign = MutantProfile(
+                Prediction(0, 0.5), tuple(Prediction(i, 0.5) for i in range(4))
+            )
+            plan = oracle._PlacementPlan(tuple(placement), img, masks, benign)
+            pixels = [
+                (y, x)
+                for r in placement
+                for y in range(r.top, r.bottom)
+                for x in range(r.left, r.right)
+            ]
+            assert plan.positions == [
+                img.flat_index(y, x, ch) for y, x in pixels for ch in range(c)
+            ]
+            for i, mask in enumerate(masks):
+                grid = mask.to_matrix()
+                kept = tuple(
+                    k * c + ch
+                    for k, (y, x) in enumerate(pixels)
+                    if not grid[y][x]
+                    for ch in range(c)
+                )
+                assert (i in plan.covering) == (not kept)
+                assert (i in plan.uncovered) == bool(kept)
+                if kept:
+                    assert plan.survivors(mask) == kept
+            assert plan.covered == tuple(benign.mutants[i] for i in plan.covering)
 
 
 class TestRunSoundness:

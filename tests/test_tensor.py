@@ -16,6 +16,7 @@ from patchcert.tensor import (
     iter_placements,
     mask_covers,
     masked_packed,
+    _placement_ranks,
 )
 
 from conftest import make_image
@@ -307,6 +308,33 @@ class TestPlacements:
     def test_multi_too_crowded_yields_nothing(self):
         spec = PatchSpec.multi(3, 3, 2, 2)
         assert count_placements(spec) == (0, True)
+
+    @pytest.mark.parametrize("spec", [
+        PatchSpec.square(3, 5, 2),
+        PatchSpec.square(5, 3, 1),
+        PatchSpec.square(4, 4, 4),
+        PatchSpec.rectangle(3, 4, 4),
+        PatchSpec.rectangle(4, 3, 12),
+        PatchSpec.rectangle(1, 5, 3),
+        PatchSpec.multi(4, 4, 1, 2),
+        PatchSpec.multi(3, 3, 2, 2),
+        PatchSpec.multi(5, 4, 2, 2),
+        PatchSpec.multi(7, 5, 2, 2),
+        PatchSpec.multi(5, 8, 2, 3),
+        PatchSpec.multi(4, 7, 2, 1),
+        PatchSpec.multi(5, 5, 3, 2),
+        PatchSpec.multi(4, 6, 3, 1),
+        PatchSpec.multi(4, 4, 3, 3),
+        PatchSpec.multi(6, 6, 4, 2),
+    ], ids=lambda spec: (
+        f"{spec.kind}-{spec.plane_height}x{spec.plane_width}"
+        f"-size{spec.size}-area{spec.area}-count{spec.count}"
+    ))
+    def test_unrank_gives_the_enumerated_placement_at_each_rank(self, spec):
+        listed = list(iter_placements(spec))
+        n, unrank = _placement_ranks(spec)
+        assert n == len(listed)
+        assert [unrank(k) for k in range(n)] == listed
 
     def test_multi_count_cap_reports_lower_bound(self):
         spec = PatchSpec.multi(3, 3, 2, 1)
