@@ -90,7 +90,6 @@ from .tensor import (
     Rect,
     apply_mask,
     apply_patch,
-    count_placements,
     iter_placements,
     mask_covers,
 )

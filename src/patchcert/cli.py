@@ -203,6 +203,8 @@ def _load_inputs(args):
     label at or above it is a configuration error. A prediction table
     must hold a complete profile for every dataset sample.
     """
+    if args.predictions and args.classifier != "table":
+        raise InvalidInputError("--predictions is read only with --classifier table")
     records = dataset_io.load_dataset(args.dataset)
     mask_set = dataset_io.load_maskset(args.masks)
     classifier = _build_classifier(args, [r.id for r in records])

@@ -91,10 +91,7 @@ def _axis_anchors(n: int, patch: int, k: int) -> tuple[list[int], int]:
             f"masks_per_axis {k} exceeds the {positions} distinct anchors"
         )
     stride = -(-positions // k)
-    extent = patch - 1 + stride
-    if extent < patch:  # cannot happen while n >= patch; kept as a guard
-        raise InvalidInputError("degenerate mask extent")
-    extent = min(extent, n)
+    extent = min(patch - 1 + stride, n)
     last = n - extent
     anchors = {min(i * stride, last) for i in range(k - 1)}
     anchors.add(last)

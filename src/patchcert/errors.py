@@ -7,6 +7,8 @@ format problems apart without string matching.
 
 from __future__ import annotations
 
+import math
+
 
 class PatchCertError(Exception):
     """Base class for all errors raised by this package."""
@@ -24,7 +26,10 @@ class BudgetExceededError(PatchCertError):
     """An attack would classify more variants than the configured budget.
 
     `required` counts every in-scope variant in exhaustive mode and the
-    requested trials in random mode.
+    requested trials in random mode. The message states a count of 100
+    digits or more as the power of ten below it: Python refuses to turn
+    an int of over 4,300 digits into a string, and paper-scale attacks
+    reach thousands of digits.
     """
 
     def __init__(self, required: int, budget: int, exact: bool = True,
@@ -32,10 +37,16 @@ class BudgetExceededError(PatchCertError):
         self.required = required
         self.budget = budget
         self.exact = exact
-        bound = "" if exact else "at least "
+        if required < 10**99:
+            count = f"{'' if exact else 'at least '}{required}"
+        else:
+            # A start at most floor(log10(required)), stepped up exactly.
+            k = int((required.bit_length() - 1) * math.log10(2)) - 1
+            while 10 ** (k + 1) <= required:
+                k += 1
+            count = f"at least 10^{k}"
         super().__init__(
-            f"{mode} attack needs {bound}{required} variants, "
-            f"budget is {budget}"
+            f"{mode} attack needs {count} variants, budget is {budget}"
         )
 
 

@@ -138,9 +138,7 @@ def _ratio(num: int, den: int, reason_if_empty: str) -> MetricValue:
     return MetricValue(num, den)
 
 
-def _check_identities(
-    records: Sequence[EvalRecord], report: MetricsReport
-) -> None:
+def _check_identities(report: MetricsReport) -> None:
     """Cross-check the metrics against the case histogram, exactly."""
     cases = report.case_counts
     if cases is None:
@@ -149,32 +147,29 @@ def _check_identities(
     if sum(cases.values()) != n:
         raise InvariantViolationError("case counts must sum to the record count")
 
-    def frac(v: MetricValue) -> Fraction | None:
-        return v.value
-
     p = {k: Fraction(cases[k], n) for k in cases}
     checks = [
-        ("acc_cert = case1 + case2", frac(report.acc_cert), p[1] + p[2]),
+        ("acc_cert = case1 + case2", report.acc_cert.value, p[1] + p[2]),
         (
             "r_cert = case1 + case2 + case5 + case6",
-            frac(report.r_cert),
+            report.r_cert.value,
             p[1] + p[2] + p[5] + p[6],
         ),
         (
             "acc_clean = case1 + case2 + case3 + case4",
-            frac(report.acc_clean),
+            report.acc_clean.value,
             p[1] + p[2] + p[3] + p[4],
         ),
     ]
-    acc_clean = frac(report.acc_clean)
+    acc_clean = report.acc_clean.value
     if report.r_fa.defined:
         checks.append(
-            ("r_fa = (case1 + case3) / acc_clean", frac(report.r_fa),
+            ("r_fa = (case1 + case3) / acc_clean", report.r_fa.value,
              (p[1] + p[3]) / acc_clean)
         )
     if report.r_fs.defined:
         checks.append(
-            ("r_fs = (case6 + case8) / (1 - acc_clean)", frac(report.r_fs),
+            ("r_fs = (case6 + case8) / (1 - acc_clean)", report.r_fs.value,
              (p[6] + p[8]) / (1 - acc_clean))
         )
     for label, got, want in checks:
@@ -257,5 +252,5 @@ def compute_metrics(records: Sequence[EvalRecord]) -> MetricsReport:
         r_fs=r_fs,
         case_counts=cases,
     )
-    _check_identities(records, report)
+    _check_identities(report)
     return report

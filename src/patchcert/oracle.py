@@ -45,8 +45,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .tensor import Image, Mask, PatchSpec, Placement, _placement_ranks, apply_patch, \
-    count_placements, iter_placements, mask_covers, masked_packed, rectangle_shapes, \
-    write_packed
+    iter_placements, mask_covers, masked_packed, rectangle_shapes, write_packed
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -167,24 +166,34 @@ def count_variants(
 ) -> tuple[int, bool]:
     """Exact number of in-scope variants, or a lower bound.
 
-    The second element says whether the count is exact. Only the multi
-    kind ever returns a bound: its placements are counted by
-    enumeration, which stops early once `cap` variants are exceeded.
+    The second element says whether the count is exact. Only a spec of
+    three or more patches ever returns a bound: its placements are
+    counted by enumeration, which stops early once `cap` variants are
+    exceeded. Every other spec is counted exactly by `_placement_ranks`.
     """
     spec = cfg.patch_spec
     a = cfg.resolve_alphabet(image)
     c = image.channels
-    if spec.kind != "multi":
-        h, w = spec.plane_height, spec.plane_width
+    h, w = spec.plane_height, spec.plane_width
+    if spec.kind == "rectangle":
         return sum(
             (h - rh + 1) * (w - rw + 1) * a ** (rh * rw * c)
             for rh, rw in rectangle_shapes(spec)
         ), True
-    per_placement = a ** (spec.count * spec.size * spec.size * c)
+    s, n = spec.size, spec.count or 1
+    per_placement = a ** (n * s * s * c)
+    if n <= 2:
+        return _placement_ranks(spec)[0] * per_placement, True
+    # Each s x s square holds exactly one point of the lattice
+    # (s-1 + s*i, s-1 + s*j), and a tiling fills every point, so at most
+    # (h // s) * (w // s) disjoint squares fit and that many always do.
+    if n > (h // s) * (w // s):
+        return 0, True
     if cap is not None and per_placement > cap:
         return per_placement, False
     placement_cap = None if cap is None else cap // per_placement + 1
-    placements, exact = count_placements(spec, cap=placement_cap)
+    placements = sum(1 for _ in itertools.islice(iter_placements(spec), placement_cap))
+    exact = placement_cap is None or placements < placement_cap
     return placements * per_placement, exact
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "apply_patch",
     "mask_covers",
     "iter_placements",
-    "count_placements",
 ]
 
 
@@ -562,21 +561,3 @@ def _unrank_disjoint(rects: Sequence[Rect], count: int, k: int) -> Placement:
         k -= n
     raise IndexError(k)
 
-
-def count_placements(spec: PatchSpec, cap: int | None = None) -> tuple[int, bool]:
-    """Number of legal placements, and whether the count is exact.
-
-    Square and rectangle kinds have closed forms. The multi kind is
-    counted by enumeration; when `cap` is given and reached, the result
-    is a lower bound and the second element is False.
-    """
-    h, w = spec.plane_height, spec.plane_width
-    if spec.kind != "multi":
-        shapes = rectangle_shapes(spec)
-        return sum((h - rh + 1) * (w - rw + 1) for rh, rw in shapes), True
-    total = 0
-    for _ in iter_placements(spec):
-        total += 1
-        if cap is not None and total >= cap:
-            return total, False
-    return total, True

@@ -280,6 +280,17 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert "--predictions" in err
 
+    def test_predictions_without_table_classifier_is_a_usage_error(
+        self, capsys, workspace
+    ):
+        code, out_dir, stdout, err = self.evaluate(
+            capsys, workspace, "doma", "--predictions", "nonexistent.jsonl"
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "--predictions is read only with --classifier table" in err
+        assert not out_dir.exists()
+
     def evaluate_table(self, capsys, workspace, rows):
         """Evaluate hicert at tau 0.8 from a table holding `rows`."""
         preds = workspace / "preds.jsonl"
@@ -408,36 +419,39 @@ class TestVerify:
     ):
         """Two 2x2 patches never fit disjointly on 3x3: random mode has
         nothing to draw from, while zero trials and exhaustive mode scan
-        the empty attack."""
-        masks, data, out = tmp_path / "m.json", tmp_path / "d.jsonl", tmp_path / "o.json"
+        the empty attack, however many contents one placement would have."""
+        masks = tmp_path / "m.json"
         assert run(
             capsys, "maskgen", "--plane", "3", "3", "--patch-size", "2",
             "--patches", "2", "--masks-per-axis", "2", "--out", str(masks),
         )[0] == EXIT_OK
-        assert run(
-            capsys, "gen-data", "--count", "3", "--plane", "3", "3",
-            "--alphabet", "4", "--num-labels", "5", "--seed", "1",
-            "--out", str(data),
-        )[0] == EXIT_OK
-        verify = (
-            "verify", "--dataset", str(data), "--masks", str(masks),
-            "--num-labels", "5", "--seed", "7", "--defender", "hicert",
-            "--tau", "0.8", "--checks", "def1,thm1", "--out", str(out),
-        )
-        for workers in ("1", "2"):
-            code, stdout, err = run(
-                capsys, *verify, "--mode", "random", "--trials", "5",
-                "--workers", workers,
+        for alphabet in ("4", "256"):
+            data = tmp_path / f"d{alphabet}.jsonl"
+            out = tmp_path / f"o{alphabet}.json"
+            assert run(
+                capsys, "gen-data", "--count", "3", "--plane", "3", "3",
+                "--alphabet", alphabet, "--num-labels", "5", "--seed", "1",
+                "--out", str(data),
+            )[0] == EXIT_OK
+            verify = (
+                "verify", "--dataset", str(data), "--masks", str(masks),
+                "--num-labels", "5", "--seed", "7", "--defender", "hicert",
+                "--tau", "0.8", "--checks", "def1,thm1", "--out", str(out),
             )
-            assert code == EXIT_USAGE
-            assert stdout == ""
-            assert ("patch spec {'kind': 'multi', 'size': 2, 'count': 2} "
-                    "has no legal placement on plane 3x3") in err
-            assert not out.exists()
-        for mode in (("--mode", "random", "--trials", "0"), ()):
-            code, stdout, _ = run(capsys, *verify, *mode)
-            assert code == EXIT_OK
-            assert "0 variants, 0 violation(s)" in stdout
+            for workers in ("1", "2"):
+                code, stdout, err = run(
+                    capsys, *verify, "--mode", "random", "--trials", "5",
+                    "--workers", workers,
+                )
+                assert code == EXIT_USAGE
+                assert stdout == ""
+                assert ("patch spec {'kind': 'multi', 'size': 2, 'count': 2} "
+                        "has no legal placement on plane 3x3") in err
+                assert not out.exists()
+            for mode in (("--mode", "random", "--trials", "0"), ()):
+                code, stdout, _ = run(capsys, *verify, *mode)
+                assert code == EXIT_OK
+                assert "0 variants, 0 violation(s)" in stdout
 
     def test_budget_refusal_names_the_exact_count(self, capsys, workspace):
         code, _, err = run(
@@ -450,6 +464,23 @@ class TestVerify:
         )
         assert code == EXIT_USAGE
         assert str(4**64) in err
+
+    def test_predictions_without_table_classifier_is_a_usage_error(
+        self, capsys, workspace
+    ):
+        out = workspace / "o.json"
+        code, stdout, err = run(
+            capsys, "verify",
+            "--dataset", str(workspace / "data.jsonl"),
+            "--masks", str(workspace / "masks.json"),
+            "--classifier", "linear", "--predictions", "nonexistent.jsonl",
+            "--num-labels", "5", "--seed", "7",
+            "--defender", "hicert", "--tau", "0.8", "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "--predictions is read only with --classifier table" in err
+        assert not out.exists()
 
     def test_label_outside_num_labels_is_a_usage_error(self, capsys, workspace):
         data = workspace / "data.jsonl"

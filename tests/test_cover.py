@@ -12,7 +12,7 @@ from patchcert.cover import (
     verify_cover,
 )
 from patchcert.errors import InvalidInputError
-from patchcert.tensor import Mask, PatchSpec, Rect, count_placements
+from patchcert.tensor import Mask, PatchSpec, Rect, _placement_ranks
 
 
 def anchors_of(mask_set):
@@ -95,7 +95,7 @@ class TestRectCover:
         ms = gen_rect_cover((12, 12), 4, 3)
         report = verify_cover(ms)
         assert report.ok
-        assert report.placements_checked == count_placements(ms.spec)[0]
+        assert report.placements_checked == _placement_ranks(ms.spec)[0]
 
     def test_wide_and_tall_shapes_are_covered(self):
         # area 16 admits a 5x3 patch; the shape buckets must catch it
@@ -133,7 +133,7 @@ class TestMultiCover:
         ms = gen_multi_cover(base, 2)
         report = verify_cover(ms)
         assert report.ok
-        assert report.placements_checked == count_placements(ms.spec)[0]
+        assert report.placements_checked == _placement_ranks(ms.spec)[0]
 
     def test_count_one_returns_base_unchanged(self):
         base = gen_square_cover((8, 8), 2, 3)

@@ -66,11 +66,39 @@ class TestCountVariants:
         assert count_variants(img, cfg) == (36 * 4, True)
 
     def test_multi_cap_yields_lower_bound(self):
+        """Three or more patches are counted by a walk that stops at the
+        cap; one or two patches are counted exactly."""
         img = Image(6, 6, 1, 4, (0,) * 36)
-        cfg = AttackConfig(patch_spec=PatchSpec.multi(6, 6, 2, 1))
+        cfg = AttackConfig(patch_spec=PatchSpec.multi(6, 6, 3, 1))
         total, exact = count_variants(img, cfg, cap=100)
         assert not exact
         assert total >= 100
+        cfg = AttackConfig(patch_spec=PatchSpec.multi(6, 6, 2, 1))
+        assert count_variants(img, cfg, cap=100) == (630 * 16, True)  # C(36, 2)
+
+    def test_multi_count_cap_reports_lower_bound(self):
+        """The walk stops at the first placement past the cap: 11 of the
+        C(9, 3) = 84 placements, with 2**3 contents each."""
+        img = Image(3, 3, 1, 2, (0,) * 9)
+        cfg = AttackConfig(patch_spec=PatchSpec.multi(3, 3, 3, 1))
+        assert count_variants(img, cfg, cap=80) == (88, False)
+        assert count_variants(img, cfg) == (84 * 8, True)
+
+    def test_no_placement_is_an_exact_zero(self):
+        """The lattice bound (h // s) * (w // s) on disjoint squares decides
+        whether a spec of three or more patches has a placement at all."""
+        for h in range(2, 8):
+            for w in range(2, 8):
+                for s in range(2, min(h, w, 3) + 1):
+                    bound = (h // s) * (w // s)
+                    for n in (bound, bound + 1):
+                        if n < 3:
+                            continue
+                        spec = PatchSpec.multi(h, w, n, s)
+                        cfg = AttackConfig(patch_spec=spec)
+                        img = Image(h, w, 1, 2, (0,) * (h * w))
+                        empty = count_variants(img, cfg, cap=1) == (0, True)
+                        assert empty == (tensor._placement_ranks(spec)[0] == 0)
 
     def test_matches_enumeration(self, rng):
         for spec in (
@@ -78,8 +106,10 @@ class TestCountVariants:
             PatchSpec.square(3, 3, 2),
             PatchSpec.rectangle(3, 3, 2),
             PatchSpec.multi(3, 3, 2, 1),
+            PatchSpec.multi(3, 3, 3, 1),
+            PatchSpec.multi(4, 4, 2, 2),
         ):
-            img = make_image(rng, 3, 3, alphabet_size=2)
+            img = make_image(rng, spec.plane_height, spec.plane_width, alphabet_size=2)
             cfg = AttackConfig(patch_spec=spec)
             want, exact = count_variants(img, cfg)
             assert exact
@@ -105,12 +135,35 @@ class TestBudgetGuard:
     def test_multi_refusal_reports_a_lower_bound(self):
         img = Image(6, 6, 1, 4, (0,) * 36)
         cfg = AttackConfig(
-            patch_spec=PatchSpec.multi(6, 6, 2, 1), budget=100
+            patch_spec=PatchSpec.multi(6, 6, 3, 1), budget=100
         )
         with pytest.raises(BudgetExceededError) as exc:
             next(enumerate_variants(img, cfg))
         assert not exc.value.exact
         assert "at least" in str(exc.value)
+        cfg = AttackConfig(
+            patch_spec=PatchSpec.multi(6, 6, 2, 1), budget=100
+        )
+        with pytest.raises(BudgetExceededError) as exc:
+            next(enumerate_variants(img, cfg))
+        assert exc.value.exact
+        assert str(exc.value) == (
+            "exhaustive attack needs 10080 variants, budget is 100"
+        )
+
+    def test_paper_scale_refusal_states_a_power_of_ten(self):
+        """256**3072 has 7,399 digits, past the 4,300 that Python turns
+        into a string; the message states the power of ten below it."""
+        img = Image(32, 32, 3, 256, (0,) * (32 * 32 * 3))
+        cfg = square_cfg(32, 32, 32)
+        with pytest.raises(BudgetExceededError) as exc:
+            next(enumerate_variants(img, cfg))
+        assert exc.value.required == 256**3072
+        assert exc.value.exact
+        assert str(exc.value) == (
+            "exhaustive attack needs at least 10^7398 variants, "
+            "budget is 10000000"
+        )
 
     def test_random_mode_counts_trials_against_budget(self):
         img = Image(4, 4, 1, 2, (0,) * 16)
