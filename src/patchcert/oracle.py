@@ -44,8 +44,8 @@ from .errors import (
     InvalidInputError,
     UnsupportedOperationError,
 )
-from .tensor import Image, Mask, PatchSpec, Placement, _placement_ranks, apply_patch, \
-    iter_placements, mask_covers, masked_packed, rectangle_shapes, write_packed
+from .tensor import Image, Mask, PatchSpec, Placement, _placement_ranks, _squares_fit, \
+    apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes, write_packed
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -184,10 +184,7 @@ def count_variants(
     per_placement = a ** (n * s * s * c)
     if n <= 2:
         return _placement_ranks(spec)[0] * per_placement, True
-    # Each s x s square holds exactly one point of the lattice
-    # (s-1 + s*i, s-1 + s*j), and a tiling fills every point, so at most
-    # (h // s) * (w // s) disjoint squares fit and that many always do.
-    if n > (h // s) * (w // s):
+    if not _squares_fit(spec):
         return 0, True
     if cap is not None and per_placement > cap:
         return per_placement, False

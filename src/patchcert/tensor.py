@@ -442,15 +442,22 @@ def iter_placements(spec: PatchSpec) -> Iterator[Placement]:
         for left in range(spec.plane_width - rw + 1)
     )
     if spec.kind != "multi":
-        for r in rects:
-            yield (r,)
-        return
-    for combo in itertools.combinations(tuple(rects), spec.count):
-        for a, b in itertools.combinations(combo, 2):
-            if a.intersects(b):
-                break
-        else:
-            yield combo
+        yield from ((r,) for r in rects)
+    elif _squares_fit(spec):
+        for combo in itertools.combinations(tuple(rects), spec.count):
+            for a, b in itertools.combinations(combo, 2):
+                if a.intersects(b):
+                    break
+            else:
+                yield combo
+
+
+def _squares_fit(spec: PatchSpec) -> bool:
+    """Whether `spec.count` disjoint s x s squares fit on the plane: each
+    holds exactly one point of the lattice (s-1 + s*i, s-1 + s*j), and a
+    tiling fills every point, so (h // s) * (w // s) fit and no more."""
+    s = spec.size
+    return spec.count <= (spec.plane_height // s) * (spec.plane_width // s)
 
 
 def _placement_ranks(spec: PatchSpec) -> tuple[int, Callable[[int], Placement]]:
@@ -485,7 +492,7 @@ def _placement_ranks(spec: PatchSpec) -> tuple[int, Callable[[int], Placement]]:
         squares = [Rect(t, l, s, s) for t in range(rows) for l in range(cols)]
         completions = (
             _count_disjoint(_disjoint_after(squares, i), spec.count - 1)
-            for i in range(len(squares))
+            for i in range(len(squares) if _squares_fit(spec) else 0)
         )
 
         def completion(i: int, k: int) -> Placement:

@@ -151,6 +151,29 @@ class TestBudgetGuard:
             "exhaustive attack needs 10080 variants, budget is 100"
         )
 
+    def test_attack_without_placement_scans_nothing_at_once(self):
+        """Seventeen disjoint 8x8 squares never fit on 32x32, nor two
+        120x120 ones on 224x224. Exhaustive mode reports 0 variants and
+        random mode refuses, without walking the C(squares, count)
+        combinations of the plane's squares (about 10^33 and 6e7)."""
+        clf = HashClassifier(seed=3, num_labels=2)
+        defender = make_defender(DefenderSpec("hicert", 0.5))
+        for spec in (PatchSpec.multi(32, 32, 17, 8), PatchSpec.multi(224, 224, 2, 120)):
+            h, w = spec.plane_height, spec.plane_width
+            img = Image(h, w, 1, 2, (0,) * (h * w))
+            record = DatasetRecord("s", clf.classify(img).label, img)
+            ms = gen_square_cover((h, w), spec.size, 2)
+            start = time.perf_counter()
+            assert list(iter_placements(spec)) == []
+            assert tensor._placement_ranks(spec)[0] == 0
+            run = run_soundness(clf, [record], ms, [defender], AttackConfig(spec),
+                                checks={CHECK_DEF1, CHECK_THM1})
+            assert run.def1["hicert(tau=0.5)"].variants_evaluated == 0
+            assert run.theorem1.variants_evaluated == 0
+            with pytest.raises(InvalidInputError, match="no legal placement"):
+                next(enumerate_variants(img, AttackConfig(spec, mode="random", trials=1)))
+            assert time.perf_counter() - start < 1.0
+
     def test_paper_scale_refusal_states_a_power_of_ten(self):
         """256**3072 has 7,399 digits, past the 4,300 that Python turns
         into a string; the message states the power of ten below it."""
