@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--skip-verify", action="store_true",
-                   help="write the set without the exhaustive coverage check")
+                   help="write the set without the exhaustive coverage check "
+                   "(a bitset pass over every placement, fast even at 224x224)")
     p.set_defaults(func=cmd_maskgen)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")

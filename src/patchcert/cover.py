@@ -1,9 +1,11 @@
-"""Covering mask set construction and its brute-force verifier.
+"""Covering mask set construction and its exhaustive verifier.
 
 A mask set covers a patch spec when every legal placement is fully
 inside at least one mask. Generators below construct such sets; the
-verifier checks the property by exhaustive placement enumeration and is
-deliberately independent of how the set was built.
+verifier checks the property for every placement and is deliberately
+independent of how the set was built: it reads only the masks' rects
+and the spec. It represents placements as bitsets over patch anchors,
+so one integer operation checks a whole row of them.
 """
 
 from __future__ import annotations
@@ -11,16 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InvalidInputError
-from .tensor import (
-    Mask,
-    PatchSpec,
-    Placement,
-    Rect,
-    iter_placements,
-    mask_covers,
-)
+from .tensor import Mask, PatchSpec, Placement, Rect, _placement_runs
 
 __all__ = [
     "MaskSet",
@@ -199,16 +195,73 @@ def gen_multi_cover(base: MaskSet, patch_count: int) -> MaskSet:
     return MaskSet(masks, spec, base.masks_per_axis, compound=True)
 
 
+def _doubling_steps(n: int) -> Iterator[int]:
+    """Shifts t such that replacing x by `x & shift(x, t)` for each t in
+    turn turns a window of 1 into a window of n: the window doubles
+    until the last step tops it up to n."""
+    span = 1
+    while span < n:
+        t = min(span, n - span)
+        yield t
+        span += t
+
+
+def _covered_anchors(mask: Mask, rh: int, rw: int) -> int:
+    """Bitset of the anchors whose rh x rw rect lies inside the mask.
+
+    Bit `top * cols + left`, with cols = plane width - rw + 1, stands
+    for the rect at (top, left), as in `_placement_runs`. Each plane
+    row is one int, the union of the mask rects' column runs on it, so
+    overlapping rects count once. ANDing a row with itself shifted
+    leaves the columns whose window of rw lies inside; ANDing each row
+    with the rows below it does the same for rh.
+    """
+    rows = [0] * mask.plane_height
+    for r in mask.rects:
+        run = ((1 << r.width) - 1) << r.left
+        for y in range(r.top, r.bottom):
+            rows[y] |= run
+    for t in _doubling_steps(rw):
+        rows = [v & (v >> t) for v in rows]
+    for t in _doubling_steps(rh):
+        rows = [a & b for a, b in zip(rows, rows[t:])]
+    cols = mask.plane_width - rw + 1
+    covered = 0
+    for top, v in enumerate(rows):
+        covered |= v << (top * cols)
+    return covered
+
+
 def verify_cover(mask_set: MaskSet) -> CoverageReport:
     """Exhaustively check that every legal placement is covered.
+
+    Every placement is checked, in `iter_placements` order, through
+    anchor bitsets: a mask covers a placement when the anchor of each
+    of its rects is in the mask's `_covered_anchors`. The placements
+    that share all rects but the last are checked at once, against the
+    masks that cover those rects.
 
     Never raises on a coverage failure; the report carries the
     lexicographically first uncovered placement instead.
     """
-    checked = 0
-    masks = mask_set.masks
-    for placement in iter_placements(mask_set.spec):
-        checked += 1
-        if not any(mask_covers(m, placement) for m in masks):
+    masks, spec = mask_set.masks, mask_set.spec
+    checked, shape, covers = 0, None, []
+    for (rh, rw), run, completions in _placement_runs(spec):
+        if shape != (rh, rw):
+            shape, covers = (rh, rw), [_covered_anchors(m, rh, rw) for m in masks]
+        covered = 0
+        for c in covers:
+            if all((c >> i) & 1 for i in run):
+                covered |= c
+        missing = completions & ~covered
+        if missing:
+            first = missing & -missing
+            cols = spec.plane_width - rw + 1
+            placement = tuple(
+                Rect(*divmod(i, cols), rh, rw)
+                for i in run + (first.bit_length() - 1,)
+            )
+            checked += (completions & (first - 1)).bit_count() + 1
             return CoverageReport(False, placement, checked)
+        checked += completions.bit_count()
     return CoverageReport(True, None, checked)

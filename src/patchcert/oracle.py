@@ -44,8 +44,10 @@ from .errors import (
     InvalidInputError,
     UnsupportedOperationError,
 )
-from .tensor import Image, Mask, PatchSpec, Placement, _placement_ranks, _squares_fit, \
-    apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes, write_packed
+from .tensor import (
+    Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, _squares_fit,
+    apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes, write_packed,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -168,8 +170,9 @@ def count_variants(
 
     The second element says whether the count is exact. Only a spec of
     three or more patches ever returns a bound: its placements are
-    counted by enumeration, which stops early once `cap` variants are
-    exceeded. Every other spec is counted exactly by `_placement_ranks`.
+    counted by `_placement_runs`, one run of disjoint squares at a time,
+    which stops early once `cap` variants are exceeded. Every other spec
+    is counted exactly by `_placement_ranks`.
     """
     spec = cfg.patch_spec
     a = cfg.resolve_alphabet(image)
@@ -189,9 +192,12 @@ def count_variants(
     if cap is not None and per_placement > cap:
         return per_placement, False
     placement_cap = None if cap is None else cap // per_placement + 1
-    placements = sum(1 for _ in itertools.islice(iter_placements(spec), placement_cap))
-    exact = placement_cap is None or placements < placement_cap
-    return placements * per_placement, exact
+    placements = 0
+    for _, _, completions in _placement_runs(spec):
+        placements += completions.bit_count()
+        if placement_cap is not None and placements >= placement_cap:
+            return placement_cap * per_placement, False
+    return placements * per_placement, True
 
 
 def _guard_scope(image: Image, cfg: AttackConfig) -> int:

@@ -206,8 +206,9 @@ class Mask:
     def to_matrix(self) -> list[list[bool]]:
         """Dense boolean grid, True where the mask zeroes the plane.
 
-        Only the tests' reference, for `masked_packed`, `mask_covers` and
-        the oracle's placement plans, which all read the rects directly.
+        Only the tests' reference, for `masked_packed`, `mask_covers`,
+        `cover.verify_cover`'s anchor bitsets and the oracle's placement
+        plans, which all read the rects directly.
         """
         grid = [[False] * self.plane_width for _ in range(self.plane_height)]
         for r in self.rects:
@@ -450,6 +451,56 @@ def iter_placements(spec: PatchSpec) -> Iterator[Placement]:
                     break
             else:
                 yield combo
+
+
+def _placement_runs(
+    spec: PatchSpec,
+) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
+    """Every placement as a bitset, grouped by all but its last rect.
+
+    Yields `(shape, run, completions)` in `iter_placements` order. The
+    rect of shape (rh, rw) at (top, left) is anchor `top * cols + left`,
+    with cols = plane width - rw + 1. `run` holds the anchors of every
+    rect but the last, and bit k of `completions` is set when the rect
+    at anchor k completes the run to a legal placement. A single-rect
+    spec yields one empty run per shape. A multi spec yields each run of
+    `count - 1` pairwise disjoint squares with the later squares that
+    are disjoint from all of them, and nothing when the squares do not
+    fit.
+    """
+    h, w = spec.plane_height, spec.plane_width
+    if spec.kind != "multi":
+        for rh, rw in rectangle_shapes(spec):
+            yield (rh, rw), (), (1 << ((h - rh + 1) * (w - rw + 1))) - 1
+        return
+    if not _squares_fit(spec):
+        return
+    s = spec.size
+    rows, cols = h - s + 1, w - s + 1
+    # one bit on each of the 2s - 1 anchor rows a square's overlap spans
+    band = sum(1 << (t * cols) for t in range(2 * s - 1))
+
+    def disjoint(i: int, squares: int) -> int:
+        """`squares` without those that overlap square i: the anchors
+        within s - 1 rows and s - 1 columns of it."""
+        top, left = divmod(i, cols)
+        lo, hi = max(0, left - s + 1), min(cols, left + s)
+        overlap = (((1 << (hi - lo)) - 1) << lo) * band
+        shift = (top - s + 1) * cols
+        overlap = overlap << shift if shift >= 0 else overlap >> -shift
+        return squares & ~overlap
+
+    def walk(run: tuple[int, ...], squares: int):
+        if len(run) == spec.count - 1:
+            yield (s, s), run, squares
+            return
+        while squares:
+            low = squares & -squares
+            squares ^= low
+            i = low.bit_length() - 1
+            yield from walk(run + (i,), disjoint(i, squares))
+
+    yield from walk((), (1 << (rows * cols)) - 1)
 
 
 def _squares_fit(spec: PatchSpec) -> bool:

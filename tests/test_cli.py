@@ -87,6 +87,16 @@ class TestMaskgen:
         assert ms.compound
         assert ms.spec.count == 2
 
+    def test_paper_scale_compound_cover_is_verified(self, tmp_path, capsys):
+        """The random-multi benchmark's cover, checked in full."""
+        code, stdout, _ = run(
+            capsys, "maskgen", "--plane", "32", "32", "--patch-size", "4",
+            "--patches", "2", "--masks-per-axis", "3",
+            "--out", str(tmp_path / "masks.json"),
+        )
+        assert code == EXIT_OK
+        assert stdout == "masks: 36, cover: ok (335400 placements)\n"
+
     def test_zero_patch_size_is_a_usage_error(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "maskgen", "--plane", "8", "8", "--patch-size", "0",

@@ -1,5 +1,6 @@
 """Covering mask construction and the exhaustive cover verifier."""
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,103 @@ from patchcert.cover import (
     verify_cover,
 )
 from patchcert.errors import InvalidInputError
-from patchcert.tensor import Mask, PatchSpec, Rect, _placement_ranks
+from patchcert.tensor import (
+    Mask,
+    PatchSpec,
+    Rect,
+    _placement_ranks,
+    iter_placements,
+    mask_covers,
+)
+
+
+def brute_force_cover(mask_set):
+    """Reference verifier: every placement against every mask, in
+    `iter_placements` order, until one mask covers it."""
+    checked = 0
+    for placement in iter_placements(mask_set.spec):
+        checked += 1
+        if not any(mask_covers(m, placement) for m in mask_set.masks):
+            return CoverageReport(False, placement, checked)
+    return CoverageReport(True, None, checked)
+
+
+def random_rect(rng, h, w):
+    top, left = rng.randrange(h), rng.randrange(w)
+    return Rect(top, left, rng.randint(1, h - top), rng.randint(1, w - left))
+
+
+def differential_configs(seed):
+    """The mask sets of one seed: a generated square, rectangle or
+    compound (2- or 3-patch) cover and the same cover with one mask
+    dropped, or a few random masks of 1-3 rects each, which overlap
+    often on these small planes."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind == 3:
+        h, w = rng.randint(2, 7), rng.randint(2, 7)
+        count = rng.choice((1, 2, 3))
+        size = rng.randint(1, min(h, w, 2 if count > 1 else 7))
+        spec = rng.choice((
+            PatchSpec.square(h, w, size),
+            PatchSpec.rectangle(h, w, rng.randint(1, min(6, h * w))),
+            PatchSpec.multi(h, w, count, size),
+        ))
+        masks = tuple(
+            Mask(h, w, tuple(random_rect(rng, h, w) for _ in range(rng.randint(1, 3))))
+            for _ in range(rng.randint(1, 4))
+        )
+        return [MaskSet(masks, spec, 1)]
+    if kind == 0:
+        h, w = rng.randint(2, 12), rng.randint(2, 12)
+        p = rng.randint(1, min(h, w))
+        ms = gen_square_cover((h, w), p, rng.randint(1, min(3, h - p + 1, w - p + 1)))
+    elif kind == 1:
+        h, w = rng.randint(2, 9), rng.randint(2, 9)
+        ms = gen_rect_cover((h, w), rng.randint(1, min(8, h * w)), rng.randint(1, 3))
+    else:
+        count = 2 + seed // 4 % 2
+        h, w = rng.randint(3, 6), rng.randint(3, 6)
+        p = rng.randint(1, 2)
+        base = gen_square_cover((h, w), p, rng.randint(1, min(2, h - p + 1, w - p + 1)))
+        if len(base) < count:
+            base = gen_square_cover((h, w), 1, 2)
+        ms = gen_multi_cover(base, count)
+    if len(ms) == 1:
+        return [ms]
+    drop = rng.randrange(len(ms))
+    dropped = ms.masks[:drop] + ms.masks[drop + 1:]
+    return [ms, MaskSet(dropped, ms.spec, ms.masks_per_axis, ms.compound)]
+
+
+class TestAgainstBruteForce:
+    def test_reports_match_the_brute_force_reference(self):
+        """Whole reports agree on every listed configuration, covered or
+        not, including the rank of the first uncovered placement."""
+        compared, outcomes = 0, set()
+        for seed in range(240):
+            for ms in differential_configs(seed):
+                want = brute_force_cover(ms)
+                assert verify_cover(ms) == want, (seed, ms.spec)
+                compared += 1
+                outcomes.add(want.ok)
+        assert compared >= 300
+        assert outcomes == {True, False}
+
+    def test_attack_without_placement_verifies_nothing_at_once(self):
+        """17 disjoint 8x8 squares do not fit on 32x32: nothing to check."""
+        base = gen_square_cover((32, 32), 8, 3)
+        ms = MaskSet(base.masks, PatchSpec.multi(32, 32, 17, 8), 3)
+        start = time.perf_counter()
+        assert verify_cover(ms) == CoverageReport(True, None, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_paper_scale_compound_cover(self):
+        """The two-patch cover of the random-multi benchmark workload."""
+        ms = gen_multi_cover(gen_square_cover((32, 32), 4, 3), 2)
+        start = time.perf_counter()
+        assert verify_cover(ms) == CoverageReport(True, None, 335_400)
+        assert time.perf_counter() - start < 2.0
 
 
 def anchors_of(mask_set):

@@ -84,6 +84,16 @@ class TestCountVariants:
         assert count_variants(img, cfg, cap=80) == (88, False)
         assert count_variants(img, cfg) == (84 * 8, True)
 
+    def test_crowded_cap_stops_at_once(self):
+        """Four 2x2 patches at alphabet 2 reach a cap of 10**7 variants at
+        153 placements, however many overlapping combinations a
+        one-by-one walk would reject first on a larger plane."""
+        img = Image(48, 48, 1, 2, (0,) * 48 * 48)
+        cfg = AttackConfig(patch_spec=PatchSpec.multi(48, 48, 4, 2))
+        start = time.perf_counter()
+        assert count_variants(img, cfg, cap=10**7) == (153 * 2**16, False)
+        assert time.perf_counter() - start < 0.2
+
     def test_no_placement_is_an_exact_zero(self):
         """The lattice bound (h // s) * (w // s) on disjoint squares decides
         whether a spec of three or more patches has a placement at all."""
