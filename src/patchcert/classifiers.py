@@ -7,25 +7,40 @@ The same image always yields the same prediction, on any platform.
 
 Every pixel backend implements `_predict_packed(data, bytes_per_pixel)`:
 it classifies bytes-like `data` in the encoding of `Image.packed` and
-returns a `Prediction`. `classify(image)` returns that same value.
-Mutants are classified from `tensor.masked_packed` bytes, and the
-oracle's variants from patched copies of those bytes, so no `Image` is
-built per mutant or per variant.
+returns a `Prediction`. `classify(image)` returns that same value, and
+`_predict_packed` is the reference for everything below.
+
+Mutants and variants are classified through scorers instead.
+`_scorer(data, bytes_per_pixel)` returns a scorer of those bytes:
+`prediction()` classifies them, `masked(mask, channels)` is the scorer
+of the bytes with the mask zeroed as `tensor.masked_packed` zeroes it,
+and `at(positions)` returns `score(values)`, the prediction of the bytes
+with `values` written at the flat pixel `positions`. A mutant differs
+from its sample only under the mask, and a variant only under the
+patch, so the linear backend updates its integer logits at those pixels
+alone; the hash backend digests a patched copy. No `Image` is built per
+mutant or per variant.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Union
+from itertools import chain
+from operator import mul, sub
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .cover import MaskSet
 from .defenders import MutantProfile
 from .errors import InvalidInputError, TableLookupError
-from .tensor import Image, masked_packed, unpack_pixels
+from .tensor import (
+    Image, Mask, _mask_pixel_spans, _merged_spans, check_mask_plane, unpack_pixels,
+    write_packed, zero_masked,
+)
 
 __all__ = [
     "CONFIDENCE_EPSILON",
@@ -113,6 +128,41 @@ class HashClassifier:
         raw = int.from_bytes(h_conf.digest(), "little") & 0xFFFF
         return Prediction(label, clamp_confidence((1 + raw) / _CONF_DENOM))
 
+    def _scorer(self, data: bytes, bytes_per_pixel: int) -> "_HashScorer":
+        return _HashScorer(self, data, bytes_per_pixel)
+
+
+class _HashScorer:
+    """Bytes to digest, whole: masking zeroes a copy as `masked_packed`
+    does, and a score digests a copy with the values written in. Every
+    prediction is a `_predict_packed` call on the classifier."""
+
+    __slots__ = ("classifier", "data", "bpp")
+
+    def __init__(self, classifier: HashClassifier, data: bytes, bpp: int):
+        self.classifier = classifier
+        self.data = data
+        self.bpp = bpp
+
+    def prediction(self) -> Prediction:
+        return self.classifier._predict_packed(self.data, self.bpp)
+
+    def masked(self, mask: Mask, channels: int) -> "_HashScorer":
+        return _HashScorer(
+            self.classifier, zero_masked(self.data, mask, channels, self.bpp), self.bpp
+        )
+
+    def at(self, positions: Sequence[int]):
+        data, bpp = self.data, self.bpp
+        predict = self.classifier._predict_packed
+
+        def score(values: Sequence[int]) -> Prediction:
+            buf = bytearray(data)
+            write_packed(buf, positions, values, bpp)
+            return predict(buf, bpp)
+
+        return score
+
 
 @lru_cache(maxsize=64)
 def _seeded_weights(
@@ -172,18 +222,80 @@ class LinearClassifier:
     def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> Prediction:
         pixels = unpack_pixels(data, bytes_per_pixel)
         rows = self._weight_rows(len(pixels))
-        logits = [sum(w * v for w, v in zip(row, pixels)) for row in rows]
-        best = 0
-        for i in range(1, len(logits)):
-            if logits[i] > logits[best]:
-                best = i
-        peak = logits[best]
+        return self._prediction([sum(map(mul, row, pixels)) for row in rows])
+
+    def _prediction(self, logits: Sequence[int]) -> Prediction:
+        """The label and softmax confidence of exact integer logits."""
+        peak = max(logits)
+        best = logits.index(peak)  # the lowest label among tied maxima
         # Left to right from 0.0: from Python 3.12 on the builtin sum
         # compensates float rounding, which would change the last bits.
         denom = 0.0
         for l in logits:
             denom += math.exp((l - peak) / self.temperature)
         return Prediction(best, clamp_confidence(1.0 / denom))
+
+    def _scorer(self, data: bytes, bytes_per_pixel: int) -> "_LinearScorer":
+        pixels = unpack_pixels(data, bytes_per_pixel)
+        rows = self._weight_rows(len(pixels))
+        logits = [sum(map(mul, row, pixels)) for row in rows]
+        return _LinearScorer(self, rows, pixels, logits, (), logits)
+
+
+class _LinearScorer:
+    """Exact integer logits of some pixels with the `spans` zeroed.
+
+    `pixels` are the unmasked values and `full` their logits; masked
+    scorers share both with the scorer they came from. `logits` are
+    `full` minus the terms of the zeroed spans, and a score adds
+    `w * (v - old)` at each written position, so the float confidence
+    comes from the same integers `_predict_packed` computes.
+    """
+
+    __slots__ = ("classifier", "rows", "pixels", "full", "spans", "logits")
+
+    def __init__(self, classifier: LinearClassifier, rows, pixels, full, spans, logits):
+        self.classifier = classifier
+        self.rows = rows
+        self.pixels = pixels
+        self.full = full
+        self.spans = spans
+        self.logits = logits
+
+    def prediction(self) -> Prediction:
+        return self.classifier._prediction(self.logits)
+
+    def masked(self, mask: Mask, channels: int) -> "_LinearScorer":
+        pixels = self.pixels
+        spans = _mask_pixel_spans(mask, channels)
+        if self.spans:
+            spans = _merged_spans(self.spans + spans)
+        # One C-level pass per label over the zeroed spans' terms.
+        slices = [slice(a, b) for a, b in spans]
+        hidden = list(chain.from_iterable(map(pixels.__getitem__, slices)))
+        logits = [
+            total - sum(map(mul, chain.from_iterable(map(row.__getitem__, slices)), hidden))
+            for total, row in zip(self.full, self.rows)
+        ]
+        return _LinearScorer(self.classifier, self.rows, pixels, self.full, spans, logits)
+
+    def at(self, positions: Sequence[int]):
+        pixels, spans, logits = self.pixels, self.spans, self.logits
+        olds = []
+        for p in positions:
+            k = bisect.bisect_right(spans, (p, math.inf))
+            olds.append(0 if k and p < spans[k - 1][1] else pixels[p])
+        columns = [[row[p] for p in positions] for row in self.rows]
+        prediction = self.classifier._prediction
+
+        def score(values: Sequence[int]) -> Prediction:
+            deltas = list(map(sub, values, olds))
+            return prediction([
+                total + sum(map(mul, column, deltas))
+                for total, column in zip(logits, columns)
+            ])
+
+        return score
 
 
 @dataclass(frozen=True)
@@ -204,13 +316,23 @@ class TableClassifier:
             raise TableLookupError(sample_id, "base") from None
 
 
+def _mutant_scorers(classifier, image: Image, masks: Sequence[Mask]) -> Iterator:
+    """The scorer of the image's bytes, then that of each mask's mutant,
+    in mask order; a mask on another plane is refused."""
+    base = classifier._scorer(image.packed, image.bytes_per_pixel)
+    yield base
+    for m in masks:
+        check_mask_plane(m, image)
+        yield base.masked(m, image.channels)
+
+
 def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
                      sample_id: str | None = None) -> MutantProfile:
     """Profile of the image and of every one-mask mutant, in mask order.
 
     Table backends are keyed by sample identity, so they require
-    `sample_id` and ignore the pixels; the other backends classify the
-    masked bytes of each mutant.
+    `sample_id` and ignore the pixels; the other backends score the
+    image and each mutant through `_mutant_scorers`.
     """
     if isinstance(classifier, TableClassifier):
         if sample_id is None:
@@ -224,7 +346,6 @@ def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
         return profile
     if image is None:
         raise InvalidInputError("image classifiers need pixels")
-    base = classifier.classify(image)
-    predict, bpp = classifier._predict_packed, image.bytes_per_pixel
-    mutants = tuple(predict(masked_packed(image, m), bpp) for m in mask_set.masks)
-    return MutantProfile(base, mutants)
+    scorers = _mutant_scorers(classifier, image, mask_set.masks)
+    base = next(scorers).prediction()
+    return MutantProfile(base, tuple(s.prediction() for s in scorers))

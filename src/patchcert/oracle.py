@@ -29,12 +29,11 @@ import functools
 import hashlib
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .classifiers import Prediction, TableClassifier
+from .classifiers import Prediction, TableClassifier, _mutant_scorers
 from .cover import MaskSet
 from .dataset_io import DatasetRecord, ProfileFixture
 from .defenders import CLAUSE_NAMES, Defender, MutantProfile
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .tensor import (
     Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, _squares_fit,
-    apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes, write_packed,
+    apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes,
 )
 
 __all__ = [
@@ -323,12 +322,13 @@ class _PlacementPlan:
     benign mutants, which are every variant's mutants under those masks.
     `uncovered` lists the other masks in mask order. `surviving[i]`
     holds the content indices that survive mask i, computed from its
-    rects (`survivors`) the first time a variant's mutant walk reaches
-    it, so a plan that only `thm1` reads, or whose harmful variants the
-    covering mutants settle, builds none. `mutants` memoizes the group's
-    other mutant predictions; with the placement fixed, a mutant's
-    pixels depend only on the mask and the content values that survive
-    it.
+    rects (`survivors`), and the score of mask i's mutant scorer at
+    their positions. Both are built the first time a variant's mutant
+    walk reaches mask i, so a plan that only `thm1` reads, or whose
+    harmful variants the covering mutants settle, builds none.
+    `mutants` memoizes the group's other mutant predictions; with the
+    placement fixed, a mutant's pixels depend only on the mask and the
+    content values that survive it.
     """
 
     __slots__ = (
@@ -364,7 +364,7 @@ class _PlacementPlan:
         self.covering = [i for i, hit in enumerate(covers) if hit]
         self.covered = tuple(benign.mutants[i] for i in self.covering)
         self.uncovered = [i for i, hit in enumerate(covers) if not hit]
-        self.surviving: list[tuple[int, ...] | None] = [None] * len(masks)
+        self.surviving: list[tuple | None] = [None] * len(masks)
         self.mutants: dict[tuple, Prediction] = {}
 
     def survivors(self, mask: Mask) -> tuple[int, ...]:
@@ -406,34 +406,31 @@ class _VariantMutants:
 
 
 class _MutantOracle:
-    """Classify tampered variants and their one-mask mutants as packed bytes.
+    """Classify tampered variants and their one-mask mutants through scorers.
 
-    Every pixel backend implements `_predict_packed(data,
-    bytes_per_pixel)` over the encoding of `Image.packed` and returns a
-    `Prediction`. A variant is a copy of the packed sample with the patch
-    content written in; its `classify_variant` prediction is the base of
-    its profile, and its mutant under mask i is a copy of the packed
-    masked sample with the content written back at the patch positions
-    that survive the mask.
+    `scorer` is the classifier's scorer of the packed sample and
+    `scorers[i]` that of its mutant under mask i
+    (`classifiers._mutant_scorers`); their predictions are the `benign`
+    profile. A variant is the sample with the patch content written at
+    the plan's positions, so `scorer.at(plan.positions)` classifies a
+    placement's variants, and its prediction is the base of the
+    variant's profile. Its mutant under mask i is mask i's mutant with
+    the content written back at the patch positions that survive the
+    mask, so mask i's scorer at those positions classifies it.
     When no position survives, the mask covers the patch and the mutant
     is the sample's own benign mutant; `erasure_check` tests that
     shortcut on real bytes. `profile` hands the judge those covering
     mutants first, for free, and classifies the others only as far as a
     warning rule reads them (`_VariantMutants`). They are memoized per
     placement plan; the memo holds real classifier outputs on real
-    mutant bytes. The `benign` profile is classified from the same
-    masked bytes.
+    mutants.
     """
 
     def __init__(self, classifier, image: Image, mask_set: MaskSet):
-        predict = self.predict = classifier._predict_packed
-        bpp = self.bpp = image.bytes_per_pixel
         self.masks = mask_set.masks
-        self.packed = image.packed
-        self.masked_packed = [masked_packed(image, m) for m in self.masks]
+        self.scorer, *self.scorers = _mutant_scorers(classifier, image, self.masks)
         self.benign = MutantProfile(
-            predict(self.packed, bpp),
-            tuple(predict(b, bpp) for b in self.masked_packed),
+            self.scorer.prediction(), tuple(s.prediction() for s in self.scorers)
         )
 
     def erasure_check(self, plan: _PlacementPlan, record: DatasetRecord) -> list[dict]:
@@ -441,8 +438,8 @@ class _MutantOracle:
 
         The probe is the sample patched through the reference
         `apply_patch` with content that differs from it at every patch
-        position. When a covering mask gives the probe the benign masked
-        bytes, its mutant is the benign one for every content.
+        position. When a covering mask gives the probe the sample's
+        masked bytes, its mutant is the benign one for every content.
         """
         covering = [
             i for i in plan.covering
@@ -460,28 +457,24 @@ class _MutantOracle:
             {"sample_id": record.id, "placement": plan.placement_doc, "mask": i,
              "reason": "consistent covering mask leaves patch bytes"}
             for i in covering
-            if masked_packed(probe, self.masks[i]) != self.masked_packed[i]
+            if masked_packed(probe, self.masks[i]) != masked_packed(image, self.masks[i])
         ]
-
-    def classify_variant(self, plan: _PlacementPlan, content) -> Prediction:
-        buf = bytearray(self.packed)
-        write_packed(buf, plan.positions, content, self.bpp)
-        return self.predict(buf, self.bpp)
 
     def mutant(self, plan: _PlacementPlan, i: int, content) -> Prediction:
         """The mutant under mask i, which does not cover the placement."""
-        proj = plan.surviving[i]
-        if proj is None:
-            proj = plan.surviving[i] = plan.survivors(self.masks[i])
+        surviving = plan.surviving[i]
+        if surviving is None:
+            proj = plan.survivors(self.masks[i])
+            positions = plan.positions
+            surviving = plan.surviving[i] = (
+                proj, self.scorers[i].at([positions[k] for k in proj])
+            )
+        proj, score = surviving
         values = tuple(content[k] for k in proj)
         key = (i, values)
         pred = plan.mutants.get(key)
         if pred is None:
-            buf = bytearray(self.masked_packed[i])
-            positions = plan.positions
-            write_packed(buf, [positions[k] for k in proj], values, self.bpp)
-            pred = self.predict(buf, self.bpp)
-            plan.mutants[key] = pred
+            pred = plan.mutants[key] = score(values)
         return pred
 
     def profile(self, plan: _PlacementPlan, content, base: Prediction) -> MutantProfile:
@@ -537,9 +530,10 @@ def _scan_sample(
             thm1.thm1_violations += oracle.erasure_check(plan, record)
         if not active:
             continue
+        classify_variant = oracle.scorer.at(plan.positions)
         # Contents first: zip then takes no index when a group runs out.
         for content, variant_index in zip(contents, variant_indices):
-            variant = oracle.classify_variant(plan, content)
+            variant = classify_variant(content)
             if variant.label == true_label:
                 continue  # not harmful; nothing to detect
             vprofile = oracle.profile(plan, content, variant)
@@ -591,6 +585,10 @@ def run_soundness(
         defenders=tuple(defenders), cfg=cfg, checks=checks,
     )
     if workers > 1 and len(records) > 1:
+        # Imported here: a serial run, and every CLI start-up, skips
+        # loading the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = pool.map(scan, records, chunksize=1)
             return functools.reduce(SoundnessRun.merge, runs)

@@ -13,7 +13,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, InvalidInputError
 
@@ -301,27 +301,52 @@ class PatchSpec:
 
 @lru_cache(maxsize=8192)
 def _mask_pixel_spans(mask: Mask, channels: int) -> tuple[tuple[int, int], ...]:
-    """Half-open spans of the flat pixel array zeroed by this mask."""
+    """Sorted, disjoint half-open spans of the flat pixel array zeroed by
+    this mask: the union of its rects' rows, so overlapping rects count
+    each pixel once."""
     w = mask.plane_width
-    spans = []
-    for r in mask.rects:
-        for y in range(r.top, r.bottom):
-            spans.append(((y * w + r.left) * channels, (y * w + r.right) * channels))
-    return tuple(spans)
+    return _merged_spans(
+        ((y * w + r.left) * channels, (y * w + r.right) * channels)
+        for r in mask.rects
+        for y in range(r.top, r.bottom)
+    )
 
 
-def masked_packed(image: Image, mask: Mask) -> bytes:
-    """`image.packed` with every channel zeroed at the masked locations."""
+def _merged_spans(spans: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sorted, disjoint half-open spans that cover the union of `spans`."""
+    merged: list[tuple[int, int]] = []
+    for start, stop in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            if stop > merged[-1][1]:
+                merged[-1] = (merged[-1][0], stop)
+        else:
+            merged.append((start, stop))
+    return tuple(merged)
+
+
+def check_mask_plane(mask: Mask, image: Image) -> None:
+    """Refuse a mask drawn on another plane than the image's."""
     if (mask.plane_height, mask.plane_width) != (image.height, image.width):
         raise DimensionMismatchError(
             f"mask plane {mask.plane_height}x{mask.plane_width} does not match "
             f"image {image.height}x{image.width}"
         )
-    bpp = image.bytes_per_pixel
-    buf = bytearray(image.packed)
-    for start, stop in _mask_pixel_spans(mask, image.channels):
+
+
+def zero_masked(data: bytes, mask: Mask, channels: int, bytes_per_pixel: int) -> bytes:
+    """Bytes in the `Image.packed` encoding with every channel zeroed at
+    the masked locations."""
+    bpp = bytes_per_pixel
+    buf = bytearray(data)
+    for start, stop in _mask_pixel_spans(mask, channels):
         buf[start * bpp : stop * bpp] = bytes((stop - start) * bpp)
     return bytes(buf)
+
+
+def masked_packed(image: Image, mask: Mask) -> bytes:
+    """`image.packed` with every channel zeroed at the masked locations."""
+    check_mask_plane(mask, image)
+    return zero_masked(image.packed, mask, image.channels, image.bytes_per_pixel)
 
 
 def apply_mask(image: Image, mask: Mask) -> Image:
@@ -454,7 +479,7 @@ def iter_placements(spec: PatchSpec) -> Iterator[Placement]:
 
 
 def _placement_runs(
-    spec: PatchSpec,
+    spec: PatchSpec, first: int | None = None,
 ) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
     """Every placement as a bitset, grouped by all but its last rect.
 
@@ -466,7 +491,8 @@ def _placement_runs(
     spec yields one empty run per shape. A multi spec yields each run of
     `count - 1` pairwise disjoint squares with the later squares that
     are disjoint from all of them, and nothing when the squares do not
-    fit.
+    fit; with `first`, only the runs whose first square is at that
+    anchor.
     """
     h, w = spec.plane_height, spec.plane_width
     if spec.kind != "multi":
@@ -500,7 +526,11 @@ def _placement_runs(
             i = low.bit_length() - 1
             yield from walk(run + (i,), disjoint(i, squares))
 
-    yield from walk((), (1 << (rows * cols)) - 1)
+    squares = (1 << (rows * cols)) - 1
+    if first is None:
+        yield from walk((), squares)
+    else:
+        yield from walk((first,), disjoint(first, (squares >> first + 1) << first + 1))
 
 
 def _squares_fit(spec: PatchSpec) -> bool:
@@ -519,7 +549,10 @@ def _placement_ranks(spec: PatchSpec) -> tuple[int, Callable[[int], Placement]]:
     found by bisection, then `divmod` for (top, left). A placement of
     `count` squares is found by its first square, bisected over the
     running totals of each square's disjoint completions, then by its
-    completion of that square.
+    completion of that square. Two squares count and pick the partner
+    in closed form. Three or more take each first square's total from
+    one `_placement_runs` walk, then walk that square's runs to the one
+    that holds rank k and take the k-th set bit of its completions.
     """
     h, w = spec.plane_height, spec.plane_width
     if spec.kind != "multi" or spec.count == 1:
@@ -540,14 +573,21 @@ def _placement_ranks(spec: PatchSpec) -> tuple[int, Callable[[int], Placement]]:
     if spec.count == 2:
         completions, completion = _pair_completions(s, rows, cols)
     else:
-        squares = [Rect(t, l, s, s) for t in range(rows) for l in range(cols)]
-        completions = (
-            _count_disjoint(_disjoint_after(squares, i), spec.count - 1)
-            for i in range(len(squares) if _squares_fit(spec) else 0)
-        )
+        totals = [0] * (rows * cols)
+        for _, run, later in _placement_runs(spec):
+            totals[run[0]] += later.bit_count()
+        completions = totals
 
         def completion(i: int, k: int) -> Placement:
-            return _unrank_disjoint(_disjoint_after(squares, i), spec.count - 1, k)
+            for _, run, later in _placement_runs(spec, first=i):
+                n = later.bit_count()
+                if k < n:
+                    for _ in range(k):
+                        later &= later - 1  # drop the lowest set bit
+                    anchors = run[1:] + ((later & -later).bit_length() - 1,)
+                    return tuple(Rect(*divmod(j, cols), s, s) for j in anchors)
+                k -= n
+            raise IndexError(k)
 
     starts = list(itertools.accumulate(completions, initial=0))
 
@@ -591,31 +631,3 @@ def _pair_completions(s: int, rows: int, cols: int):
         return (Rect(top, left, s, s),)
 
     return map(partners, range(rows * cols)), completion
-
-
-def _disjoint_after(rects: Sequence[Rect], i: int) -> list[Rect]:
-    return [r for r in rects[i + 1:] if not r.intersects(rects[i])]
-
-
-def _count_disjoint(rects: Sequence[Rect], count: int) -> int:
-    """How many `count`-subsets of `rects` are pairwise disjoint."""
-    if count == 1:
-        return len(rects)
-    return sum(
-        _count_disjoint(_disjoint_after(rects, i), count - 1)
-        for i in range(len(rects))
-    )
-
-
-def _unrank_disjoint(rects: Sequence[Rect], count: int, k: int) -> Placement:
-    """The k-th pairwise disjoint `count`-subset of `rects`, in combination order."""
-    if count == 1:
-        return (rects[k],)
-    for i in range(len(rects)):
-        rest = _disjoint_after(rects, i)
-        n = _count_disjoint(rest, count - 1)
-        if k < n:
-            return (rects[i],) + _unrank_disjoint(rest, count - 1, k)
-        k -= n
-    raise IndexError(k)
-

@@ -1,6 +1,8 @@
 """Deterministic classifier backends."""
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -16,8 +18,10 @@ from patchcert.cover import MaskSet, gen_square_cover
 from patchcert.dataset_io import gen_synthetic_dataset, load_predictions, \
     save_predictions
 from patchcert.defenders import MutantProfile
-from patchcert.errors import InvalidInputError, TableLookupError, ValueOutOfRangeError
-from patchcert.tensor import Image, Mask, Rect, apply_mask
+from patchcert.errors import DimensionMismatchError, InvalidInputError, TableLookupError, \
+    ValueOutOfRangeError
+from patchcert.tensor import Image, Mask, Rect, apply_mask, masked_packed, write_packed, \
+    zero_masked
 
 from conftest import make_image
 
@@ -156,6 +160,104 @@ class TestLinearClassifier:
             LinearClassifier(0, 2, temperature=0.0)
 
 
+def random_mask(rng, h, w):
+    """One to three rects: disjoint, overlapping or nested as they fall."""
+    rects = []
+    for _ in range(rng.randint(1, 3)):
+        top, left = rng.randrange(h), rng.randrange(w)
+        rects.append(Rect(top, left, rng.randint(1, h - top), rng.randint(1, w - left)))
+    return Mask(h, w, tuple(rects))
+
+
+def scorer_backend(rng, seed, features):
+    """The backend a seed draws: hash, or linear with seeded or explicit
+    weights, at one of two temperatures."""
+    labels = rng.randint(2, 5)
+    kind = seed % 3
+    if kind == 0:
+        return HashClassifier(seed, labels)
+    weights = None
+    if kind == 2:
+        weights = tuple(
+            tuple(rng.randrange(-9, 10) for _ in range(features))
+            for _ in range(labels)
+        )
+    return LinearClassifier(seed, labels, weights, rng.choice((1.0, 3.7)))
+
+
+class TestScorers:
+    """Every scorer, bit for bit against `_predict_packed` on real bytes."""
+
+    def check(self, clf, scorer, data, bpp, positions, values):
+        buf = bytearray(data)
+        write_packed(buf, positions, values, bpp)
+        want = clf._predict_packed(bytes(buf), bpp)
+        got = scorer.at(positions)(values)
+        assert (got.label, got.confidence.hex()) == (want.label, want.confidence.hex())
+
+    @pytest.mark.parametrize("seed", range(90))
+    def test_scorers_match_the_packed_reference(self, seed):
+        rng = random.Random(seed)
+        alphabet = (4, 300, 70000)[seed // 3 % 3]  # 1, 2 and 4 bytes a pixel
+        h, w, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3)
+        img = make_image(rng, h, w, channels=c, alphabet_size=alphabet)
+        n, bpp = h * w * c, img.bytes_per_pixel
+        clf = scorer_backend(rng, seed, n)
+        base = clf._scorer(img.packed, bpp)
+        assert base.prediction() == clf._predict_packed(img.packed, bpp)
+
+        mask, other = random_mask(rng, h, w), random_mask(rng, h, w)
+        masked = base.masked(mask, c)
+        masked_data = masked_packed(img, mask)
+        assert masked.prediction() == clf._predict_packed(masked_data, bpp)
+        twice = masked.masked(other, c)
+        twice_data = zero_masked(masked_data, other, c, bpp)
+        assert twice.prediction() == clf._predict_packed(twice_data, bpp)
+
+        under = [p for p in range(n) if masked_data[p * bpp:(p + 1) * bpp] == bytes(bpp)
+                 and img.pixels[p]]
+        for scorer, data in ((base, img.packed), (masked, masked_data),
+                             (twice, twice_data)):
+            self.check(clf, scorer, data, bpp, [], [])
+            for k in (1, rng.randint(1, n), n):  # single, some, all
+                positions = rng.sample(range(n), k)
+                if under and scorer is not base:
+                    positions[0] = rng.choice(under)  # a position the mask zeroed
+                    positions = list(dict.fromkeys(positions))
+                values = [rng.randrange(alphabet) for _ in positions]
+                self.check(clf, scorer, data, bpp, positions, values)
+            # A score closure is reusable: it keeps no state between calls.
+            positions = rng.sample(range(n), rng.randint(1, n))
+            score = scorer.at(positions)
+            for _ in range(3):
+                values = [rng.randrange(alphabet) for _ in positions]
+                buf = bytearray(data)
+                write_packed(buf, positions, values, bpp)
+                assert score(values) == clf._predict_packed(bytes(buf), bpp)
+
+    def test_overlapping_and_compound_masks(self):
+        """A pixel under two rects of one mask is zeroed, and its terms
+        removed, once."""
+        rng = random.Random(3)
+        img = make_image(rng, 6, 6, channels=2, alphabet_size=9)
+        masks = [
+            Mask(6, 6, (Rect(1, 1, 3, 3), Rect(2, 2, 3, 3))),  # overlapping
+            Mask(6, 6, (Rect(0, 0, 4, 4), Rect(1, 1, 2, 2))),  # nested
+            Mask(6, 6, (Rect(0, 0, 2, 2), Rect(4, 3, 2, 3))),  # compound, apart
+            Mask(6, 6, (Rect(0, 0, 1, 6), Rect(1, 0, 1, 6))),  # adjacent rows
+        ]
+        for clf in (LinearClassifier(5, 4), LinearClassifier(6, 3, temperature=0.4),
+                    HashClassifier(5, 4)):
+            base = clf._scorer(img.packed, 1)
+            for mask in masks:
+                data = masked_packed(img, mask)
+                masked = base.masked(mask, 2)
+                assert masked.prediction() == clf._predict_packed(data, 1)
+                positions = list(range(0, 72, 5))
+                values = [rng.randrange(9) for _ in positions]
+                self.check(clf, masked, data, 1, positions, values)
+
+
 class TestTableClassifier:
     def build(self, tmp_path):
         """A table loaded from rows written out of mask order."""
@@ -218,6 +320,37 @@ class TestClassifyMutants:
         with pytest.raises(InvalidInputError) as exc:
             classify_mutants(clf, None, ms, sample_id="a")
         assert "table holds 1 mutant columns, mask set has 9" in str(exc.value)
+
+    def test_linear_profile_at_paper_scale(self):
+        """One 224x224x3 sample under 36 masks: the scorer profile equals
+        the `_predict_packed(masked_packed(...))` reference and allocates
+        little more than it. Between masks the reference keeps only
+        predictions, so its peak is that of one mutant."""
+        img = make_image(random.Random(5), 224, 224, channels=3, alphabet_size=256)
+        ms = gen_square_cover((224, 224), 32, 6)
+        clf = LinearClassifier(seed=7, num_labels=2)
+        predict = clf._predict_packed
+        want = MutantProfile(
+            predict(img.packed, 1),
+            tuple(predict(masked_packed(img, m), 1) for m in ms.masks),
+        )
+        tracemalloc.start()
+        try:
+            predict(masked_packed(img, ms.masks[0]), 1)
+            _, reference_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            got = classify_mutants(clf, img, ms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak - reference_peak < 20 * 2**20
+
+    def test_mask_on_another_plane_is_refused(self, rng):
+        ms = gen_square_cover((8, 8), 2, 3)
+        for clf in (HashClassifier(1, 2), LinearClassifier(1, 2)):
+            with pytest.raises(DimensionMismatchError):
+                classify_mutants(clf, make_image(rng, 8, 6), ms)
 
     def test_image_backend_requires_pixels(self):
         clf = HashClassifier(seed=1, num_labels=2)

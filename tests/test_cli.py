@@ -1,6 +1,9 @@
 """Command line entry points, exit codes, and file outputs."""
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,19 @@ from patchcert.dataset_io import load_dataset, load_maskset, save_predictions
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 FIXTURE = str(DATA_DIR / "negative_control.json")
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """A CLI start-up loads no pool machinery; only a multi-worker scan
+    imports it."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys, patchcert.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def run(capsys, *argv):

@@ -379,15 +379,37 @@ def certified_detection(classifier, image, true_label, mask_set, defender, cfg):
 
 
 class CountingClassifier:
-    """Delegates `_predict_packed` to `inner` and counts the calls."""
+    """Delegates `_scorer` to `inner` and counts one call per prediction:
+    each scorer `prediction()` and each `score` of an `at` closure."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
 
-    def _predict_packed(self, data, bytes_per_pixel):
-        self.calls += 1
-        return self.inner._predict_packed(data, bytes_per_pixel)
+    def _scorer(self, data, bytes_per_pixel):
+        return CountingScorer(self, self.inner._scorer(data, bytes_per_pixel))
+
+
+class CountingScorer:
+    def __init__(self, counter, inner):
+        self.counter = counter
+        self.inner = inner
+
+    def prediction(self):
+        self.counter.calls += 1
+        return self.inner.prediction()
+
+    def masked(self, mask, channels):
+        return CountingScorer(self.counter, self.inner.masked(mask, channels))
+
+    def at(self, positions):
+        score = self.inner.at(positions)
+
+        def counted(values):
+            self.counter.calls += 1
+            return score(values)
+
+        return counted
 
 
 def leaky_masked_packed(image, mask):

@@ -21,6 +21,33 @@ from patchcert.tensor import (
 from conftest import make_image
 
 
+def disjoint_after(rects, i):
+    return [r for r in rects[i + 1:] if not r.intersects(rects[i])]
+
+
+def count_disjoint(rects, count):
+    """How many `count`-subsets of `rects` are pairwise disjoint."""
+    if count == 1:
+        return len(rects)
+    return sum(
+        count_disjoint(disjoint_after(rects, i), count - 1)
+        for i in range(len(rects))
+    )
+
+
+def unrank_disjoint(rects, count, k):
+    """The k-th pairwise disjoint `count`-subset of `rects`, in combination order."""
+    if count == 1:
+        return (rects[k],)
+    for i in range(len(rects)):
+        rest = disjoint_after(rects, i)
+        n = count_disjoint(rest, count - 1)
+        if k < n:
+            return (rects[i],) + unrank_disjoint(rest, count - 1, k)
+        k -= n
+    raise IndexError(k)
+
+
 def grid_image(rows):
     """Build a 1-channel image from nested row lists."""
     h = len(rows)
@@ -333,6 +360,31 @@ class TestPlacements:
         n, unrank = _placement_ranks(spec)
         assert n == len(listed)
         assert [unrank(k) for k in range(n)] == listed
+
+    @pytest.mark.parametrize("spec", [
+        PatchSpec.multi(9, 9, 3, 2),
+        PatchSpec.multi(8, 11, 3, 3),
+        PatchSpec.multi(6, 7, 3, 1),
+        PatchSpec.multi(7, 7, 4, 2),
+        PatchSpec.multi(9, 6, 4, 2),
+        PatchSpec.multi(5, 4, 4, 1),
+    ], ids=lambda spec: (
+        f"{spec.plane_height}x{spec.plane_width}-size{spec.size}-count{spec.count}"
+    ))
+    def test_unrank_matches_the_recursive_reference(self, spec):
+        """Three and four squares against the recursion over disjoint
+        completions, at both ends and at seeded ranks."""
+        s = spec.size
+        squares = [
+            Rect(t, l, s, s)
+            for t in range(spec.plane_height - s + 1)
+            for l in range(spec.plane_width - s + 1)
+        ]
+        n, unrank = _placement_ranks(spec)
+        assert n == count_disjoint(squares, spec.count)
+        draw = random.Random(spec.plane_height * 100 + spec.plane_width + spec.count)
+        for k in [0, n - 1] + [draw.randrange(n) for _ in range(60)]:
+            assert unrank(k) == unrank_disjoint(squares, spec.count, k), k
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
