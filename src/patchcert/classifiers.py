@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import mul, sub
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .cover import MaskSet
 from .defenders import MutantProfile
@@ -316,14 +316,17 @@ class TableClassifier:
             raise TableLookupError(sample_id, "base") from None
 
 
-def _mutant_scorers(classifier, image: Image, masks: Sequence[Mask]) -> Iterator:
-    """The scorer of the image's bytes, then that of each mask's mutant,
-    in mask order; a mask on another plane is refused."""
+def _mutant_scorers(classifier, image: Image, masks: Sequence[Mask]) -> tuple:
+    """The scorer of the image's bytes, the scorers of its mutants in mask
+    order, and the profile they predict; a mask on another plane is
+    refused."""
     base = classifier._scorer(image.packed, image.bytes_per_pixel)
-    yield base
+    scorers = []
     for m in masks:
         check_mask_plane(m, image)
-        yield base.masked(m, image.channels)
+        scorers.append(base.masked(m, image.channels))
+    benign = MutantProfile(base.prediction(), tuple(s.prediction() for s in scorers))
+    return base, scorers, benign
 
 
 def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
@@ -346,6 +349,4 @@ def classify_mutants(classifier, image: Image | None, mask_set: MaskSet,
         return profile
     if image is None:
         raise InvalidInputError("image classifiers need pixels")
-    scorers = _mutant_scorers(classifier, image, mask_set.masks)
-    base = next(scorers).prediction()
-    return MutantProfile(base, tuple(s.prediction() for s in scorers))
+    return _mutant_scorers(classifier, image, mask_set.masks)[2]

@@ -45,8 +45,6 @@ from .oracle import (
 )
 from .tensor import PatchSpec
 
-WORKERS_ENV = "PATCHCERT_WORKERS"
-
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
@@ -55,19 +53,6 @@ EXIT_IO = 3
 # The verify dests a fixture run reads; --fixture refuses any other flag.
 _FIXTURE_READS = ("command", "func", "defender", "tau", "fixture",
                   "defender_override", "out")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise InvalidInputError(f"{WORKERS_ENV} must be at least 1")
-    return value
 
 
 def _positive(name: str):
@@ -291,10 +276,6 @@ def _refuse_given(args, dests: Sequence[str], message: str) -> None:
         raise InvalidInputError(f"{message} {', '.join(given)}")
 
 
-def _resolved_workers(args) -> int:
-    return args.workers if args.workers is not None else _default_workers()
-
-
 # ---------- subcommands ----------
 
 
@@ -450,11 +431,10 @@ def cmd_verify(args) -> int:
         seed=args.attack_seed,
         budget=args.budget,
     )
-    workers = _resolved_workers(args)
     t0 = time.perf_counter()
     run = run_soundness(
         classifier, records, mask_set, [defender], cfg,
-        checks=checks, workers=workers,
+        checks=checks, workers=args.workers or 1,
     )
     elapsed = time.perf_counter() - t0
 

@@ -30,7 +30,6 @@ import hashlib
 import itertools
 import random
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .classifiers import Prediction, TableClassifier, _mutant_scorers
@@ -153,10 +152,6 @@ class SoundnessRun:
         for name, evaded in other.evaded_samples.items():
             self.evaded_samples[name] += evaded
         return self
-
-    def success_ratio(self, defender_name: str) -> Fraction:
-        evaded = self.evaded_samples[defender_name]
-        return Fraction(self.samples - evaded, self.samples)
 
 
 # ---------- variant enumeration ----------
@@ -313,22 +308,28 @@ def _require_warn(defender: Defender) -> None:
 
 
 class _PlacementPlan:
-    """What one placement group's contents share, built as the scan reads it.
+    """One placement group's variants and their mutants, built as the scan
+    reads them.
 
     The scan builds one plan at the head of each placement group and
     drops it when the group ends. `positions` are the flat pixel indices
-    the patch content lands on, in content order. `covering` lists the
+    the patch content lands on, in content order, so the sample's scorer
+    at `positions` classifies the group's variants. `covering` lists the
     masks that cover the placement (`mask_covers`), and `covered` their
-    benign mutants, which are every variant's mutants under those masks.
-    `uncovered` lists the other masks in mask order. `surviving[i]`
-    holds the content indices that survive mask i, computed from its
-    rects (`survivors`), and the score of mask i's mutant scorer at
-    their positions. Both are built the first time a variant's mutant
-    walk reaches mask i, so a plan that only `thm1` reads, or whose
-    harmful variants the covering mutants settle, builds none.
-    `mutants` memoizes the group's other mutant predictions; with the
-    placement fixed, a mutant's pixels depend only on the mask and the
-    content values that survive it.
+    benign mutants, which are every variant's mutants under those masks;
+    `erasure_check` tests that shortcut on real bytes. `uncovered` lists
+    the other masks in mask order. A variant's mutant under such a mask
+    i is mask i's mutant with the content written back at the patch
+    positions that survive the mask, so `scorers[i]`, the scorer of mask
+    i's mutant (`classifiers._mutant_scorers`), classifies it at those
+    positions. `surviving[i]` holds the content indices that survive
+    mask i (`survivors`) and that scorer's score at their positions.
+    Both are built the first time a variant's mutant walk reaches mask
+    i, so a plan that only `thm1` reads, or whose harmful variants the
+    covering mutants settle, builds none. `mutants` memoizes the group's
+    other mutant predictions; with the placement fixed, a mutant's
+    pixels depend only on the mask and the content values that survive
+    it, and the memo holds real classifier outputs on real mutants.
     """
 
     __slots__ = (
@@ -336,6 +337,8 @@ class _PlacementPlan:
         "placement_doc",
         "channels",
         "positions",
+        "masks",
+        "scorers",
         "covering",
         "covered",
         "uncovered",
@@ -348,6 +351,7 @@ class _PlacementPlan:
         placement: Placement,
         image: Image,
         masks: Sequence[Mask],
+        scorers: Sequence,
         benign: MutantProfile,
     ):
         self.placement = placement
@@ -360,6 +364,8 @@ class _PlacementPlan:
             for y in range(r.top, r.bottom)
             for pos in range((y * w + r.left) * c, (y * w + r.right) * c)
         ]
+        self.masks = masks
+        self.scorers = scorers
         covers = [mask_covers(m, placement) for m in masks]
         self.covering = [i for i, hit in enumerate(covers) if hit]
         self.covered = tuple(benign.mutants[i] for i in self.covering)
@@ -381,59 +387,25 @@ class _PlacementPlan:
             n += r.area * c
         return tuple(k for k in range(n) if k not in hidden)
 
+    def mutant(self, i: int, content) -> Prediction:
+        """The variant's mutant under mask i, which does not cover the
+        placement."""
+        surviving = self.surviving[i]
+        if surviving is None:
+            proj = self.survivors(self.masks[i])
+            positions = self.positions
+            surviving = self.surviving[i] = (
+                proj, self.scorers[i].at([positions[k] for k in proj])
+            )
+        proj, score = surviving
+        values = tuple(content[k] for k in proj)
+        key = (i, values)
+        pred = self.mutants.get(key)
+        if pred is None:
+            pred = self.mutants[key] = score(values)
+        return pred
 
-class _VariantMutants:
-    """One variant's mutants, covering masks first, classified on demand.
-
-    Iteration yields the plan's `covered` benign mutants, then the other
-    masks' mutants in mask order, each looked up in the plan's memo or
-    classified when an iteration first reaches it. So a second clause or
-    a second defender reads the same mutants again at no call.
-    """
-
-    __slots__ = ("oracle", "plan", "content")
-
-    def __init__(self, oracle: _MutantOracle, plan: _PlacementPlan, content):
-        self.oracle = oracle
-        self.plan = plan
-        self.content = content
-
-    def __iter__(self) -> Iterator[Prediction]:
-        plan = self.plan
-        yield from plan.covered
-        for i in plan.uncovered:
-            yield self.oracle.mutant(plan, i, self.content)
-
-
-class _MutantOracle:
-    """Classify tampered variants and their one-mask mutants through scorers.
-
-    `scorer` is the classifier's scorer of the packed sample and
-    `scorers[i]` that of its mutant under mask i
-    (`classifiers._mutant_scorers`); their predictions are the `benign`
-    profile. A variant is the sample with the patch content written at
-    the plan's positions, so `scorer.at(plan.positions)` classifies a
-    placement's variants, and its prediction is the base of the
-    variant's profile. Its mutant under mask i is mask i's mutant with
-    the content written back at the patch positions that survive the
-    mask, so mask i's scorer at those positions classifies it.
-    When no position survives, the mask covers the patch and the mutant
-    is the sample's own benign mutant; `erasure_check` tests that
-    shortcut on real bytes. `profile` hands the judge those covering
-    mutants first, for free, and classifies the others only as far as a
-    warning rule reads them (`_VariantMutants`). They are memoized per
-    placement plan; the memo holds real classifier outputs on real
-    mutants.
-    """
-
-    def __init__(self, classifier, image: Image, mask_set: MaskSet):
-        self.masks = mask_set.masks
-        self.scorer, *self.scorers = _mutant_scorers(classifier, image, self.masks)
-        self.benign = MutantProfile(
-            self.scorer.prediction(), tuple(s.prediction() for s in self.scorers)
-        )
-
-    def erasure_check(self, plan: _PlacementPlan, record: DatasetRecord) -> list[dict]:
+    def erasure_check(self, record: DatasetRecord) -> list[dict]:
         """A `thm1` entry per consistent covering mask that keeps a patch byte.
 
         The probe is the sample patched through the reference
@@ -442,44 +414,46 @@ class _MutantOracle:
         masked bytes, its mutant is the benign one for every content.
         """
         covering = [
-            i for i in plan.covering
-            if self.benign.mutants[i].label == record.true_label
+            i for i, benign in zip(self.covering, self.covered)
+            if benign.label == record.true_label
         ]
         if not covering:
             return []
         image = record.image
         top = image.alphabet_size - 1
-        probe = apply_patch(image, plan.placement, [
+        probe = apply_patch(image, self.placement, [
             top - v if 2 * v != top else 0
-            for v in map(image.pixels.__getitem__, plan.positions)
+            for v in map(image.pixels.__getitem__, self.positions)
         ])
         return [
-            {"sample_id": record.id, "placement": plan.placement_doc, "mask": i,
+            {"sample_id": record.id, "placement": self.placement_doc, "mask": i,
              "reason": "consistent covering mask leaves patch bytes"}
             for i in covering
             if masked_packed(probe, self.masks[i]) != masked_packed(image, self.masks[i])
         ]
 
-    def mutant(self, plan: _PlacementPlan, i: int, content) -> Prediction:
-        """The mutant under mask i, which does not cover the placement."""
-        surviving = plan.surviving[i]
-        if surviving is None:
-            proj = plan.survivors(self.masks[i])
-            positions = plan.positions
-            surviving = plan.surviving[i] = (
-                proj, self.scorers[i].at([positions[k] for k in proj])
-            )
-        proj, score = surviving
-        values = tuple(content[k] for k in proj)
-        key = (i, values)
-        pred = plan.mutants.get(key)
-        if pred is None:
-            pred = plan.mutants[key] = score(values)
-        return pred
 
-    def profile(self, plan: _PlacementPlan, content, base: Prediction) -> MutantProfile:
-        """The variant's profile, its mutants walked lazily, covering first."""
-        return MutantProfile(base, _VariantMutants(self, plan, content))
+class _VariantMutants:
+    """One variant's mutants, covering masks first, classified on demand.
+
+    Iteration yields the plan's `covered` benign mutants, then the other
+    masks' mutants in mask order, each looked up in the plan's memo or
+    classified when an iteration first reaches it. So a warning rule
+    classifies only the mutants it reads, and a second clause or a
+    second defender reads the same mutants again at no call.
+    """
+
+    __slots__ = ("plan", "content")
+
+    def __init__(self, plan: _PlacementPlan, content):
+        self.plan = plan
+        self.content = content
+
+    def __iter__(self) -> Iterator[Prediction]:
+        plan = self.plan
+        yield from plan.covered
+        for i in plan.uncovered:
+            yield plan.mutant(i, self.content)
 
 
 def _scan_sample(
@@ -494,9 +468,9 @@ def _scan_sample(
     image, true_label, sample_id = record.image, record.true_label, record.id
     in_scope = _guard_scope(image, cfg)
 
-    oracle = _MutantOracle(classifier, image, mask_set)
-    profile = oracle.benign
-    certified = {d.name: d.certify(profile, true_label) for d in defenders}
+    masks = mask_set.masks
+    scorer, scorers, benign = _mutant_scorers(classifier, image, masks)
+    certified = {d.name: d.certify(benign, true_label) for d in defenders}
 
     run = SoundnessRun(1, {}, None, {d.name: 0 for d in defenders})
     if CHECK_DEF1 in checks:
@@ -523,20 +497,20 @@ def _scan_sample(
 
     variant_indices = itertools.count()
     for placement, contents in _placement_groups(image, cfg, sample_id):
-        plan = _PlacementPlan(placement, image, oracle.masks, profile)
+        plan = _PlacementPlan(placement, image, masks, scorers, benign)
         # Random draws may return to a placement; check it once.
         if thm1 is not None and placement not in erasure_checked:
             erasure_checked.add(placement)
-            thm1.thm1_violations += oracle.erasure_check(plan, record)
+            thm1.thm1_violations += plan.erasure_check(record)
         if not active:
             continue
-        classify_variant = oracle.scorer.at(plan.positions)
+        classify_variant = scorer.at(plan.positions)
         # Contents first: zip then takes no index when a group runs out.
         for content, variant_index in zip(contents, variant_indices):
             variant = classify_variant(content)
             if variant.label == true_label:
                 continue  # not harmful; nothing to detect
-            vprofile = oracle.profile(plan, content, variant)
+            vprofile = MutantProfile(variant, _VariantMutants(plan, content))
             for d, report in active:
                 evaded = _judge(d, report, vprofile, lambda: {
                     "sample_id": sample_id, "variant_index": variant_index,

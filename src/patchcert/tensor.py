@@ -97,7 +97,8 @@ class Image:
     """Immutable dense image with row-major pixels, channels innermost.
 
     The flat index of (y, x, ch) is (y * width + x) * channels + ch.
-    Every pixel lies in [0, alphabet_size - 1].
+    Every pixel lies in [0, alphabet_size - 1], and an alphabet has
+    at most 2**32 values.
     """
 
     height: int
@@ -112,8 +113,11 @@ class Image:
                 f"image dims must be positive, got "
                 f"{self.height}x{self.width}x{self.channels}"
             )
-        if self.alphabet_size < 2:
-            raise InvalidInputError("alphabet_size must be at least 2")
+        if not 2 <= self.alphabet_size <= 2**32:
+            # `packed` stores a pixel in at most 4 bytes.
+            raise InvalidInputError(
+                f"alphabet_size must lie in [2, 2**32], got {self.alphabet_size}"
+            )
         if not isinstance(self.pixels, tuple):
             object.__setattr__(self, "pixels", tuple(self.pixels))
         expected = self.height * self.width * self.channels

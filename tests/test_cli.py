@@ -1,4 +1,5 @@
 """Command line entry points, exit codes, and file outputs."""
+import ast
 import json
 import os
 import pathlib
@@ -26,6 +27,28 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in `src/patchcert` names a standard-library
+    module: the package has no runtime dependency."""
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "patchcert"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
 
 
 def run(capsys, *argv):
@@ -151,6 +174,19 @@ class TestGenData:
             )
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_alphabet_above_2_pow_32_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        for label_mode in ("classifier", "uniform"):
+            code, stdout, err = run(
+                capsys, "gen-data", "--count", "3", "--plane", "2", "2",
+                "--alphabet", str(2**40), "--label-mode", label_mode,
+                "--out", str(out),
+            )
+            assert code == EXIT_USAGE
+            assert stdout == ""
+            assert err == f"error: alphabet_size must lie in [2, 2**32], got {2**40}\n"
+            assert not out.exists()
 
 
 class TestEvaluate:
@@ -294,6 +330,30 @@ class TestEvaluate:
         sample_id = first_label_at_least(data, 2)
         assert f"{data}: sample {sample_id!r} has label" in err
         assert not (workspace / "out" / "report_doma.json").exists()
+
+    def test_dataset_alphabet_above_2_pow_32_is_a_file_error(
+        self, capsys, workspace
+    ):
+        """A pixel of such an alphabet would not fit `Image.packed`; the
+        loader names the file and line instead of crashing."""
+        data = workspace / "data.jsonl"
+        first, second = data.read_text().splitlines()[:2]
+        row = json.loads(second)
+        row["alphabet"] = 2**40
+        row["pixels"][0] = 2**40 - 1
+        wide = workspace / "wide.jsonl"
+        wide.write_text(first + "\n" + json.dumps(row) + "\n")
+        code, stdout, err = run(
+            capsys, "evaluate", "--dataset", str(wide),
+            "--masks", str(workspace / "masks.json"),
+            "--num-labels", "5", "--seed", "7",
+            "--defender", "doma", "--out-dir", str(workspace / "out"),
+        )
+        assert code == EXIT_IO
+        assert stdout == ""
+        assert err == (f"error: {wide}:2: alphabet_size must lie in [2, 2**32], "
+                       f"got {2**40}\n")
+        assert not (workspace / "out").exists()
 
     def test_table_classifier_needs_predictions(self, capsys, workspace):
         code, _, err = run(
@@ -644,26 +704,21 @@ class TestVerify:
         assert outs[0] == outs[1]
         assert err.startswith("elapsed: ")
 
-    def test_workers_env_does_not_change_the_report(
-        self, capsys, workspace, tmp_path, monkeypatch
-    ):
+    def test_workers_do_not_change_the_report(self, capsys, workspace, tmp_path):
         outs = []
-        for env, name in ((None, "serial.json"), ("2", "pooled.json")):
-            if env is None:
-                monkeypatch.delenv("PATCHCERT_WORKERS", raising=False)
-            else:
-                monkeypatch.setenv("PATCHCERT_WORKERS", env)
-            out = tmp_path / name
-            code, _, _ = run(
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.json"
+            code, stdout, _ = run(
                 capsys, "verify",
                 "--dataset", str(workspace / "data.jsonl"),
                 "--masks", str(workspace / "masks.json"),
                 "--num-labels", "5", "--seed", "7",
                 "--defender", "hicert", "--tau", "0.8",
                 "--checks", "def1,thm1", "--out", str(out),
+                "--workers", workers,
             )
             assert code == EXIT_OK
-            outs.append(out.read_bytes())
+            outs.append((stdout, out.read_bytes()))
         assert outs[0] == outs[1]
 
 

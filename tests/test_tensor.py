@@ -101,6 +101,9 @@ class TestImage:
             Image(0, 2, 1, 4, ())
         with pytest.raises(InvalidInputError):
             Image(1, 1, 1, 1, (0,))
+        # A wider alphabet's pixels would not fit `packed`'s 4 bytes.
+        with pytest.raises(InvalidInputError, match=r"\[2, 2\*\*32\]"):
+            Image(1, 1, 1, 2**32 + 1, (2**32,))
 
     def test_packed_single_byte_alphabets(self):
         img = Image(1, 2, 1, 256, (5, 200))
@@ -111,9 +114,9 @@ class TestImage:
         img = Image(1, 1, 1, 65536, (0x0102,))
         assert img.bytes_per_pixel == 2
         assert img.packed == bytes([0x02, 0x01])
-        img = Image(1, 1, 1, 2**32, (0x01020304,))
+        img = Image(1, 2, 1, 2**32, (0x01020304, 2**32 - 1))
         assert img.bytes_per_pixel == 4
-        assert img.packed == bytes([0x04, 0x03, 0x02, 0x01])
+        assert img.packed == bytes([0x04, 0x03, 0x02, 0x01, 0xFF, 0xFF, 0xFF, 0xFF])
 
 
 class TestApplyMask:
