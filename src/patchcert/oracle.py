@@ -43,8 +43,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .tensor import (
-    Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, _squares_fit,
-    apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes,
+    Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes,
 )
 
 __all__ = [
@@ -160,31 +159,29 @@ class SoundnessRun:
 def count_variants(
     image: Image, cfg: AttackConfig, cap: int | None = None
 ) -> tuple[int, bool]:
-    """Exact number of in-scope variants, or a lower bound.
+    """Exact number of in-scope variants, or a lower bound above `cap`.
 
-    The second element says whether the count is exact. Only a spec of
-    three or more patches ever returns a bound: its placements are
-    counted by `_placement_runs`, one run of disjoint squares at a time,
-    which stops early once `cap` variants are exceeded. Every other spec
-    is counted exactly by `_placement_ranks`.
+    The second element says whether the count is exact. A rectangle
+    spec sums its shapes in order, and a spec of three or more patches
+    counts its placements by `_placement_runs`, one run of disjoint
+    squares at a time; both stop with a bound once `cap` variants are
+    exceeded. Every other spec is counted exactly by `_placement_ranks`.
     """
     spec = cfg.patch_spec
     a = cfg.resolve_alphabet(image)
     c = image.channels
     h, w = spec.plane_height, spec.plane_width
     if spec.kind == "rectangle":
-        return sum(
-            (h - rh + 1) * (w - rw + 1) * a ** (rh * rw * c)
-            for rh, rw in rectangle_shapes(spec)
-        ), True
+        total = 0
+        for rh, rw in rectangle_shapes(spec):
+            total += (h - rh + 1) * (w - rw + 1) * a ** (rh * rw * c)
+            if cap is not None and total > cap:
+                return total, False
+        return total, True
     s, n = spec.size, spec.count or 1
     per_placement = a ** (n * s * s * c)
     if n <= 2:
         return _placement_ranks(spec)[0] * per_placement, True
-    if not _squares_fit(spec):
-        return 0, True
-    if cap is not None and per_placement > cap:
-        return per_placement, False
     placement_cap = None if cap is None else cap // per_placement + 1
     placements = 0
     for _, _, completions in _placement_runs(spec):

@@ -37,8 +37,8 @@ class Rect:
 
     `top`/`left` are inclusive, extents are at least 1. Ordering is
     lexicographic on (top, left, height, width). Placements are not
-    enumerated in this order: see `iter_placements`, which walks
-    rectangle specs by (height, width, top, left).
+    listed in this order: `iter_placements` lists a rectangle spec's
+    rects by (height, width, top, left).
     """
 
     top: int
@@ -461,25 +461,26 @@ def rectangle_shapes(spec: PatchSpec) -> list[tuple[int, int]]:
 def iter_placements(spec: PatchSpec) -> Iterator[Placement]:
     """Every legal placement under the spec, in deterministic lexicographic order.
 
-    Single rects are ordered by (height, width, top, left). Multi
-    placements are combinations of the square rects in that order, so
-    combination order is lexicographic too.
+    Single rects are ordered by (height, width, top, left), and multi
+    placements as the combinations of squares in that order. Each is
+    decoded from `_placement_runs` through one list of rects per shape.
     """
-    rects = (
-        Rect(top, left, rh, rw)
-        for rh, rw in rectangle_shapes(spec)
-        for top in range(spec.plane_height - rh + 1)
-        for left in range(spec.plane_width - rw + 1)
-    )
-    if spec.kind != "multi":
-        yield from ((r,) for r in rects)
-    elif _squares_fit(spec):
-        for combo in itertools.combinations(tuple(rects), spec.count):
-            for a, b in itertools.combinations(combo, 2):
-                if a.intersects(b):
-                    break
-            else:
-                yield combo
+    shape, rects = None, []
+    for (rh, rw), run, completions in _placement_runs(spec):
+        if shape != (rh, rw):
+            shape, rects = (rh, rw), [
+                Rect(top, left, rh, rw)
+                for top in range(spec.plane_height - rh + 1)
+                for left in range(spec.plane_width - rw + 1)
+            ]
+        head = tuple(rects[i] for i in run)
+        for i in _set_bits(completions):
+            yield head + (rects[i],)
+
+
+def _set_bits(x: int) -> Iterator[int]:
+    """The indices of the set bits of `x` >= 0, in increasing order."""
+    return itertools.compress(itertools.count(), map("1".__eq__, bin(x)[:1:-1]))
 
 
 def _placement_runs(
@@ -487,11 +488,12 @@ def _placement_runs(
 ) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
     """Every placement as a bitset, grouped by all but its last rect.
 
-    Yields `(shape, run, completions)` in `iter_placements` order. The
-    rect of shape (rh, rw) at (top, left) is anchor `top * cols + left`,
-    with cols = plane width - rw + 1. `run` holds the anchors of every
-    rect but the last, and bit k of `completions` is set when the rect
-    at anchor k completes the run to a legal placement. A single-rect
+    Yields `(shape, run, completions)` by shape, then by the runs'
+    anchors in combination order: the order `iter_placements` decodes.
+    The rect of shape (rh, rw) at (top, left) is anchor `top * cols +
+    left`, with cols = plane width - rw + 1. `run` holds the anchors of
+    every rect but the last, and bit k of `completions` is set when the
+    rect at anchor k completes the run to a legal placement. A single-rect
     spec yields one empty run per shape. A multi spec yields each run of
     `count - 1` pairwise disjoint squares with the later squares that
     are disjoint from all of them, and nothing when the squares do not
@@ -545,6 +547,7 @@ def _squares_fit(spec: PatchSpec) -> bool:
     return spec.count <= (spec.plane_height // s) * (spec.plane_width // s)
 
 
+@lru_cache(maxsize=8)
 def _placement_ranks(spec: PatchSpec) -> tuple[int, Callable[[int], Placement]]:
     """The number `n` of placements, and the placement at any rank.
 
@@ -556,7 +559,8 @@ def _placement_ranks(spec: PatchSpec) -> tuple[int, Callable[[int], Placement]]:
     completion of that square. Two squares count and pick the partner
     in closed form. Three or more take each first square's total from
     one `_placement_runs` walk, then walk that square's runs to the one
-    that holds rank k and take the k-th set bit of its completions.
+    that holds rank k and take the k-th of its completions' `_set_bits`.
+    Cached, since random mode ranks every sample of a run by one spec.
     """
     h, w = spec.plane_height, spec.plane_width
     if spec.kind != "multi" or spec.count == 1:
@@ -586,10 +590,8 @@ def _placement_ranks(spec: PatchSpec) -> tuple[int, Callable[[int], Placement]]:
             for _, run, later in _placement_runs(spec, first=i):
                 n = later.bit_count()
                 if k < n:
-                    for _ in range(k):
-                        later &= later - 1  # drop the lowest set bit
-                    anchors = run[1:] + ((later & -later).bit_length() - 1,)
-                    return tuple(Rect(*divmod(j, cols), s, s) for j in anchors)
+                    last = next(itertools.islice(_set_bits(later), k, None))
+                    return tuple(Rect(*divmod(j, cols), s, s) for j in run[1:] + (last,))
                 k -= n
             raise IndexError(k)
 

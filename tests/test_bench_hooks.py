@@ -6,6 +6,7 @@ from the benchmark. The tracer module is only loaded and read here.
 """
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 TRACE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
@@ -33,3 +34,12 @@ def test_traced_functions_and_generators_exist():
     for module_name, fn_name in trace.FUNCTIONS + trace.GENERATORS:
         module = importlib.import_module(f"patchcert.{module_name}")
         assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
+
+
+def test_traced_generators_are_generator_functions():
+    """The tracer times each `next` on a generator's result, so a traced
+    generator rewritten to return a list would break the traced pass."""
+    trace = load_trace()
+    for module_name, fn_name in trace.GENERATORS:
+        module = importlib.import_module(f"patchcert.{module_name}")
+        assert inspect.isgeneratorfunction(getattr(module, fn_name)), (module_name, fn_name)

@@ -18,16 +18,17 @@ from patchcert.tensor import (
     PatchSpec,
     Rect,
     _placement_ranks,
-    iter_placements,
     mask_covers,
 )
 
+from conftest import reference_placements
+
 
 def brute_force_cover(mask_set):
-    """Reference verifier: every placement against every mask, in
-    `iter_placements` order, until one mask covers it."""
+    """Reference verifier: every placement of the reference enumeration
+    against every mask, in order, until one mask covers it."""
     checked = 0
-    for placement in iter_placements(mask_set.spec):
+    for placement in reference_placements(mask_set.spec):
         checked += 1
         if not any(mask_covers(m, placement) for m in mask_set.masks):
             return CoverageReport(False, placement, checked)

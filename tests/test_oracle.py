@@ -40,7 +40,7 @@ from patchcert.oracle import (
 from patchcert.tensor import Image, Mask, PatchSpec, Rect, apply_mask, apply_patch, \
     iter_placements, mask_covers, masked_packed
 
-from conftest import make_image
+from conftest import make_image, reference_placements
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -184,6 +184,19 @@ class TestBudgetGuard:
                 next(enumerate_variants(img, AttackConfig(spec, mode="random", trials=1)))
             assert time.perf_counter() - start < 1.0
 
+    def test_rectangle_refusal_stops_counting_at_the_budget(self):
+        """A 128x128 area budget allows 16,384 shapes on 128x128x3, the
+        largest with 256**49152 contents each; the count stops at the
+        first shape past the budget and states a lower bound."""
+        img = Image(128, 128, 3, 256, (0,) * (128 * 128 * 3))
+        cfg = AttackConfig(patch_spec=PatchSpec.rectangle(128, 128, 128 * 128))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            next(enumerate_variants(img, cfg))
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.required == 128 * 128 * 256**3
+        assert not exc.value.exact
+
     def test_paper_scale_refusal_states_a_power_of_ten(self):
         """256**3072 has 7,399 digits, past the 4,300 that Python turns
         into a string; the message states the power of ten below it."""
@@ -212,12 +225,12 @@ class TestBudgetGuard:
 
 def listed_random_draws(image, cfg, sample_id):
     """Random mode's (placement, content) draws, replayed by indexing the
-    full `iter_placements` list with the sample's own generator."""
+    reference list of placements with the sample's own generator."""
     digest = hashlib.blake2b(
         sample_id.encode("utf-8"), digest_size=8, key=cfg.seed.to_bytes(8, "little")
     ).digest()
     rng = random.Random(int.from_bytes(digest, "little"))
-    placements = list(iter_placements(cfg.patch_spec))
+    placements = list(reference_placements(cfg.patch_spec))
     a = cfg.resolve_alphabet(image)
     draws = []
     for _ in range(cfg.trials):
@@ -308,6 +321,31 @@ class TestEnumerateVariants:
             assert not a.intersects(b)
         assert elapsed < 1.0
         assert peak < 16 * 2**20
+
+    def test_random_ranks_are_set_up_once_per_spec(self, rng, monkeypatch):
+        """Every sample of a 3-patch random run draws from one spec, so
+        the ranks take one full `_placement_runs` walk, not one a sample."""
+        runs, walks = tensor._placement_runs, []
+
+        def counted(spec, first=None):
+            if first is None:
+                walks.append(spec)
+            return runs(spec, first)
+
+        monkeypatch.setattr(tensor, "_placement_runs", counted)
+        tensor._placement_ranks.cache_clear()
+        spec = PatchSpec.multi(8, 8, 3, 2)
+        clf = HashClassifier(seed=3, num_labels=2)
+        records = []
+        for i in range(4):
+            img = make_image(rng, 8, 8, alphabet_size=2)
+            records.append(DatasetRecord(f"s{i}", clf.classify(img).label, img))
+        defender = make_defender(DefenderSpec("hicert", 0.5))
+        cfg = AttackConfig(spec, mode="random", trials=20, seed=5)
+        run = run_soundness(clf, records, gen_square_cover((8, 8), 2, 3), [defender],
+                            cfg, checks={CHECK_DEF1, CHECK_THM1})
+        assert run.theorem1.variants_evaluated == 4 * 20
+        assert walks == [spec]
 
     def test_plane_mismatch_rejected(self, rng):
         img = make_image(rng, 4, 4)

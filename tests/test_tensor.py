@@ -1,6 +1,7 @@
 """Image, mask, and patch primitives."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,34 +19,7 @@ from patchcert.tensor import (
     _placement_ranks,
 )
 
-from conftest import make_image
-
-
-def disjoint_after(rects, i):
-    return [r for r in rects[i + 1:] if not r.intersects(rects[i])]
-
-
-def count_disjoint(rects, count):
-    """How many `count`-subsets of `rects` are pairwise disjoint."""
-    if count == 1:
-        return len(rects)
-    return sum(
-        count_disjoint(disjoint_after(rects, i), count - 1)
-        for i in range(len(rects))
-    )
-
-
-def unrank_disjoint(rects, count, k):
-    """The k-th pairwise disjoint `count`-subset of `rects`, in combination order."""
-    if count == 1:
-        return (rects[k],)
-    for i in range(len(rects)):
-        rest = disjoint_after(rects, i)
-        n = count_disjoint(rest, count - 1)
-        if k < n:
-            return (rects[i],) + unrank_disjoint(rest, count - 1, k)
-        k -= n
-    raise IndexError(k)
+from conftest import make_image, reference_placements
 
 
 def grid_image(rows):
@@ -359,7 +333,7 @@ class TestPlacements:
         f"-size{spec.size}-area{spec.area}-count{spec.count}"
     ))
     def test_unrank_gives_the_enumerated_placement_at_each_rank(self, spec):
-        listed = list(iter_placements(spec))
+        listed = list(reference_placements(spec))
         n, unrank = _placement_ranks(spec)
         assert n == len(listed)
         assert [unrank(k) for k in range(n)] == listed
@@ -375,19 +349,43 @@ class TestPlacements:
         f"{spec.plane_height}x{spec.plane_width}-size{spec.size}-count{spec.count}"
     ))
     def test_unrank_matches_the_recursive_reference(self, spec):
-        """Three and four squares against the recursion over disjoint
-        completions, at both ends and at seeded ranks."""
-        s = spec.size
-        squares = [
-            Rect(t, l, s, s)
-            for t in range(spec.plane_height - s + 1)
-            for l in range(spec.plane_width - s + 1)
-        ]
+        """Three and four squares against the reference enumeration, at
+        both ends and at seeded ranks."""
+        listed = list(reference_placements(spec))
         n, unrank = _placement_ranks(spec)
-        assert n == count_disjoint(squares, spec.count)
+        assert n == len(listed)
         draw = random.Random(spec.plane_height * 100 + spec.plane_width + spec.count)
         for k in [0, n - 1] + [draw.randrange(n) for _ in range(60)]:
-            assert unrank(k) == unrank_disjoint(squares, spec.count, k), k
+            assert unrank(k) == listed[k], k
+
+    def test_iter_placements_matches_the_reference(self):
+        """A seeded spread of square, rectangle and 1-4 patch multi specs,
+        some with no placement at all."""
+        rng = random.Random(16)
+        seen = set()
+        for _ in range(160):
+            h, w = rng.randint(1, 6), rng.randint(1, 6)
+            kind = rng.choice(("square", "rectangle", "multi"))
+            if kind == "square":
+                spec = PatchSpec.square(h, w, rng.randint(1, min(h, w)))
+            elif kind == "rectangle":
+                spec = PatchSpec.rectangle(h, w, rng.randint(1, h * w))
+            else:
+                spec = PatchSpec.multi(h, w, rng.randint(1, 4), rng.randint(1, min(h, w, 3)))
+            want = list(reference_placements(spec))
+            assert list(iter_placements(spec)) == want, spec
+            seen.add((kind, spec.count, bool(want)))
+        assert {("multi", n, True) for n in range(1, 5)} <= seen
+        assert {("square", None, True), ("rectangle", None, True)} <= seen
+        assert ("multi", 4, False) in seen
+
+    def test_crowded_spec_yields_its_one_tiling_at_once(self):
+        """Nine 2x2 squares tile 6x6 one way; a walk over combinations of
+        the 25 squares would try C(25, 9) = 2,042,975 of them."""
+        start = time.perf_counter()
+        got = list(iter_placements(PatchSpec.multi(6, 6, 9, 2)))
+        assert time.perf_counter() - start < 0.5
+        assert got == [tuple(Rect(t, l, 2, 2) for t in (0, 2, 4) for l in (0, 2, 4))]
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
