@@ -24,7 +24,6 @@ mutant or per variant.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 import random
@@ -38,8 +37,8 @@ from .cover import MaskSet
 from .defenders import MutantProfile
 from .errors import InvalidInputError, TableLookupError
 from .tensor import (
-    Image, Mask, _mask_pixel_spans, _merged_spans, check_mask_plane, unpack_pixels,
-    write_packed, zero_masked,
+    Image, Mask, _mask_pixel_spans, _merged_spans, _span_at, check_mask_plane,
+    unpack_pixels, write_packed, zero_masked,
 )
 
 __all__ = [
@@ -281,10 +280,7 @@ class _LinearScorer:
 
     def at(self, positions: Sequence[int]):
         pixels, spans, logits = self.pixels, self.spans, self.logits
-        olds = []
-        for p in positions:
-            k = bisect.bisect_right(spans, (p, math.inf))
-            olds.append(0 if k and p < spans[k - 1][1] else pixels[p])
+        olds = [0 if _span_at(spans, p) else pixels[p] for p in positions]
         columns = [[row[p] for p in positions] for row in self.rows]
         prediction = self.classifier._prediction
 

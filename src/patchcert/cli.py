@@ -185,22 +185,27 @@ def _patch_spec(args, h: int, w: int) -> PatchSpec:
 def _load_inputs(args):
     """Dataset, mask set and classifier for evaluate and verify.
 
-    Pixel classifiers only emit labels below --num-labels, so a dataset
-    label at or above it is a configuration error. A prediction table
-    must hold a complete profile for every dataset sample.
+    Samples must lie on the mask set's plane, and pixel classifiers emit
+    only labels below --num-labels. A prediction table must hold a
+    complete profile for every dataset sample.
     """
     if args.predictions and args.classifier != "table":
         raise InvalidInputError("--predictions is read only with --classifier table")
     records = dataset_io.load_dataset(args.dataset)
     mask_set = dataset_io.load_maskset(args.masks)
     classifier = _build_classifier(args, [r.id for r in records])
-    if args.classifier != "table":
-        for r in records:
-            if r.true_label >= args.num_labels:
-                raise InvalidInputError(
-                    f"{args.dataset}: sample {r.id!r} has label "
-                    f"{r.true_label}, outside --num-labels {args.num_labels}"
-                )
+    h, w = mask_set.spec.plane_height, mask_set.spec.plane_width
+    for r in records:
+        if (r.image.height, r.image.width) != (h, w):
+            raise InvalidInputError(
+                f"{args.dataset}: sample {r.id!r} has plane {r.image.height}x"
+                f"{r.image.width}, mask set {args.masks} has plane {h}x{w}"
+            )
+        if args.classifier != "table" and r.true_label >= args.num_labels:
+            raise InvalidInputError(
+                f"{args.dataset}: sample {r.id!r} has label "
+                f"{r.true_label}, outside --num-labels {args.num_labels}"
+            )
     return records, mask_set, classifier
 
 
@@ -334,7 +339,6 @@ def cmd_evaluate(args) -> int:
             )
         tau_of[defender.name] = tau
     records, mask_set, classifier = _load_inputs(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     # Each sample is profiled once; every tau's verdict reads that profile.
     per_tau: list[list[EvalRecord]] = [[] for _ in taus]
     for record in records:
@@ -351,6 +355,8 @@ def cmd_evaluate(args) -> int:
         if args.timing:
             ms = (time.perf_counter() - t0) * 1000
             print(f"{record.id}: {ms:.2f} ms", file=sys.stderr)
+    # Only now, so a run that fails while profiling leaves no directory.
+    os.makedirs(args.out_dir, exist_ok=True)
     for defender, eval_records in zip(defenders, per_tau):
         spec = defender.certifier
         tag = f"{spec.kind}_tau{spec.tau:g}" if spec.uses_tau else spec.kind

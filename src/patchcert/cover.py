@@ -3,9 +3,9 @@
 A mask set covers a patch spec when every legal placement is fully
 inside at least one mask. Generators below construct such sets; the
 verifier checks the property for every placement and is deliberately
-independent of how the set was built: it reads only the masks' rects
-and the spec. It represents placements as bitsets over patch anchors,
-so one integer operation checks a whole row of them.
+independent of how the set was built: it reads only the masks' pixel
+spans and the spec. It represents placements as bitsets over patch
+anchors, so one integer operation checks many of them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidInputError
-from .tensor import Mask, PatchSpec, Placement, Rect, _placement_runs
+from .tensor import Mask, PatchSpec, Placement, Rect, _mask_pixel_spans, _placement_runs
 
 __all__ = [
     "MaskSet",
@@ -210,26 +210,25 @@ def _covered_anchors(mask: Mask, rh: int, rw: int) -> int:
     """Bitset of the anchors whose rh x rw rect lies inside the mask.
 
     Bit `top * cols + left`, with cols = plane width - rw + 1, stands
-    for the rect at (top, left), as in `_placement_runs`. Each plane
-    row is one int, the union of the mask rects' column runs on it, so
-    overlapping rects count once. ANDing a row with itself shifted
-    leaves the columns whose window of rw lies inside; ANDing each row
-    with the rows below it does the same for rh.
+    for the rect at (top, left), as in `_placement_runs`. The mask's
+    1-channel spans sum into one int, bit `y * width + x` for (y, x).
+    ANDing it with itself shifted by columns leaves the cells whose
+    window of rw lies inside, and by whole rows those whose window of rh
+    does. Anchors are read from the first masked row on, and from a
+    row's first cols cells, so no window runs past a row end.
     """
-    rows = [0] * mask.plane_height
-    for r in mask.rects:
-        run = ((1 << r.width) - 1) << r.left
-        for y in range(r.top, r.bottom):
-            rows[y] |= run
+    w, spans = mask.plane_width, _mask_pixel_spans(mask, 1)
+    plane = sum(((1 << (b - a)) - 1) << a for a, b in spans)
     for t in _doubling_steps(rw):
-        rows = [v & (v >> t) for v in rows]
+        plane &= plane >> t
     for t in _doubling_steps(rh):
-        rows = [a & b for a, b in zip(rows, rows[t:])]
-    cols = mask.plane_width - rw + 1
+        plane &= plane >> (t * w)
+    cols, low = w - rw + 1, spans[0][0] // w
+    plane >>= low * w
     covered = 0
-    for top, v in enumerate(rows):
-        covered |= v << (top * cols)
-    return covered
+    for top in reversed(range(mask.plane_height - rh + 1 - low)):
+        covered = (covered << cols) | ((plane >> (top * w)) & ((1 << cols) - 1))
+    return covered << (low * cols)
 
 
 def verify_cover(mask_set: MaskSet) -> CoverageReport:
@@ -237,9 +236,9 @@ def verify_cover(mask_set: MaskSet) -> CoverageReport:
 
     Every placement is checked, in `iter_placements` order, through
     anchor bitsets: a mask covers a placement when the anchor of each
-    of its rects is in the mask's `_covered_anchors`. The placements
-    that share all rects but the last are checked at once, against the
-    masks that cover those rects.
+    placement rect is in the mask's `_covered_anchors`, built from its
+    pixel spans. The placements that share all rects but the last are
+    checked at once, against the masks that cover those rects.
 
     Never raises on a coverage failure; the report carries the
     lexicographically first uncovered placement instead.

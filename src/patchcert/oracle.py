@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .tensor import (
-    Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes,
+    Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes, zero_masked,
 )
 
 __all__ = [
@@ -312,15 +312,15 @@ class _PlacementPlan:
     drops it when the group ends. `positions` are the flat pixel indices
     the patch content lands on, in content order, so the sample's scorer
     at `positions` classifies the group's variants. `covering` lists the
-    masks that cover the placement (`mask_covers`), and `covered` their
+    masks whose spans hold the placement (`mask_covers`), and `covered` their
     benign mutants, which are every variant's mutants under those masks;
     `erasure_check` tests that shortcut on real bytes. `uncovered` lists
     the other masks in mask order. A variant's mutant under such a mask
     i is mask i's mutant with the content written back at the patch
     positions that survive the mask, so `scorers[i]`, the scorer of mask
     i's mutant (`classifiers._mutant_scorers`), classifies it at those
-    positions. `surviving[i]` holds the content indices that survive
-    mask i (`survivors`) and that scorer's score at their positions.
+    positions. `surviving[i]` holds the content indices that zeroing
+    mask i's spans leaves (`survivors`) and that scorer at their positions.
     Both are built the first time a variant's mutant walk reaches mask
     i, so a plan that only `thm1` reads, or whose harmful variants the
     covering mutants settle, builds none. `mutants` memoizes the group's
@@ -372,17 +372,9 @@ class _PlacementPlan:
 
     def survivors(self, mask: Mask) -> tuple[int, ...]:
         """The content indices that `mask` leaves, in content order."""
-        c = self.channels
-        hidden: set[int] = set()
-        n = 0
-        for r in self.placement:
-            for m in mask.rects:
-                for y in range(max(r.top, m.top), min(r.bottom, m.bottom)):
-                    row = n + (y - r.top) * r.width * c
-                    hidden.update(range(row + (max(r.left, m.left) - r.left) * c,
-                                        row + (min(r.right, m.right) - r.left) * c))
-            n += r.area * c
-        return tuple(k for k in range(n) if k not in hidden)
+        ones = b"\1" * (mask.plane_height * mask.plane_width * self.channels)
+        kept = zero_masked(ones, mask, self.channels, 1)
+        return tuple(k for k, p in enumerate(self.positions) if kept[p])
 
     def mutant(self, i: int, content) -> Prediction:
         """The variant's mutant under mask i, which does not cover the

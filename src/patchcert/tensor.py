@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -68,14 +69,6 @@ class Rect:
 
     def inside_plane(self, plane_height: int, plane_width: int) -> bool:
         return self.bottom <= plane_height and self.right <= plane_width
-
-    def contains(self, other: "Rect") -> bool:
-        return (
-            self.top <= other.top
-            and self.left <= other.left
-            and other.bottom <= self.bottom
-            and other.right <= self.right
-        )
 
     def intersects(self, other: "Rect") -> bool:
         return (
@@ -210,9 +203,9 @@ class Mask:
     def to_matrix(self) -> list[list[bool]]:
         """Dense boolean grid, True where the mask zeroes the plane.
 
-        Only the tests' reference, for `masked_packed`, `mask_covers`,
-        `cover.verify_cover`'s anchor bitsets and the oracle's placement
-        plans, which all read the rects directly.
+        Only the tests' reference, for `_mask_pixel_spans`: masking,
+        `mask_covers`, `cover.verify_cover`'s anchor bitsets and the
+        oracle's placement plans all read the mask through those spans.
         """
         grid = [[False] * self.plane_width for _ in range(self.plane_height)]
         for r in self.rects:
@@ -307,7 +300,9 @@ class PatchSpec:
 def _mask_pixel_spans(mask: Mask, channels: int) -> tuple[tuple[int, int], ...]:
     """Sorted, disjoint half-open spans of the flat pixel array zeroed by
     this mask: the union of its rects' rows, so overlapping rects count
-    each pixel once."""
+    each pixel once and touching runs merge, across row ends too. The
+    only form of a mask's geometry that the package reads; channels 1
+    gives the plane's own cells."""
     w = mask.plane_width
     return _merged_spans(
         ((y * w + r.left) * channels, (y * w + r.right) * channels)
@@ -316,13 +311,18 @@ def _mask_pixel_spans(mask: Mask, channels: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _span_at(spans: Sequence[tuple[int, int]], p: int) -> tuple[int, int] | None:
+    """The span of sorted, disjoint half-open `spans` that holds `p`, or None."""
+    k = bisect.bisect_right(spans, (p, math.inf))
+    return spans[k - 1] if k and p < spans[k - 1][1] else None
+
+
 def _merged_spans(spans: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Sorted, disjoint half-open spans that cover the union of `spans`."""
     merged: list[tuple[int, int]] = []
     for start, stop in sorted(spans):
         if merged and start <= merged[-1][1]:
-            if stop > merged[-1][1]:
-                merged[-1] = (merged[-1][0], stop)
+            merged[-1] = (merged[-1][0], max(stop, merged[-1][1]))
         else:
             merged.append((start, stop))
     return tuple(merged)
@@ -402,40 +402,20 @@ def apply_patch(image: Image, placement: Placement, content: Sequence[int]) -> I
     )
 
 
-def _row_intervals_cover(
-    mask_rects: Sequence[Rect], y: int, need_left: int, need_right: int
-) -> bool:
-    """Does the union of mask rects cover [need_left, need_right) on row y?"""
-    ivals = sorted(
-        (r.left, r.right) for r in mask_rects if r.top <= y < r.bottom
-    )
-    cur = need_left
-    for left, right in ivals:
-        if left > cur:
-            return False
-        if right > cur:
-            cur = right
-        if cur >= need_right:
-            return True
-    return cur >= need_right
-
-
 def mask_covers(mask: Mask, placement: Placement) -> bool:
-    """True when every pixel of the placement lies inside the mask union."""
+    """True when the mask hides the placement: each rect row lies in one span."""
     if isinstance(placement, Rect):
         placement = (placement,)
+    spans = _mask_pixel_spans(mask, 1)
+    w = mask.plane_width
     for r in placement:
-        if not r.inside_plane(mask.plane_height, mask.plane_width):
+        if not r.inside_plane(mask.plane_height, w):
             raise DimensionMismatchError(
-                f"placement rect {r} exceeds mask plane "
-                f"{mask.plane_height}x{mask.plane_width}"
+                f"placement rect {r} exceeds mask plane {mask.plane_height}x{w}"
             )
-        if any(mr.contains(r) for mr in mask.rects):
-            continue
-        if len(mask.rects) == 1:
-            return False
-        for y in range(r.top, r.bottom):
-            if not _row_intervals_cover(mask.rects, y, r.left, r.right):
+        for start in range(r.top * w + r.left, r.bottom * w, w):
+            span = _span_at(spans, start)
+            if span is None or span[1] < start + r.width:
                 return False
     return True
 

@@ -66,6 +66,21 @@ def first_label_at_least(data_path, n):
     raise AssertionError(f"no label >= {n} in {data_path}")
 
 
+def with_last_sample_on_6x6(data_path):
+    """A copy of the dataset whose last sample is cropped to a 6x6 plane,
+    and that sample's id."""
+    lines = pathlib.Path(data_path).read_text().splitlines()
+    row = json.loads(lines[-1])
+    _, w, c = row["shape"]
+    row["shape"] = [6, 6, c]
+    row["pixels"] = [
+        v for y in range(6) for v in row["pixels"][y * w * c : (y * w + 6) * c]
+    ]
+    out = pathlib.Path(data_path).with_name("mixed_planes.jsonl")
+    out.write_text("\n".join(lines[:-1] + [json.dumps(row)]) + "\n")
+    return out, row["id"]
+
+
 @pytest.fixture
 def workspace(tmp_path, capsys):
     """A small dataset plus verified mask set, generated through the CLI."""
@@ -331,6 +346,23 @@ class TestEvaluate:
         assert f"{data}: sample {sample_id!r} has label" in err
         assert not (workspace / "out" / "report_doma.json").exists()
 
+    def test_sample_on_another_plane_is_a_usage_error(self, capsys, workspace):
+        """Refused before any sample is profiled, naming the dataset, the
+        sample and both planes, and leaving no output directory."""
+        data, sample_id = with_last_sample_on_6x6(workspace / "data.jsonl")
+        masks = workspace / "masks.json"
+        out_dir = workspace / "out"
+        code, stdout, err = run(
+            capsys, "evaluate", "--dataset", str(data), "--masks", str(masks),
+            "--num-labels", "5", "--seed", "7",
+            "--defender", "doma", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == (f"error: {data}: sample {sample_id!r} has plane 6x6, "
+                       f"mask set {masks} has plane 8x8\n")
+        assert not out_dir.exists()
+
     def test_dataset_alphabet_above_2_pow_32_is_a_file_error(
         self, capsys, workspace
     ):
@@ -414,6 +446,17 @@ class TestEvaluate:
         assert code == EXIT_OK
         name = "records_hicert_tau0.8.jsonl"
         assert (table_dir / name).read_bytes() == (hash_dir / name).read_bytes()
+
+    def test_table_for_another_mask_count_leaves_no_directory(
+        self, capsys, workspace
+    ):
+        """A complete table with one mutant column too few fails while
+        profiling, before the output directory is made."""
+        rows = [row for row in self.hash_rows(workspace) if row[1] != 8]
+        code, out_dir, _, err = self.evaluate_table(capsys, workspace, rows)
+        assert code == EXIT_USAGE
+        assert err == "error: table holds 8 mutant columns, mask set has 9\n"
+        assert not out_dir.exists()
 
     def test_incomplete_table_is_a_file_error(self, capsys, workspace):
         code, out_dir, preds, err = self.evaluate_table(
@@ -578,6 +621,27 @@ class TestVerify:
         )
         assert code == EXIT_USAGE
         assert f"{data}: sample {first_label_at_least(data, 2)!r} has label" in err
+
+    @pytest.mark.parametrize("mode", [
+        (), ("--mode", "random", "--trials", "5", "--attack-seed", "3"),
+    ], ids=["exhaustive", "random"])
+    def test_sample_on_another_plane_is_a_usage_error(
+        self, capsys, workspace, tmp_path, mode
+    ):
+        """Refused before the first sample is scanned, naming the dataset,
+        the sample and both planes."""
+        data, sample_id = with_last_sample_on_6x6(workspace / "data.jsonl")
+        masks, out = workspace / "masks.json", tmp_path / "soundness.json"
+        code, stdout, err = run(
+            capsys, "verify", "--dataset", str(data), "--masks", str(masks),
+            "--num-labels", "5", "--seed", "7",
+            "--defender", "hicert", "--tau", "0.8", *mode, "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == (f"error: {data}: sample {sample_id!r} has plane 6x6, "
+                       f"mask set {masks} has plane 8x8\n")
+        assert not out.exists()
 
     def verify_patch_flags(self, capsys, workspace, *flags):
         return run(

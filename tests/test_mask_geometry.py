@@ -1,0 +1,146 @@
+"""What a mask hides, as its merged pixel spans answer it.
+
+`tensor._mask_pixel_spans` is the one form of a mask's geometry that the
+package reads. These tests hold its readers to `Mask.to_matrix` on masks
+whose merged spans run past a row end, and fence every other reader of
+`Mask.rects` out of `src/`.
+"""
+import ast
+import pathlib
+import random
+
+import pytest
+
+from patchcert import oracle
+from patchcert.classifiers import HashClassifier, _mutant_scorers
+from patchcert.cover import _covered_anchors
+from patchcert.tensor import (
+    Mask, PatchSpec, Rect, _mask_pixel_spans, _span_at, iter_placements, mask_covers,
+)
+
+from conftest import make_image
+
+H, W = 5, 6
+
+# Masks whose merged spans cross a row end.
+ROW_END_MASKS = {
+    "full_width": Mask(H, W, (Rect(1, 0, 2, W),)),
+    "stacked_full_width": Mask(H, W, (Rect(0, 0, 1, W), Rect(1, 0, 2, W))),
+    "right_edge_above_column_0": Mask(H, W, (Rect(1, 3, 1, 3), Rect(2, 0, 2, 2))),
+}
+
+
+@pytest.fixture(params=sorted(ROW_END_MASKS))
+def mask(request):
+    return ROW_END_MASKS[request.param]
+
+
+def hidden(mask, placement):
+    """Whether `Mask.to_matrix` hides every pixel of the placement."""
+    grid = mask.to_matrix()
+    return all(
+        grid[y][x]
+        for r in placement
+        for y in range(r.top, r.bottom)
+        for x in range(r.left, r.right)
+    )
+
+
+def placements():
+    """Every single rect on the plane, and every pair of disjoint 1x1 or
+    2x2 squares."""
+    spec = PatchSpec.rectangle(H, W, H * W)
+    yield from iter_placements(spec)
+    for size in (1, 2):
+        yield from iter_placements(PatchSpec.multi(H, W, 2, size))
+
+
+def test_spans_run_past_a_row_end(mask):
+    """The directed masks do what they are for: one merged span crosses
+    from one row into the next."""
+    assert any(
+        a // W != (b - 1) // W for a, b in _mask_pixel_spans(mask, 1)
+    )
+
+
+def test_span_at_matches_the_dense_grid(mask):
+    spans = _mask_pixel_spans(mask, 1)
+    grid = mask.to_matrix()
+    for p in range(H * W):
+        span = _span_at(spans, p)
+        assert (span is not None) == grid[p // W][p % W], p
+        assert span is None or span[0] <= p < span[1]
+
+
+def test_mask_covers_matches_the_dense_grid(mask):
+    for placement in placements():
+        assert mask_covers(mask, placement) == hidden(mask, placement), placement
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_survivors_match_the_dense_grid(mask, channels):
+    img = make_image(random.Random(channels), H, W, channels=channels)
+    clf = HashClassifier(seed=1, num_labels=3)
+    _, scorers, benign = _mutant_scorers(clf, img, [mask])
+    grid = mask.to_matrix()
+    for placement in placements():
+        plan = oracle._PlacementPlan(placement, img, [mask], scorers, benign)
+        pixels = [
+            (y, x)
+            for r in placement
+            for y in range(r.top, r.bottom)
+            for x in range(r.left, r.right)
+        ]
+        kept = tuple(
+            k * channels + ch
+            for k, (y, x) in enumerate(pixels)
+            if not grid[y][x]
+            for ch in range(channels)
+        )
+        assert plan.survivors(mask) == kept, placement
+        assert (plan.covering == [0]) == (not kept)
+
+
+def test_covered_anchors_match_the_dense_grid(mask):
+    for rh in range(1, H + 1):
+        for rw in range(1, W + 1):
+            cols = W - rw + 1
+            want = sum(
+                1 << (top * cols + left)
+                for top in range(H - rh + 1)
+                for left in range(cols)
+                if hidden(mask, (Rect(top, left, rh, rw),))
+            )
+            assert _covered_anchors(mask, rh, rw) == want, (rh, rw)
+
+
+# The only code in `src/` that may read `Mask.rects`, by module and
+# enclosing definition: the class itself, the spans every other reader
+# goes through, the compound-mask builder and the mask-set writer.
+RECTS_READERS = {
+    ("tensor", "Mask"),
+    ("tensor", "_mask_pixel_spans"),
+    ("cover", "gen_multi_cover"),
+    ("dataset_io", "save_maskset"),
+}
+
+
+def rects_reads(tree, module):
+    """(module, top-level definition, line) of each `.rects` read."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "rects":
+                yield module, getattr(top, "name", None), node.lineno
+
+
+def test_only_the_fenced_definitions_read_mask_rects():
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "patchcert"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    reads = [
+        read
+        for path in sources
+        for read in rects_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert reads
+    assert [read for read in reads if read[:2] not in RECTS_READERS] == []

@@ -714,7 +714,7 @@ class TestTheorem1:
 
 class TestPlacementPlan:
     def test_covering_and_survivors_match_the_dense_mask_grid(self, rng):
-        """A plan reads each mask's rects; `Mask.to_matrix` is the reference
+        """A plan reads each mask's spans; `Mask.to_matrix` is the reference
         for which masks cover the placement and which content survives, and
         `classify(apply_mask(apply_patch(...)))` for each uncovered mask's
         mutant, which the plan classifies once per content."""
