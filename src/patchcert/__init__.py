@@ -43,19 +43,8 @@ from .defenders import (
     MutantProfile,
     Verdict,
     assign_case,
-    c2_certify,
-    doma_certify,
-    doma_warn,
-    hicert_certify,
-    hicert_flip_certify,
-    hicert_warn,
-    hicert_warn_parts,
-    make_composite,
     make_defender,
     oma,
-    pgpp_certify,
-    pgpp_flip_certify,
-    pgpp_warn,
 )
 from .errors import (
     BudgetExceededError,

@@ -29,7 +29,6 @@ from .defenders import (
     DEFENDER_KINDS,
     Defender,
     DefenderSpec,
-    make_composite,
     make_defender,
     oma,
 )
@@ -266,7 +265,7 @@ def _parse_override(text: str) -> Defender:
         parts[role] = DefenderSpec(kind, tau)
     if set(parts) != {"certify", "warn"}:
         raise InvalidInputError("override needs both certify= and warn=")
-    return make_composite(parts["certify"], parts["warn"])
+    return Defender(parts["certify"], parts["warn"])
 
 
 def _refuse_given(args, dests: Sequence[str], message: str) -> None:

@@ -6,12 +6,11 @@ clean image: is this sample provably safe against any in-scope patch?)
 and warn (on an arriving image: does it look tampered with?). The rules
 here differ only in how they weigh label disagreement and confidence.
 
-Empty aggregations are spelled out as branches, never as sentinel
-infinities: a maximum over no elements fails every "< tau" comparison's
-complement (so certification over an empty disagreement set succeeds),
-and a minimum over no elements never triggers a low-confidence warning.
-All threshold comparisons are strict, so a confidence exactly equal to
-tau falls on the non-certify / non-warn side.
+Each certify rule is a universal loop over the mutants and each warning
+clause an existential one; both stop at the first mutant that settles
+them, so an empty set certifies and warns of nothing. Every threshold
+comparison is strict: a confidence equal to tau neither certifies nor
+warns.
 """
 
 from __future__ import annotations
@@ -32,18 +31,7 @@ __all__ = [
     "DEFENDER_KINDS",
     "CLAUSE_NAMES",
     "oma",
-    "doma_certify",
-    "doma_warn",
-    "c2_certify",
-    "pgpp_certify",
-    "pgpp_warn",
-    "hicert_certify",
-    "hicert_warn",
-    "hicert_warn_parts",
-    "hicert_flip_certify",
-    "pgpp_flip_certify",
     "make_defender",
-    "make_composite",
     "assign_case",
 ]
 
@@ -51,9 +39,10 @@ __all__ = [
 class MutantProfile(NamedTuple):
     """Base prediction plus one prediction per mask.
 
-    The rules only iterate `mutants`, and a warning rule may iterate
-    them more than once. Eager profiles hold a tuple in mask-set order;
-    the oracle's scan passes a lazy re-iterable in covering-first order.
+    Each rule is one pass over `mutants`, so a warner with two clauses
+    may iterate them twice. Eager profiles hold a tuple in mask-set
+    order; the oracle's scan passes a lazy re-iterable in covering-first
+    order.
     """
 
     base: "Prediction"
@@ -80,40 +69,68 @@ def oma(profile: MutantProfile, label: int) -> bool:
     return True
 
 
-def doma_certify(profile: MutantProfile, true_label: int) -> bool:
-    """Certify when no single mask changes the true label."""
-    return oma(profile, true_label)
-
-
-def doma_warn(profile: MutantProfile) -> bool:
-    """Warn when any mutant disagrees with the arriving image's label."""
-    return not oma(profile, profile.base.label)
-
-
-def c2_certify(profile: MutantProfile, true_label: int | None = None) -> bool:
-    """Certify agreement with the predicted label instead of the true one.
-
-    The only defender here whose certification needs no ground truth;
-    it certifies stability of the prediction, right or wrong.
-    """
-    return oma(profile, profile.base.label)
-
-
-def pgpp_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Certify when every mutant keeps the true label with confidence above tau."""
-    if not oma(profile, true_label):
-        return False
+def _doma_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
+    """Every mutant keeps the true label."""
     for m in profile.mutants:
-        if not m.confidence > tau:
+        if m.label != true_label:
             return False
     return True
 
 
-def pgpp_warn(profile: MutantProfile, tau: float) -> bool:
-    """Warn when some mutant both disagrees and is confident above tau.
+def _c2_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
+    """Every mutant keeps the predicted label, right or wrong: no ground truth."""
+    base_label = profile.base.label
+    for m in profile.mutants:
+        if m.label != base_label:
+            return False
+    return True
 
-    The same mutant must do both; a diffident disagreement is ignored.
-    """
+
+def _pgpp_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
+    """Every mutant keeps the true label with confidence above tau."""
+    for m in profile.mutants:
+        if m.label != true_label or not m.confidence > tau:
+            return False
+    return True
+
+
+def _hicert_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
+    """Every disagreeing mutant stays below confidence tau (so with no
+    disagreement the sample certifies at any tau)."""
+    for m in profile.mutants:
+        if m.label != true_label and not m.confidence < tau:
+            return False
+    return True
+
+
+def _hicert_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
+    """Ablation: HiCert's comparison inverted, every disagreeing mutant
+    above tau. It has no warning rule; it shows the certificate breaks."""
+    for m in profile.mutants:
+        if m.label != true_label and not m.confidence > tau:
+            return False
+    return True
+
+
+def _pgpp_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
+    """Ablation: every mutant keeps the true label with confidence below tau."""
+    for m in profile.mutants:
+        if m.label != true_label or not m.confidence < tau:
+            return False
+    return True
+
+
+def _label_difference(profile: MutantProfile, tau: float) -> bool:
+    """Some mutant disagrees with the arriving label."""
+    base_label = profile.base.label
+    for m in profile.mutants:
+        if m.label != base_label:
+            return True
+    return False
+
+
+def _confident_difference(profile: MutantProfile, tau: float) -> bool:
+    """Some one mutant both disagrees and is confident above tau."""
     base_label = profile.base.label
     for m in profile.mutants:
         if m.label != base_label and m.confidence > tau:
@@ -121,81 +138,14 @@ def pgpp_warn(profile: MutantProfile, tau: float) -> bool:
     return False
 
 
-def hicert_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Certify when every disagreeing mutant stays below confidence tau.
-
-    With no disagreeing mutants there is nothing to bound and the
-    sample certifies at any tau, which is exactly the agreement rule.
-    """
-    worst = None
-    for m in profile.mutants:
-        if m.label != true_label:
-            if worst is None or m.confidence > worst:
-                worst = m.confidence
-    if worst is None:
-        return True
-    return worst < tau
-
-
 def _low_confidence(profile: MutantProfile, tau: float) -> bool:
-    """Some mutant that agrees with the arriving label is below tau.
-
-    This is HiCert's low-confidence clause: the least confident
-    agreeing mutant falls below tau exactly when some agreeing mutant
-    does, so the walk stops at the first one. With no agreeing mutants
-    there is no minimum to test, and the clause is False.
-    """
+    """Some mutant that agrees with the arriving label is below tau,
+    whether or not another mutant disagrees."""
     base_label = profile.base.label
     for m in profile.mutants:
         if m.label == base_label and m.confidence < tau:
             return True
     return False
-
-
-def hicert_warn_parts(profile: MutantProfile, tau: float) -> tuple[bool, bool]:
-    """The two warning clauses separately: (label difference, low confidence).
-
-    Label difference: some mutant disagrees with the arriving label.
-    Low confidence: the least confident of the mutants that agree with
-    the arriving label falls below tau, whether or not another mutant
-    disagrees. With no agreeing mutants there is no minimum to test, so
-    the low-confidence clause is False by convention (the
-    label-difference clause is necessarily True then).
-    """
-    return doma_warn(profile), _low_confidence(profile, tau)
-
-
-def hicert_warn(profile: MutantProfile, tau: float) -> bool:
-    """Warn on any label difference, or on unanimity with a weak link."""
-    return doma_warn(profile) or _low_confidence(profile, tau)
-
-
-def hicert_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Ablation: certify when the least confident disagreement is above tau.
-
-    Keeps the empty-set convention of the unflipped rule (no
-    disagreements certify) while inverting the comparison. There is no
-    matching warning rule; the ablation exists to show the certificate
-    breaks.
-    """
-    lowest = None
-    for m in profile.mutants:
-        if m.label != true_label:
-            if lowest is None or m.confidence < lowest:
-                lowest = m.confidence
-    if lowest is None:
-        return True
-    return lowest > tau
-
-
-def pgpp_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Ablation: full agreement with every confidence below tau."""
-    if not oma(profile, true_label):
-        return False
-    for m in profile.mutants:
-        if not m.confidence < tau:
-            return False
-    return True
 
 
 # The warning clauses, in the order they are judged. A family without a
@@ -204,29 +154,23 @@ CLAUSE_NAMES = ("label_difference", "low_confidence")
 
 
 class _Family(NamedTuple):
-    """One family's rules in a uniform shape, tau last.
-
-    `warn_clauses` holds the warning clauses in `CLAUSE_NAMES` order; it
-    is empty for the flipped ablations, which have no warning rule.
-    """
+    """One family's rules, tau last. `warn_clauses` is in `CLAUSE_NAMES`
+    order, and empty for the flipped ablations, which have no warning rule."""
 
     certify: Callable[[MutantProfile, int, float], bool]
     warn_clauses: tuple[Callable[[MutantProfile, float], bool], ...]
     uses_tau: bool
 
 
-def _label_difference(profile: MutantProfile, tau: float) -> bool:
-    return doma_warn(profile)
-
-
-# The only place that defines a family; DEFENDER_KINDS keeps this order.
+# The only definition of each family, one row per family of the
+# README's defender table; DEFENDER_KINDS keeps this order.
 _FAMILIES: dict[str, _Family] = {
-    "doma": _Family(lambda p, y, tau: doma_certify(p, y), (_label_difference,), False),
-    "c2": _Family(lambda p, y, tau: c2_certify(p), (_label_difference,), False),
-    "pgpp": _Family(pgpp_certify, (pgpp_warn,), True),
-    "hicert": _Family(hicert_certify, (_label_difference, _low_confidence), True),
-    "hicert_flip": _Family(hicert_flip_certify, (), True),
-    "pgpp_flip": _Family(pgpp_flip_certify, (), True),
+    "doma": _Family(_doma_certify, (_label_difference,), False),
+    "c2": _Family(_c2_certify, (_label_difference,), False),
+    "pgpp": _Family(_pgpp_certify, (_confident_difference,), True),
+    "hicert": _Family(_hicert_certify, (_label_difference, _low_confidence), True),
+    "hicert_flip": _Family(_hicert_flip_certify, (), True),
+    "pgpp_flip": _Family(_pgpp_flip_certify, (), True),
 }
 DEFENDER_KINDS = tuple(_FAMILIES)
 
@@ -326,15 +270,6 @@ class Defender:
 def make_defender(spec: DefenderSpec) -> Defender:
     """Bind a spec to its own family's certify and warn rules."""
     return Defender(spec, spec if _FAMILIES[spec.kind].warn_clauses else None)
-
-
-def make_composite(certify: DefenderSpec, warn: DefenderSpec) -> Defender:
-    """Mix certification from one family with warning from another.
-
-    Exists for negative controls: soundness is a joint property of the
-    pair, and mismatched pairs are exactly how it breaks.
-    """
-    return Defender(certify, warn)
 
 
 def assign_case(correct: bool, verdict: Verdict) -> int:

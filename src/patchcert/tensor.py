@@ -199,6 +199,12 @@ class Mask:
                     f"mask rect {r} exceeds plane "
                     f"{self.plane_height}x{self.plane_width}"
                 )
+        # Hashed once: the span cache looks a mask up by hash on every use.
+        key = (self.plane_height, self.plane_width, self.rects)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_matrix(self) -> list[list[bool]]:
         """Dense boolean grid, True where the mask zeroes the plane.

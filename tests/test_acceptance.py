@@ -20,16 +20,11 @@ from patchcert.cover import (
 )
 from patchcert.dataset_io import gen_synthetic_dataset, load_profile_fixture
 from patchcert.defenders import (
+    Defender,
     DefenderSpec,
     Verdict,
-    doma_certify,
-    doma_warn,
-    hicert_certify,
-    hicert_warn,
-    make_composite,
     make_defender,
     oma,
-    pgpp_certify,
 )
 from patchcert.metrics import EvalRecord, case_histogram, compute_metrics
 from patchcert.oracle import (
@@ -137,9 +132,7 @@ def test_criterion_2_consistent_cover_forces_label_difference(grid_runs):
 
 def test_criterion_3_negative_control_fixture():
     fixture = load_profile_fixture(str(DATA_DIR / "negative_control.json"))
-    broken = make_composite(
-        DefenderSpec("hicert", 0.8), DefenderSpec("doma")
-    )
+    broken = Defender(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))
     broken_report = check_profile_fixture(fixture, broken)
     sound_report = check_profile_fixture(
         fixture, make_defender(DefenderSpec("hicert", 0.8))
@@ -159,15 +152,18 @@ def test_criterion_3_negative_control_fixture():
 
 
 def test_criterion_4_threshold_edges_reduce_exactly(profile_corpus):
+    doma = make_defender(DefenderSpec("doma"))
+    hicert_0 = make_defender(DefenderSpec("hicert", 0.0))
+    hicert_1 = make_defender(DefenderSpec("hicert", 1.0))
     mismatches = 0
     for prof, label, _ in profile_corpus:
-        if hicert_certify(prof, label, 0.0) != doma_certify(prof, label):
+        if hicert_0.certify(prof, label) != doma.certify(prof, label):
             mismatches += 1
-        if hicert_warn(prof, 0.0) != doma_warn(prof):
+        if hicert_0.warn(prof) != doma.warn(prof):
             mismatches += 1
-        if not hicert_certify(prof, label, 1.0):
+        if not hicert_1.certify(prof, label):
             mismatches += 1
-        if not hicert_warn(prof, 1.0):
+        if not hicert_1.warn(prof):
             mismatches += 1
     record_criterion(
         4,
@@ -180,14 +176,16 @@ def test_criterion_4_threshold_edges_reduce_exactly(profile_corpus):
 def test_criterion_5_inclusions_and_threshold_monotonicity(
     profile_corpus, grid_dataset, grid_masks
 ):
+    doma = make_defender(DefenderSpec("doma"))
     broken_chains = 0
     pgpp_hits = 0
     for prof, label, tau in profile_corpus:
-        if pgpp_certify(prof, label, tau):
+        if make_defender(DefenderSpec("pgpp", tau)).certify(prof, label):
             pgpp_hits += 1
-            if not doma_certify(prof, label):
+            if not doma.certify(prof, label):
                 broken_chains += 1
-        if doma_certify(prof, label) and not hicert_certify(prof, label, tau):
+        hicert = make_defender(DefenderSpec("hicert", tau))
+        if doma.certify(prof, label) and not hicert.certify(prof, label):
             broken_chains += 1
 
     classifier = HashClassifier(seed=7, num_labels=5)

@@ -4,27 +4,39 @@ import pickle
 import pytest
 
 from patchcert.defenders import (
+    _FAMILIES,
+    CLAUSE_NAMES,
+    DEFENDER_KINDS,
     Defender,
     DefenderSpec,
     Verdict,
     assign_case,
-    c2_certify,
-    doma_certify,
-    doma_warn,
-    hicert_certify,
-    hicert_flip_certify,
-    hicert_warn,
-    hicert_warn_parts,
-    make_composite,
     make_defender,
     oma,
-    pgpp_certify,
-    pgpp_flip_certify,
-    pgpp_warn,
 )
 from patchcert.errors import InvalidInputError, UnsupportedOperationError
 
+import naive
 from conftest import profile, random_profile
+
+
+def certify(kind, p, true_label, tau=0.0):
+    return make_defender(DefenderSpec(kind, tau)).certify(p, true_label)
+
+
+def warn(kind, p, tau=0.0):
+    return make_defender(DefenderSpec(kind, tau)).warn(p)
+
+
+def clauses(kind, p, tau):
+    """Each of the family's warning clauses on its own, in CLAUSE_NAMES order."""
+    return tuple(clause(p, tau) for clause in _FAMILIES[kind].warn_clauses)
+
+
+def reference_taus(rng, p):
+    """Taus 0 and 1, and a confidence that the profile holds."""
+    held = [p.base.confidence] + [m.confidence for m in p.mutants]
+    return (0.0, 1.0, rng.choice(held))
 
 
 class TestAgreementRules:
@@ -37,87 +49,87 @@ class TestAgreementRules:
     def test_doma_certify_and_warn(self):
         agree = profile((0, 0.7), [(0, 0.9), (0, 0.8)])
         disagree = profile((0, 0.7), [(0, 0.9), (3, 0.6)])
-        assert doma_certify(agree, 0)
-        assert not doma_certify(disagree, 0)
-        assert not doma_warn(agree)
-        assert doma_warn(disagree)
+        assert certify("doma", agree, 0)
+        assert not certify("doma", disagree, 0)
+        assert not warn("doma", agree)
+        assert warn("doma", disagree)
 
     def test_c2_follows_the_predicted_label(self):
         # misclassified but stable: agreement certification accepts what
         # the true-label rule rejects
         p = profile((3, 0.8), [(3, 0.9), (3, 0.7)])
-        assert c2_certify(p)
-        assert not doma_certify(p, 2)
-        assert c2_certify(p, 2)  # optional true label is ignored
+        assert certify("c2", p, 3)
+        assert not certify("doma", p, 2)
+        assert certify("c2", p, 2)  # the true label is ignored
 
 
 class TestThresholdCertify:
     def test_hicert_bounds_disagreeing_confidence(self):
         p = profile((0, 0.7), [(0, 0.9), (3, 0.6)])
-        assert hicert_certify(p, 0, tau=0.8)
-        assert not hicert_certify(p, 0, tau=0.5)
+        assert certify("hicert", p, 0, tau=0.8)
+        assert not certify("hicert", p, 0, tau=0.5)
 
     def test_hicert_tie_falls_on_the_reject_side(self):
         p = profile((0, 0.7), [(3, 0.6)])
-        assert not hicert_certify(p, 0, tau=0.6)
+        assert not certify("hicert", p, 0, tau=0.6)
 
     def test_hicert_unanimous_certifies_at_any_tau(self):
         p = profile((0, 0.7), [(0, 0.1), (0, 0.2)])
-        assert hicert_certify(p, 0, tau=0.0)
+        assert certify("hicert", p, 0, tau=0.0)
 
     def test_pgpp_needs_unanimity_and_confidence(self):
         p = profile((0, 0.9), [(0, 0.9), (0, 0.7)])
-        assert pgpp_certify(p, 0, tau=0.5)
-        assert not pgpp_certify(p, 0, tau=0.7)  # tie rejects
-        assert not pgpp_certify(p, 0, tau=0.85)
-        assert not pgpp_certify(profile((0, 0.9), [(1, 0.99)]), 0, tau=0.5)
+        assert certify("pgpp", p, 0, tau=0.5)
+        assert not certify("pgpp", p, 0, tau=0.7)  # tie rejects
+        assert not certify("pgpp", p, 0, tau=0.85)
+        assert not certify("pgpp", profile((0, 0.9), [(1, 0.99)]), 0, tau=0.5)
 
 
 class TestWarnRules:
     def test_pgpp_warn_needs_one_confident_disagreement(self):
         p = profile((0, 0.9), [(1, 0.6)])
-        assert not pgpp_warn(p, tau=0.8)
-        assert pgpp_warn(p, tau=0.5)
+        assert not warn("pgpp", p, tau=0.8)
+        assert warn("pgpp", p, tau=0.5)
 
     def test_pgpp_warn_clauses_must_come_from_the_same_mutant(self):
         # one diffident disagreement plus one confident agreement is silence
         p = profile((0, 0.9), [(1, 0.5), (0, 0.99)])
-        assert not pgpp_warn(p, tau=0.5)
+        assert not warn("pgpp", p, tau=0.5)
 
     def test_hicert_warn_on_label_difference(self):
         p = profile((0, 0.7), [(0, 0.9), (3, 0.6)])
-        assert hicert_warn_parts(p, tau=0.0) == (True, False)
-        assert hicert_warn(p, tau=0.0)
+        assert clauses("hicert", p, 0.0) == (True, False)
+        assert warn("hicert", p, tau=0.0)
         # The agreeing mutants' minimum counts even beside a disagreement.
-        assert hicert_warn_parts(p, tau=0.95) == (True, True)
+        assert clauses("hicert", p, 0.95) == (True, True)
 
     def test_hicert_warn_on_weak_unanimity(self):
         p = profile((0, 0.7), [(0, 0.3), (0, 0.9)])
-        assert hicert_warn_parts(p, tau=0.5) == (False, True)
-        assert not hicert_warn(p, tau=0.2)
-        assert not hicert_warn(p, tau=0.3)  # tie stays silent
+        assert clauses("hicert", p, 0.5) == (False, True)
+        assert not warn("hicert", p, tau=0.2)
+        assert not warn("hicert", p, tau=0.3)  # tie stays silent
 
     def test_hicert_warn_with_no_agreeing_mutants(self):
         p = profile((0, 0.7), [(1, 0.9), (2, 0.1)])
-        assert hicert_warn_parts(p, tau=0.99) == (True, False)
+        assert clauses("hicert", p, 0.99) == (True, False)
 
 
 class TestFlippedAblations:
     def test_hicert_flip_inverts_the_bound(self):
         p = profile((0, 0.7), [(1, 0.9), (2, 0.85)])
-        assert hicert_flip_certify(p, 0, tau=0.8)
-        assert not hicert_flip_certify(p, 0, tau=0.85)  # tie rejects
-        assert not hicert_flip_certify(p, 0, tau=0.9)
+        assert certify("hicert_flip", p, 0, tau=0.8)
+        assert not certify("hicert_flip", p, 0, tau=0.85)  # tie rejects
+        assert not certify("hicert_flip", p, 0, tau=0.9)
 
     def test_hicert_flip_keeps_the_empty_convention(self):
         p = profile((0, 0.7), [(0, 0.9)])
-        assert hicert_flip_certify(p, 0, tau=0.99)
+        assert certify("hicert_flip", p, 0, tau=0.99)
 
     def test_pgpp_flip_wants_diffident_unanimity(self):
         p = profile((0, 0.9), [(0, 0.3), (0, 0.2)])
-        assert pgpp_flip_certify(p, 0, tau=0.5)
-        assert not pgpp_flip_certify(p, 0, tau=0.3)  # tie rejects
-        assert not pgpp_flip_certify(profile((0, 0.9), [(1, 0.1)]), 0, tau=0.5)
+        assert certify("pgpp_flip", p, 0, tau=0.5)
+        assert not certify("pgpp_flip", p, 0, tau=0.3)  # tie rejects
+        assert not certify("pgpp_flip", profile((0, 0.9), [(1, 0.1)]), 0, tau=0.5)
 
     def test_flips_have_no_warning_rule(self):
         d = make_defender(DefenderSpec("hicert_flip", 0.5))
@@ -133,45 +145,65 @@ class TestReductions:
         for _ in range(300):
             p = random_profile(rng)
             y = rng.randrange(5)
-            assert hicert_certify(p, y, 0.0) == doma_certify(p, y)
-            assert hicert_warn(p, 0.0) == doma_warn(p)
+            assert certify("hicert", p, y, 0.0) == certify("doma", p, y)
+            assert warn("hicert", p, 0.0) == warn("doma", p)
 
     def test_pgpp_at_zero_is_doma(self, rng):
         for _ in range(300):
             p = random_profile(rng)
             y = rng.randrange(5)
-            assert pgpp_certify(p, y, 0.0) == doma_certify(p, y)
-            assert pgpp_warn(p, 0.0) == doma_warn(p)
+            assert certify("pgpp", p, y, 0.0) == certify("doma", p, y)
+            assert warn("pgpp", p, 0.0) == warn("doma", p)
 
     def test_hicert_at_one_accepts_and_warns_everything(self, rng):
         for _ in range(300):
             p = random_profile(rng)
-            assert hicert_certify(p, rng.randrange(5), 1.0)
-            assert hicert_warn(p, 1.0)
+            assert certify("hicert", p, rng.randrange(5), 1.0)
+            assert warn("hicert", p, 1.0)
 
     def test_certification_inclusion_chain(self, rng):
         for _ in range(300):
             p = random_profile(rng)
             y = rng.randrange(5)
             tau = rng.uniform(0.0, 1.0)
-            if pgpp_certify(p, y, tau):
-                assert doma_certify(p, y)
-            if doma_certify(p, y):
-                assert hicert_certify(p, y, rng.uniform(0.001, 1.0))
+            if certify("pgpp", p, y, tau):
+                assert certify("doma", p, y)
+            if certify("doma", p, y):
+                assert certify("hicert", p, y, rng.uniform(0.001, 1.0))
 
     def test_threshold_monotonicity(self, rng):
         taus = [i / 10 for i in range(11)]
         for _ in range(100):
             p = random_profile(rng)
             y = rng.randrange(5)
-            hc = [hicert_certify(p, y, t) for t in taus]
-            hw = [hicert_warn(p, t) for t in taus]
-            pc = [pgpp_certify(p, y, t) for t in taus]
-            pw = [pgpp_warn(p, t) for t in taus]
+            hc = [certify("hicert", p, y, t) for t in taus]
+            hw = [warn("hicert", p, t) for t in taus]
+            pc = [certify("pgpp", p, y, t) for t in taus]
+            pw = [warn("pgpp", p, t) for t in taus]
             assert hc == sorted(hc)  # non-decreasing
             assert hw == sorted(hw)
             assert pc == sorted(pc, reverse=True)  # non-increasing
             assert pw == sorted(pw, reverse=True)
+
+
+class TestQuantifiers:
+    def test_every_rule_has_its_stated_quantifier(self, rng):
+        """Certify rules are universal over the mutants and warning
+        clauses existential: on a sub-multiset of the mutants, a clause
+        that fires also fires on the whole, and a certificate that holds
+        on the whole also holds on the part."""
+        for _ in range(300):
+            p = random_profile(rng)
+            y = rng.randrange(5)
+            for tau in reference_taus(rng, p):
+                k = rng.randint(0, len(p.mutants))
+                part = p._replace(mutants=tuple(rng.sample(p.mutants, k)))
+                for kind, family in _FAMILIES.items():
+                    if family.certify(p, y, tau):
+                        assert family.certify(part, y, tau), (kind, p, part, tau)
+                    for name, clause in zip(CLAUSE_NAMES, family.warn_clauses):
+                        if clause(part, tau):
+                            assert clause(p, tau), (kind, name, p, part, tau)
 
 
 class TestDefenderSpec:
@@ -198,7 +230,7 @@ class TestDefender:
         assert d.verdict(p, 0) == Verdict(certified=True, warned=True)
 
     def test_composite_name_and_behavior(self):
-        d = make_composite(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))
+        d = Defender(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))
         assert d.name == "certify=hicert(tau=0.8), warn=doma"
         p = profile((0, 0.7), [(0, 0.9), (0, 0.8)])
         assert d.verdict(p, 0) == Verdict(certified=True, warned=False)
@@ -210,7 +242,7 @@ class TestDefender:
 
     def test_composite_rejects_flip_warner(self):
         with pytest.raises(InvalidInputError):
-            make_composite(DefenderSpec("doma"), DefenderSpec("hicert_flip", 0.5))
+            Defender(DefenderSpec("doma"), DefenderSpec("hicert_flip", 0.5))
         with pytest.raises(InvalidInputError, match="no warning rule to borrow"):
             Defender(DefenderSpec("hicert", 0.8), DefenderSpec("pgpp_flip", 0.5))
 
@@ -227,7 +259,7 @@ class TestDefender:
     def test_warn_clauses_names_the_first_clause_that_fires(self):
         d = make_defender(DefenderSpec("hicert", 0.95))
         p = profile((0, 0.7), [(0, 0.9), (3, 0.6)])
-        assert hicert_warn_parts(p, 0.95) == (True, True)
+        assert clauses("hicert", p, 0.95) == (True, True)
         assert d.warn_clauses(p) == "label_difference"
         assert d.warn_clauses(profile((0, 0.7), [(0, 0.99)])) is None
 
@@ -263,26 +295,31 @@ class TestDefender:
             "label_difference", [0, 1])
 
     def test_warn_is_any_clause_and_matches_the_rule(self, rng):
-        rules = {
-            "doma": lambda p, t: doma_warn(p),
-            "c2": lambda p, t: doma_warn(p),
-            "pgpp": pgpp_warn,
-            "hicert": hicert_warn,
-        }
-        for _ in range(200):
+        """Every warning family against the paper-form reference, clause
+        by clause, at taus 0 and 1 and at a confidence the profile holds
+        (every comparison is strict, so ties are where the forms could
+        part)."""
+        for _ in range(300):
             p = random_profile(rng)
-            tau = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0])
-            for kind, rule in rules.items():
-                d = make_defender(DefenderSpec(kind, tau))
-                assert d.warn(p) == (d.warn_clauses(p) is not None) == rule(p, tau)
-                if kind == "hicert":
-                    parts = hicert_warn_parts(p, tau)
-                    want = ("label_difference" if parts[0] else
-                            "low_confidence" if parts[1] else None)
-                    assert d.warn_clauses(p) == want
+            for tau in reference_taus(rng, p):
+                for kind in naive.WARN_PARTS:
+                    d = make_defender(DefenderSpec(kind, tau))
+                    want = naive.first_clause(kind, p, tau)
+                    assert d.warn_clauses(p) == want, (kind, p, tau)
+                    assert d.warn(p) == (want is not None)
+                    assert clauses(kind, p, tau) == naive.WARN_PARTS[kind](p, tau)
+
+    def test_certify_matches_the_rule(self, rng):
+        assert set(naive.CERTIFY) == set(DEFENDER_KINDS)
+        for _ in range(300):
+            p = random_profile(rng)
+            y = rng.randrange(5)
+            for tau in reference_taus(rng, p):
+                for kind, rule in naive.CERTIFY.items():
+                    assert certify(kind, p, y, tau) == rule(p, y, tau), (kind, p, y, tau)
 
     def test_defender_pickles(self):
-        d = make_composite(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))
+        d = Defender(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))
         assert pickle.loads(pickle.dumps(d)) == d
 
 

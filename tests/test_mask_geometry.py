@@ -7,6 +7,7 @@ whose merged spans run past a row end, and fence every other reader of
 """
 import ast
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -117,6 +118,34 @@ def test_covered_anchors_match_the_dense_grid(mask):
 # The only code in `src/` that may read `Mask.rects`, by module and
 # enclosing definition: the class itself, the spans every other reader
 # goes through, the compound-mask builder and the mask-set writer.
+def test_a_mask_hashes_its_rects_only_when_built(monkeypatch):
+    """The span cache finds a mask by its hash on every lookup, so the
+    hash is taken once, when the mask is built; equality, pickling and
+    set dedup still go by the fields."""
+    rect_hash, hashed = Rect.__hash__, []
+
+    def counted(rect):
+        hashed.append(rect)
+        return rect_hash(rect)
+
+    monkeypatch.setattr(Rect, "__hash__", counted)
+    rects = (Rect(1, 0, 2, W), Rect(0, 3, 2, 2))
+    mask = Mask(H, W, rects)
+    built = len(hashed)
+    for _ in range(3):
+        hash(mask)
+        _mask_pixel_spans(mask, 1)
+        _mask_pixel_spans(mask, 3)
+        mask_covers(mask, (Rect(1, 1, 1, 1),))
+    assert len(hashed) == built
+    twin = Mask(H, W, list(rects))
+    assert twin == mask and hash(twin) == hash(mask) and len({mask, twin}) == 1
+    assert twin != Mask(H, W, rects[:1])
+    copy = pickle.loads(pickle.dumps(mask))
+    assert copy == mask and hash(copy) == hash(mask)
+    assert _mask_pixel_spans(copy, 1) == _mask_pixel_spans(mask, 1)
+
+
 RECTS_READERS = {
     ("tensor", "Mask"),
     ("tensor", "_mask_pixel_spans"),
