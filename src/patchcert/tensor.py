@@ -143,12 +143,6 @@ class Image:
             return bytes(self.pixels)
         return b"".join(v.to_bytes(bpp, "little") for v in self.pixels)
 
-    def flat_index(self, y: int, x: int, ch: int = 0) -> int:
-        return (y * self.width + x) * self.channels + ch
-
-    def pixel(self, y: int, x: int, ch: int = 0) -> int:
-        return self.pixels[self.flat_index(y, x, ch)]
-
 
 def unpack_pixels(data: bytes, bytes_per_pixel: int) -> Sequence[int]:
     """Flat pixel values of bytes in the `Image.packed` encoding."""

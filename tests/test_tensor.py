@@ -30,6 +30,11 @@ def grid_image(rows):
     return Image(h, w, 1, 4, flat)
 
 
+def pixel(img, y, x, ch=0):
+    """The value at (y, x, ch), by the flat layout `Image` documents."""
+    return img.pixels[(y * img.width + x) * img.channels + ch]
+
+
 class TestRect:
     def test_derived_edges(self):
         r = Rect(1, 2, 3, 4)
@@ -51,11 +56,13 @@ class TestRect:
 
 class TestImage:
     def test_flat_layout_is_row_major_channels_innermost(self):
+        """(y, x, ch) sits at (y * width + x) * channels + ch, so masking
+        pixel (0, 1) zeroes flat values 2 and 3, and pixel (1, 0) 4 and 5."""
         img = Image(2, 2, 2, 9, (1, 2, 3, 4, 5, 6, 7, 8))
-        assert img.pixel(0, 0, 1) == 2
-        assert img.pixel(0, 1, 0) == 3
-        assert img.pixel(1, 0, 1) == 6
-        assert img.flat_index(1, 1, 1) == 7
+        masked = apply_mask(img, Mask(2, 2, (Rect(0, 1, 1, 1),)))
+        assert masked.pixels == (1, 2, 0, 0, 5, 6, 7, 8)
+        masked = apply_mask(img, Mask(2, 2, (Rect(1, 0, 1, 1),)))
+        assert masked.pixels == (1, 2, 3, 4, 0, 0, 7, 8)
 
     def test_rejects_wrong_pixel_count(self):
         with pytest.raises(InvalidInputError):
@@ -134,8 +141,8 @@ class TestApplyMask:
             for y in range(h):
                 for x in range(w):
                     for ch in range(img.channels):
-                        want = 0 if grid[y][x] else img.pixel(y, x, ch)
-                        assert out.pixel(y, x, ch) == want
+                        want = 0 if grid[y][x] else pixel(img, y, x, ch)
+                        assert pixel(out, y, x, ch) == want
 
     def test_rejects_plane_mismatch(self):
         img = grid_image([[0, 0], [0, 0]])
@@ -185,9 +192,9 @@ class TestApplyPatch:
                     inside = r.top <= y < r.bottom and r.left <= x < r.right
                     if inside:
                         idx = (y - r.top) * r.width + (x - r.left)
-                        assert out.pixel(y, x) == content[idx]
+                        assert pixel(out, y, x) == content[idx]
                     else:
-                        assert out.pixel(y, x) == img.pixel(y, x)
+                        assert pixel(out, y, x) == pixel(img, y, x)
 
     def test_rejects_out_of_plane(self):
         img = grid_image([[0, 0], [0, 0]])
