@@ -44,7 +44,6 @@ from .defenders import (
     Verdict,
     assign_case,
     make_defender,
-    oma,
 )
 from .errors import (
     BudgetExceededError,

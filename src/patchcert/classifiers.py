@@ -37,7 +37,7 @@ from .cover import MaskSet
 from .defenders import MutantProfile
 from .errors import InvalidInputError, TableLookupError
 from .tensor import (
-    Image, Mask, _mask_pixel_spans, _merged_spans, _span_at, check_mask_plane,
+    Image, Mask, _mask_pixel_spans, _span_at, check_mask_plane,
     unpack_pixels, write_packed, zero_masked,
 )
 
@@ -196,6 +196,8 @@ class LinearClassifier:
     def __post_init__(self):
         if self.num_labels < 2:
             raise InvalidInputError("num_labels must be at least 2")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidInputError("seed must fit in 64 bits")
         if self.temperature <= 0:
             raise InvalidInputError("temperature must be positive")
         if self.weights is not None:
@@ -238,26 +240,25 @@ class LinearClassifier:
         pixels = unpack_pixels(data, bytes_per_pixel)
         rows = self._weight_rows(len(pixels))
         logits = [sum(map(mul, row, pixels)) for row in rows]
-        return _LinearScorer(self, rows, pixels, logits, (), logits)
+        return _LinearScorer(self, rows, pixels, (), logits)
 
 
 class _LinearScorer:
     """Exact integer logits of some pixels with the `spans` zeroed.
 
-    `pixels` are the unmasked values and `full` their logits; masked
-    scorers share both with the scorer they came from. `logits` are
-    `full` minus the terms of the zeroed spans, and a score adds
-    `w * (v - old)` at each written position, so the float confidence
-    comes from the same integers `_predict_packed` computes.
+    `pixels` are the unmasked values, shared by masked scorers. `logits`
+    leave out the zeroed spans' terms, and a score adds `w * (v - old)`
+    at each written position, so the float confidence comes from the
+    same integers `_predict_packed` computes. Only an image's unmasked
+    scorer may be masked: `masked` subtracts one mask's terms from it.
     """
 
-    __slots__ = ("classifier", "rows", "pixels", "full", "spans", "logits")
+    __slots__ = ("classifier", "rows", "pixels", "spans", "logits")
 
-    def __init__(self, classifier: LinearClassifier, rows, pixels, full, spans, logits):
+    def __init__(self, classifier: LinearClassifier, rows, pixels, spans, logits):
         self.classifier = classifier
         self.rows = rows
         self.pixels = pixels
-        self.full = full
         self.spans = spans
         self.logits = logits
 
@@ -267,16 +268,14 @@ class _LinearScorer:
     def masked(self, mask: Mask, channels: int) -> "_LinearScorer":
         pixels = self.pixels
         spans = _mask_pixel_spans(mask, channels)
-        if self.spans:
-            spans = _merged_spans(self.spans + spans)
         # One C-level pass per label over the zeroed spans' terms.
         slices = [slice(a, b) for a, b in spans]
         hidden = list(chain.from_iterable(map(pixels.__getitem__, slices)))
         logits = [
             total - sum(map(mul, chain.from_iterable(map(row.__getitem__, slices)), hidden))
-            for total, row in zip(self.full, self.rows)
+            for total, row in zip(self.logits, self.rows)
         ]
-        return _LinearScorer(self.classifier, self.rows, pixels, self.full, spans, logits)
+        return _LinearScorer(self.classifier, self.rows, pixels, spans, logits)
 
     def at(self, positions: Sequence[int]):
         pixels, spans, logits = self.pixels, self.spans, self.logits

@@ -30,7 +30,6 @@ from .defenders import (
     Defender,
     DefenderSpec,
     make_defender,
-    oma,
 )
 from .errors import FileFormatError, InvalidInputError, PatchCertError
 from .metrics import EvalRecord, compute_metrics
@@ -338,6 +337,8 @@ def cmd_evaluate(args) -> int:
             )
         tau_of[defender.name] = tau
     records, mask_set, classifier = _load_inputs(args)
+    # A consistent sample is by definition one that DOMA certifies.
+    doma = make_defender(DefenderSpec("doma"))
     # Each sample is profiled once; every tau's verdict reads that profile.
     per_tau: list[list[EvalRecord]] = [[] for _ in taus]
     for record in records:
@@ -345,7 +346,7 @@ def cmd_evaluate(args) -> int:
         profile = classify_mutants(
             classifier, record.image, mask_set, sample_id=record.id
         )
-        consistent = oma(profile, record.true_label)
+        consistent = doma.certify(profile, record.true_label)
         for defender, eval_records in zip(defenders, per_tau):
             verdict = defender.verdict(profile, record.true_label)
             eval_records.append(EvalRecord(

@@ -12,6 +12,7 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import random
@@ -344,7 +345,7 @@ def _prediction_table(
     masks = range(max(mask_indices) + 1)
     for sample_id in (*by_sample, *required):
         preds = by_sample.get(sample_id, {})
-        for variant in ("base", *masks):
+        for variant in itertools.chain(("base",), masks):
             if variant not in preds:
                 raise SchemaViolationError(
                     path, 0, f"no row for sample {sample_id!r}, variant {variant!r}"

@@ -30,7 +30,6 @@ __all__ = [
     "Defender",
     "DEFENDER_KINDS",
     "CLAUSE_NAMES",
-    "oma",
     "make_defender",
     "assign_case",
 ]
@@ -59,14 +58,6 @@ class Verdict:
 
     certified: bool
     warned: bool | None
-
-
-def oma(profile: MutantProfile, label: int) -> bool:
-    """One-mask agreement: every mutant keeps the given label."""
-    for m in profile.mutants:
-        if m.label != label:
-            return False
-    return True
 
 
 def _doma_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:

@@ -32,14 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle in (row, column) coordinates.
 
-    `top`/`left` are inclusive, extents are at least 1. Ordering is
-    lexicographic on (top, left, height, width). Placements are not
-    listed in this order: `iter_placements` lists a rectangle spec's
-    rects by (height, width, top, left).
+    `top`/`left` are inclusive, extents are at least 1.
     """
 
     top: int
@@ -374,8 +371,6 @@ def apply_patch(image: Image, placement: Placement, content: Sequence[int]) -> I
     Content is one flat run per rect, concatenated in placement order.
     Rects must lie inside the plane and be pairwise disjoint.
     """
-    if isinstance(placement, Rect):
-        placement = (placement,)
     _check_placement(image.height, image.width, placement)
     c = image.channels
     need = sum(r.area for r in placement) * c
@@ -404,8 +399,6 @@ def apply_patch(image: Image, placement: Placement, content: Sequence[int]) -> I
 
 def mask_covers(mask: Mask, placement: Placement) -> bool:
     """True when the mask hides the placement: each rect row lies in one span."""
-    if isinstance(placement, Rect):
-        placement = (placement,)
     spans = _mask_pixel_spans(mask, 1)
     w = mask.plane_width
     for r in placement:

@@ -24,7 +24,6 @@ from patchcert.defenders import (
     DefenderSpec,
     Verdict,
     make_defender,
-    oma,
 )
 from patchcert.metrics import EvalRecord, case_histogram, compute_metrics
 from patchcert.oracle import (
@@ -207,7 +206,7 @@ def test_criterion_5_inclusions_and_threshold_monotonicity(
                 true_label=label,
                 base=prof.base,
                 verdict=defender.verdict(prof, label),
-                consistent=oma(prof, label),
+                consistent=make_defender(DefenderSpec("doma")).certify(prof, label),
             )
             for prof, label, sid in profiles
         ]

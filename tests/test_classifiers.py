@@ -20,8 +20,7 @@ from patchcert.dataset_io import gen_synthetic_dataset, load_predictions, \
 from patchcert.defenders import MutantProfile
 from patchcert.errors import DimensionMismatchError, InvalidInputError, TableLookupError, \
     ValueOutOfRangeError
-from patchcert.tensor import Image, Mask, Rect, apply_mask, masked_packed, write_packed, \
-    zero_masked
+from patchcert.tensor import Image, Mask, Rect, apply_mask, masked_packed, write_packed
 
 from conftest import make_image
 
@@ -108,6 +107,11 @@ class TestHashClassifier:
 
 
 class TestLinearClassifier:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(InvalidInputError, match="seed must fit in 64 bits"):
+            LinearClassifier(seed=seed, num_labels=2)
+
     def test_hand_computed_two_label_model(self):
         clf = LinearClassifier(seed=0, num_labels=2, weights=((1,), (0,)))
         zero = Image(1, 1, 1, 4, (0,))
@@ -206,18 +210,14 @@ class TestScorers:
         base = clf._scorer(img.packed, bpp)
         assert base.prediction() == clf._predict_packed(img.packed, bpp)
 
-        mask, other = random_mask(rng, h, w), random_mask(rng, h, w)
+        mask = random_mask(rng, h, w)
         masked = base.masked(mask, c)
         masked_data = masked_packed(img, mask)
         assert masked.prediction() == clf._predict_packed(masked_data, bpp)
-        twice = masked.masked(other, c)
-        twice_data = zero_masked(masked_data, other, c, bpp)
-        assert twice.prediction() == clf._predict_packed(twice_data, bpp)
 
         under = [p for p in range(n) if masked_data[p * bpp:(p + 1) * bpp] == bytes(bpp)
                  and img.pixels[p]]
-        for scorer, data in ((base, img.packed), (masked, masked_data),
-                             (twice, twice_data)):
+        for scorer, data in ((base, img.packed), (masked, masked_data)):
             self.check(clf, scorer, data, bpp, [], [])
             for k in (1, rng.randint(1, n), n):  # single, some, all
                 positions = rng.sample(range(n), k)

@@ -8,9 +8,12 @@ import sys
 
 import pytest
 
-from patchcert.classifiers import HashClassifier, classify_mutants
+from patchcert.classifiers import HashClassifier, Prediction, classify_mutants
 from patchcert.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from patchcert.dataset_io import load_dataset, load_maskset, save_predictions
+from patchcert.dataset_io import load_dataset, load_maskset, load_predictions, \
+    save_predictions
+
+import naive
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 FIXTURE = str(DATA_DIR / "negative_control.json")
@@ -447,6 +450,41 @@ class TestEvaluate:
         name = "records_hicert_tau0.8.jsonl"
         assert (table_dir / name).read_bytes() == (hash_dir / name).read_bytes()
 
+    def test_consistent_is_the_reference_doma_rule(self, capsys, workspace):
+        """Each record's `consistent` is plain one-mask agreement with the
+        true label on the sample's profile, from the hash classifier and
+        from a table whose samples are right or wrong, consistent or not."""
+        records = load_dataset(str(workspace / "data.jsonl"))
+        rows = []
+        for i, record in enumerate(records):
+            label, other = record.true_label, (record.true_label + 1) % 5
+            mutants = [label] * 9
+            if i % 2:
+                mutants[i] = other
+            base = other if i % 3 == 2 else label  # misclassified
+            rows.append((record.id, "base", Prediction(base, 0.9)))
+            rows += [(record.id, k, Prediction(m, 0.6)) for k, m in enumerate(mutants)]
+        code, hash_dir, _, _ = self.evaluate(capsys, workspace, "doma")
+        assert code == EXIT_OK
+        code, table_dir, preds, _ = self.evaluate_table(capsys, workspace, rows)
+        assert code == EXIT_OK
+        mask_set = load_maskset(str(workspace / "masks.json"))
+        kinds = set()
+        for classifier, path in (
+            (HashClassifier(seed=7, num_labels=5), hash_dir / "records_doma.jsonl"),
+            (load_predictions(str(preds)), table_dir / "records_hicert_tau0.8.jsonl"),
+        ):
+            lines = path.read_text().splitlines()
+            assert len(lines) == len(records)
+            for record, line in zip(records, lines):
+                profile = classify_mutants(
+                    classifier, record.image, mask_set, sample_id=record.id
+                )
+                want = naive.doma_certify(profile, record.true_label, 0.0)
+                assert json.loads(line)["consistent"] == want
+                kinds.add((want, profile.base.label == record.true_label))
+        assert len(kinds) == 4
+
     def test_table_for_another_mask_count_leaves_no_directory(
         self, capsys, workspace
     ):
@@ -871,3 +909,23 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+    @pytest.mark.parametrize("command,out_flag", [
+        ("evaluate", "--out-dir"), ("verify", "--out"),
+    ])
+    def test_linear_seed_outside_64_bits_is_a_usage_error(
+        self, capsys, workspace, command, out_flag
+    ):
+        out_dir = workspace / "out"
+        out = out_dir if command == "evaluate" else out_dir / "soundness.json"
+        code, stdout, err = run(
+            capsys, command,
+            "--dataset", str(workspace / "data.jsonl"),
+            "--masks", str(workspace / "masks.json"),
+            "--classifier", "linear", "--num-labels", "5", "--seed", str(2**64),
+            "--defender", "doma", out_flag, str(out),
+        )
+        assert (code, stdout, err) == (
+            EXIT_USAGE, "", "error: seed must fit in 64 bits\n"
+        )
+        assert not out_dir.exists()

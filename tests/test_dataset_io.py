@@ -1,6 +1,7 @@
 """On-disk formats: datasets, mask sets, prediction tables, records, fixtures."""
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -313,6 +314,31 @@ class TestPredictionTables:
         with pytest.raises(SchemaViolationError) as exc:
             load_predictions(str(path))
         assert str(exc.value) == f"{path}: no row for sample {gap}"
+
+    @pytest.mark.parametrize("loader", ["table", "fixture"])
+    def test_a_gap_below_a_huge_mask_index_is_named_in_little_memory(
+        self, tmp_path, loader
+    ):
+        """The first missing row is named without building the list of
+        every mask index up to the highest one."""
+        rows = [{"sample_id": "x", "variant": variant, "label": 0, "confidence": 0.5}
+                for variant in ("base", {"mask_index": 10**6})]
+        if loader == "table":
+            path, load = tmp_path / "preds.jsonl", load_predictions
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        else:
+            path, load = tmp_path / "fixture.json", load_profile_fixture
+            path.write_text(json.dumps({"format_version": 1, "true_label": 0,
+                                        "benign": "x", "variants": [], "rows": rows}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaViolationError) as exc:
+                load(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"{path}: no row for sample 'x', variant 0"
+        assert peak < 2**20
 
 
 class TestEvalRecords:

@@ -12,7 +12,6 @@ from patchcert.defenders import (
     Verdict,
     assign_case,
     make_defender,
-    oma,
 )
 from patchcert.errors import InvalidInputError, UnsupportedOperationError
 
@@ -41,10 +40,11 @@ def reference_taus(rng, p):
 
 class TestAgreementRules:
     def test_oma_requires_unanimity(self):
+        """One-mask agreement, the consistency rule, is DOMA's certify rule."""
         p = profile((0, 0.7), [(0, 0.9), (0, 0.8)])
-        assert oma(p, 0)
-        assert not oma(p, 1)
-        assert not oma(profile((0, 0.7), [(0, 0.9), (3, 0.6)]), 0)
+        assert certify("doma", p, 0)
+        assert not certify("doma", p, 1)
+        assert not certify("doma", profile((0, 0.7), [(0, 0.9), (3, 0.6)]), 0)
 
     def test_doma_certify_and_warn(self):
         agree = profile((0, 0.7), [(0, 0.9), (0, 0.8)])

@@ -40,9 +40,6 @@ class TestRect:
         r = Rect(1, 2, 3, 4)
         assert (r.bottom, r.right, r.area) == (4, 6, 12)
 
-    def test_ordering_is_lexicographic(self):
-        assert Rect(0, 0, 1, 1) < Rect(0, 1, 1, 1) < Rect(1, 0, 1, 1)
-
     def test_intersects(self):
         assert Rect(0, 0, 2, 2).intersects(Rect(1, 1, 2, 2))
         # touching edges share no pixels
@@ -158,7 +155,7 @@ class TestApplyMask:
 class TestApplyPatch:
     def test_writes_row_major_content(self):
         img = grid_image([[1, 2, 3], [0, 1, 2]])
-        out = apply_patch(img, Rect(0, 0, 2, 2), (3, 3, 2, 1))
+        out = apply_patch(img, (Rect(0, 0, 2, 2),), (3, 3, 2, 1))
         assert out.pixels == (3, 3, 3, 2, 1, 2)
 
     def test_multi_rect_content_concatenates_in_order(self):
@@ -168,12 +165,12 @@ class TestApplyPatch:
 
     def test_channels_innermost(self):
         img = Image(2, 2, 2, 9, (1, 2, 3, 4, 5, 6, 7, 8))
-        out = apply_patch(img, Rect(0, 1, 1, 1), (0, 7))
+        out = apply_patch(img, (Rect(0, 1, 1, 1),), (0, 7))
         assert out.pixels == (1, 2, 0, 7, 5, 6, 7, 8)
 
     def test_original_is_untouched(self):
         img = grid_image([[1, 2], [3, 0]])
-        apply_patch(img, Rect(0, 0, 1, 1), (0,))
+        apply_patch(img, (Rect(0, 0, 1, 1),), (0,))
         assert img.pixels == (1, 2, 3, 0)
 
     def test_frame_condition(self, rng):
@@ -186,7 +183,7 @@ class TestApplyPatch:
             pw = rng.randint(1, w)
             r = Rect(rng.randint(0, h - ph), rng.randint(0, w - pw), ph, pw)
             content = [rng.randrange(4) for _ in range(r.area)]
-            out = apply_patch(img, r, content)
+            out = apply_patch(img, (r,), content)
             for y in range(h):
                 for x in range(w):
                     inside = r.top <= y < r.bottom and r.left <= x < r.right
@@ -199,7 +196,7 @@ class TestApplyPatch:
     def test_rejects_out_of_plane(self):
         img = grid_image([[0, 0], [0, 0]])
         with pytest.raises(InvalidInputError):
-            apply_patch(img, Rect(1, 1, 2, 1), (0, 0))
+            apply_patch(img, (Rect(1, 1, 2, 1),), (0, 0))
 
     def test_rejects_overlapping_rects(self):
         img = grid_image([[0, 0], [0, 0]])
@@ -209,33 +206,33 @@ class TestApplyPatch:
     def test_rejects_wrong_content_length(self):
         img = grid_image([[0, 0], [0, 0]])
         with pytest.raises(InvalidInputError):
-            apply_patch(img, Rect(0, 0, 1, 2), (0,))
+            apply_patch(img, (Rect(0, 0, 1, 2),), (0,))
 
     def test_rejects_out_of_alphabet_content(self):
         img = grid_image([[0, 0], [0, 0]])
         with pytest.raises(InvalidInputError):
-            apply_patch(img, Rect(0, 0, 1, 1), (4,))
+            apply_patch(img, (Rect(0, 0, 1, 1),), (4,))
 
 
 class TestMaskCovers:
     def test_single_rect_containment(self):
         mask = Mask(8, 8, (Rect(0, 0, 4, 4),))
-        assert mask_covers(mask, Rect(1, 1, 2, 2))
-        assert not mask_covers(mask, Rect(3, 3, 2, 2))
+        assert mask_covers(mask, (Rect(1, 1, 2, 2),))
+        assert not mask_covers(mask, (Rect(3, 3, 2, 2),))
 
     def test_union_of_rects_covers_jointly(self):
         # two half-plane strips whose union covers a straddling placement
         mask = Mask(4, 4, (Rect(0, 0, 4, 2), Rect(0, 2, 4, 2)))
-        assert mask_covers(mask, Rect(1, 1, 2, 2))
+        assert mask_covers(mask, (Rect(1, 1, 2, 2),))
 
     def test_gap_between_rects_is_detected(self):
         mask = Mask(4, 5, (Rect(0, 0, 4, 2), Rect(0, 3, 4, 2)))
-        assert not mask_covers(mask, Rect(1, 1, 2, 2))
+        assert not mask_covers(mask, (Rect(1, 1, 2, 2),))
 
     def test_rejects_out_of_plane_placement(self):
         mask = Mask(4, 4, (Rect(0, 0, 4, 4),))
         with pytest.raises(DimensionMismatchError):
-            mask_covers(mask, Rect(3, 3, 2, 2))
+            mask_covers(mask, (Rect(3, 3, 2, 2),))
 
     def test_matches_pixelwise_oracle(self, rng):
         """The span lookup agrees with the dense-grid subset check."""
@@ -430,6 +427,6 @@ class TestMutantIdentity:
                 min(h - mt, r.bottom - mt + rng.randint(0, 2)),
                 min(w - ml, r.right - ml + rng.randint(0, 2)),
             ),))
-            assert mask_covers(mask, r)
-            patched = apply_patch(img, r, content)
+            assert mask_covers(mask, (r,))
+            patched = apply_patch(img, (r,), content)
             assert apply_mask(patched, mask).pixels == apply_mask(img, mask).pixels
