@@ -20,6 +20,14 @@ from its sample only under the mask, and a variant only under the
 patch, so the linear backend updates its integer logits at those pixels
 alone; the hash backend digests a patched copy. No `Image` is built per
 mutant or per variant.
+
+`label_at(positions)` is `at`'s label-only sibling: its `score(values)`
+returns `at(positions)(values).label` and computes no confidence. The
+hash backend digests only the label stream (`_label_packed`, which
+`_predict_packed` also reads), and the linear backend takes the argmax
+of the same integer logits without the exponentials. The oracle scores
+variants this way, because no warning rule reads a variant's own
+confidence.
 """
 
 from __future__ import annotations
@@ -70,11 +78,13 @@ class Prediction(NamedTuple):
     """A label with the classifier's confidence for it.
 
     A plain value: pixel backends clamp confidences into (0, 1), and the
-    file loaders check label and confidence where a table is read.
+    file loaders check label and confidence where a table is read. The
+    oracle's harmful variants are scored for their label alone and carry
+    confidence None, so a rule that compares it with tau raises.
     """
 
     label: int
-    confidence: float
+    confidence: float | None
 
 
 _CONF_DENOM = 65538  # (1 + value mod 2^16) / (2^16 + 2) stays inside (0, 1)
@@ -117,15 +127,21 @@ class HashClassifier:
         return self._predict_packed(image.packed, image.bytes_per_pixel)
 
     def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> Prediction:
-        # The digest reads the bytes as they are; the pixel width is unused.
-        keyed_label, keyed_conf = _keyed_digests(self.seed)
-        h_label = keyed_label.copy()
-        h_label.update(data)
-        h_conf = keyed_conf.copy()
+        h_conf = _keyed_digests(self.seed)[1].copy()
         h_conf.update(data)
-        label = int.from_bytes(h_label.digest(), "little") % self.num_labels
         raw = int.from_bytes(h_conf.digest(), "little") & 0xFFFF
-        return Prediction(label, clamp_confidence((1 + raw) / _CONF_DENOM))
+        return Prediction(
+            self._label_packed(data, bytes_per_pixel),
+            clamp_confidence((1 + raw) / _CONF_DENOM),
+        )
+
+    def _label_packed(self, data: bytes, bytes_per_pixel: int) -> int:
+        """`_predict_packed(data, bytes_per_pixel).label`, from the label
+        stream alone. The digest reads the bytes as they are; the pixel
+        width is unused."""
+        h_label = _keyed_digests(self.seed)[0].copy()
+        h_label.update(data)
+        return int.from_bytes(h_label.digest(), "little") % self.num_labels
 
     def _scorer(self, data: bytes, bytes_per_pixel: int) -> "_HashScorer":
         return _HashScorer(self, data, bytes_per_pixel)
@@ -134,7 +150,8 @@ class HashClassifier:
 class _HashScorer:
     """Bytes to digest, whole: masking zeroes a copy as `masked_packed`
     does, and a score digests a copy with the values written in. Every
-    prediction is a `_predict_packed` call on the classifier."""
+    prediction is a `_predict_packed` call on the classifier, and every
+    label-only score a `_label_packed` call."""
 
     __slots__ = ("classifier", "data", "bpp")
 
@@ -152,13 +169,18 @@ class _HashScorer:
         )
 
     def at(self, positions: Sequence[int]):
-        data, bpp = self.data, self.bpp
-        predict = self.classifier._predict_packed
+        return self._written(positions, self.classifier._predict_packed)
 
-        def score(values: Sequence[int]) -> Prediction:
+    def label_at(self, positions: Sequence[int]):
+        return self._written(positions, self.classifier._label_packed)
+
+    def _written(self, positions: Sequence[int], read):
+        data, bpp = self.data, self.bpp
+
+        def score(values: Sequence[int]):
             buf = bytearray(data)
             write_packed(buf, positions, values, bpp)
-            return predict(buf, bpp)
+            return read(buf, bpp)
 
         return score
 
@@ -176,6 +198,12 @@ def _seeded_weights(
         tuple(rng.randrange(-8, 9) for _ in range(num_features))
         for _ in range(num_labels)
     )
+
+
+def _top_label(logits: Sequence[int]) -> int:
+    """The argmax of exact integer logits: the lowest label among tied
+    maxima."""
+    return logits.index(max(logits))
 
 
 @dataclass(frozen=True)
@@ -227,8 +255,8 @@ class LinearClassifier:
 
     def _prediction(self, logits: Sequence[int]) -> Prediction:
         """The label and softmax confidence of exact integer logits."""
-        peak = max(logits)
-        best = logits.index(peak)  # the lowest label among tied maxima
+        best = _top_label(logits)
+        peak = logits[best]
         # Left to right from 0.0: from Python 3.12 on the builtin sum
         # compensates float rounding, which would change the last bits.
         denom = 0.0
@@ -278,14 +306,19 @@ class _LinearScorer:
         return _LinearScorer(self.classifier, self.rows, pixels, spans, logits)
 
     def at(self, positions: Sequence[int]):
+        return self._written(positions, self.classifier._prediction)
+
+    def label_at(self, positions: Sequence[int]):
+        return self._written(positions, _top_label)
+
+    def _written(self, positions: Sequence[int], read):
         pixels, spans, logits = self.pixels, self.spans, self.logits
         olds = [0 if _span_at(spans, p) else pixels[p] for p in positions]
         columns = [[row[p] for p in positions] for row in self.rows]
-        prediction = self.classifier._prediction
 
-        def score(values: Sequence[int]) -> Prediction:
+        def score(values: Sequence[int]):
             deltas = list(map(sub, values, olds))
-            return prediction([
+            return read([
                 total + sum(map(mul, column, deltas))
                 for total, column in zip(logits, columns)
             ])

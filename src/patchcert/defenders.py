@@ -8,15 +8,17 @@ here differ only in how they weigh label disagreement and confidence.
 
 Each certify rule is a universal loop over the mutants and each warning
 clause an existential one; both stop at the first mutant that settles
-them, so an empty set certifies and warns of nothing. Every threshold
-comparison is strict: a confidence equal to tau neither certifies nor
-warns.
+them, so an empty set certifies and warns of nothing. A clause that
+fires on some of a profile's mutants therefore fires on the whole
+profile, which `Defender.settled_clause` uses to judge a patched variant
+from the mutants its patch cannot change. Every threshold comparison is
+strict: a confidence equal to tau neither certifies nor warns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInputError, UnsupportedOperationError
 
@@ -242,15 +244,38 @@ class Defender:
         re-iterable, such as the scan's covering-first walk, only a
         silent warner or a low-confidence catch reaches every mutant.
         """
+        clauses, tau = self._warning()
+        for name, clause in zip(CLAUSE_NAMES, clauses):
+            if clause(profile, tau):
+                return name
+        return None
+
+    def settled_clause(self, label: int, covered: Sequence[Prediction]) -> str | None:
+        """The first warning clause's name when it fires on a variant of
+        `label` that has the `covered` mutants, whatever its other
+        mutants are; else None.
+
+        Every clause is existential over the mutants, so a first clause
+        that fires on `covered` alone fires on every profile holding
+        them, and `warn_clauses` names it. A later clause settles
+        nothing: another mutant may fire an earlier one. The variant's
+        confidence is unknown (None), as no clause reads it.
+        """
+        from .classifiers import Prediction  # classifiers imports this module
+
+        clauses, tau = self._warning()
+        if clauses[0](MutantProfile(Prediction(label, None), covered), tau):
+            return CLAUSE_NAMES[0]
+        return None
+
+    def _warning(self) -> tuple[tuple, float]:
+        """The warner's clauses in `CLAUSE_NAMES` order, and its tau."""
         spec = self.warner
         if spec is None:
             raise UnsupportedOperationError(
                 f"{self.certifier.name} defines no warning rule"
             )
-        for name, clause in zip(CLAUSE_NAMES, _FAMILIES[spec.kind].warn_clauses):
-            if clause(profile, spec.tau):
-                return name
-        return None
+        return _FAMILIES[spec.kind].warn_clauses, spec.tau
 
     def verdict(self, profile: MutantProfile, true_label: int) -> Verdict:
         certified = self.certify(profile, true_label)

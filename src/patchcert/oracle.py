@@ -5,9 +5,17 @@ tampered variant of a sample, so at desk scale they can be checked by
 brute force. The scan walks the attack placement by placement: each
 placement comes with the patch contents in scope for it, and for a
 sample that some defender must warn-check, every content's variant is
-classified. A harmful variant's one-mask mutants are then walked
-covering masks first: a mask that covers the patch gives back the
-benign mutant at no classifier call, and the other masks' mutants are
+scored for its label alone (`label_at`; no warning rule reads a
+variant's own confidence, so a harmful variant's is None).
+
+A mask that covers the patch gives back the benign mutant, whatever the
+content, and every warning clause is existential over the mutants. So
+the covering mutants and the variant's label can settle a harmful
+variant: when a defender's first clause fires on them alone
+(`Defender.settled_clause`), the variant is warned and attributed to
+that clause without reading its other mutants. The answer is memoized
+per placement, defender and label. Only an unsettled variant's mutants
+are walked, covering masks first, and the other masks' mutants are
 classified only when the warning rule reads that far. A label
 difference stops the walk; only a low-confidence catch or a variant
 that draws no warning needs every mutant. Violations are recorded in
@@ -327,6 +335,10 @@ class _PlacementPlan:
     other mutant predictions; with the placement fixed, a mutant's
     pixels depend only on the mask and the content values that survive
     it, and the memo holds real classifier outputs on real mutants.
+    `settled` memoizes, per harmful variant label, each warn-checked
+    defender's `Defender.settled_clause` on `covered`: with the
+    placement fixed, that answer depends on the defender and the label
+    alone.
     """
 
     __slots__ = (
@@ -341,6 +353,7 @@ class _PlacementPlan:
         "uncovered",
         "surviving",
         "mutants",
+        "settled",
     )
 
     def __init__(
@@ -369,6 +382,7 @@ class _PlacementPlan:
         self.uncovered = [i for i, hit in enumerate(covers) if not hit]
         self.surviving: list[tuple | None] = [None] * len(masks)
         self.mutants: dict[tuple, Prediction] = {}
+        self.settled: dict[int, list] = {}
 
     def survivors(self, mask: Mask) -> tuple[int, ...]:
         """The content indices that `mask` leaves, in content order."""
@@ -493,14 +507,27 @@ def _scan_sample(
             thm1.thm1_violations += plan.erasure_check(record)
         if not active:
             continue
-        classify_variant = scorer.at(plan.positions)
+        label_of = scorer.label_at(plan.positions)
         # Contents first: zip then takes no index when a group runs out.
         for content, variant_index in zip(contents, variant_indices):
-            variant = classify_variant(content)
-            if variant.label == true_label:
+            label = label_of(content)
+            if label == true_label:
                 continue  # not harmful; nothing to detect
-            vprofile = MutantProfile(variant, _VariantMutants(plan, content))
-            for d, report in active:
+            settled = plan.settled.get(label)
+            if settled is None:
+                settled = plan.settled[label] = [
+                    d.settled_clause(label, plan.covered) for d, _ in active
+                ]
+            vprofile = None
+            for (d, report), clause in zip(active, settled):
+                if clause is not None:  # warned, whatever the content
+                    if report is not None:
+                        report.thm2_clause_stats[clause] += 1
+                    continue
+                if vprofile is None:
+                    vprofile = MutantProfile(
+                        Prediction(label, None), _VariantMutants(plan, content)
+                    )
                 evaded = _judge(d, report, vprofile, lambda: {
                     "sample_id": sample_id, "variant_index": variant_index,
                     "placement": plan.placement_doc,

@@ -190,7 +190,8 @@ def scorer_backend(rng, seed, features):
 
 
 class TestScorers:
-    """Every scorer, bit for bit against `_predict_packed` on real bytes."""
+    """Every scorer, bit for bit against `_predict_packed` on real bytes,
+    and its label-only path against that prediction's label."""
 
     def check(self, clf, scorer, data, bpp, positions, values):
         buf = bytearray(data)
@@ -198,6 +199,7 @@ class TestScorers:
         want = clf._predict_packed(bytes(buf), bpp)
         got = scorer.at(positions)(values)
         assert (got.label, got.confidence.hex()) == (want.label, want.confidence.hex())
+        assert scorer.label_at(positions)(values) == want.label
 
     @pytest.mark.parametrize("seed", range(90))
     def test_scorers_match_the_packed_reference(self, seed):
@@ -228,12 +230,29 @@ class TestScorers:
                 self.check(clf, scorer, data, bpp, positions, values)
             # A score closure is reusable: it keeps no state between calls.
             positions = rng.sample(range(n), rng.randint(1, n))
-            score = scorer.at(positions)
+            score, label = scorer.at(positions), scorer.label_at(positions)
             for _ in range(3):
                 values = [rng.randrange(alphabet) for _ in positions]
                 buf = bytearray(data)
                 write_packed(buf, positions, values, bpp)
-                assert score(values) == clf._predict_packed(bytes(buf), bpp)
+                want = clf._predict_packed(bytes(buf), bpp)
+                assert score(values) == want
+                assert label(values) == want.label
+
+    def test_label_path_breaks_ties_to_the_lowest_label(self):
+        """Labels 1 and 2 share a weight row that outscores labels 0 and 3
+        on these pixels, so every path answers 1, never the highest of
+        the tied labels."""
+        weights = ((0, 0, 0, 0), (1, 2, 0, 1), (1, 2, 0, 1), (-1, 0, 0, 0))
+        clf = LinearClassifier(0, 4, weights)
+        img = Image(2, 2, 1, 4, (3, 1, 2, 0))
+        base = clf._scorer(img.packed, 1)
+        mask = Mask(2, 2, (Rect(0, 0, 1, 1),))
+        masked = base.masked(mask, 1)
+        for scorer, data in ((base, img.packed), (masked, masked_packed(img, mask))):
+            for positions, values in (([], []), ([0, 3], [2, 1])):
+                self.check(clf, scorer, data, 1, positions, values)
+                assert scorer.label_at(positions)(values) == 1
 
     def test_overlapping_and_compound_masks(self):
         """A pixel under two rects of one mask is zeroed, and its terms

@@ -136,6 +136,8 @@ class TestFlippedAblations:
         p = profile((0, 0.7), [(0, 0.9)])
         with pytest.raises(UnsupportedOperationError):
             d.warn(p)
+        with pytest.raises(UnsupportedOperationError):
+            d.settled_clause(1, p.mutants)
         # no disagreement, so the flip certifies; warned stays None
         assert d.verdict(p, 0) == Verdict(certified=True, warned=None)
 
@@ -204,6 +206,24 @@ class TestQuantifiers:
                     for name, clause in zip(CLAUSE_NAMES, family.warn_clauses):
                         if clause(part, tau):
                             assert clause(p, tau), (kind, name, p, part, tau)
+
+    def test_a_settled_clause_is_the_warning_of_every_completion(self, rng):
+        """`settled_clause` on a sub-multiset of the mutants (a plan's
+        covered ones) names the first clause when it fires there, and
+        then `warn_clauses` on the whole profile names that clause too.
+        It names no later clause, which an extra mutant can pre-empt."""
+        first = CLAUSE_NAMES[0]
+        for _ in range(300):
+            p = random_profile(rng)
+            for tau in reference_taus(rng, p):
+                k = rng.randint(0, len(p.mutants))
+                part = p._replace(mutants=tuple(rng.sample(p.mutants, k)))
+                for kind in ("doma", "c2", "pgpp", "hicert"):
+                    d = make_defender(DefenderSpec(kind, tau))
+                    settled = d.settled_clause(p.base.label, part.mutants)
+                    assert settled == (first if d.warn_clauses(part) == first else None)
+                    if settled is not None:
+                        assert d.warn_clauses(p) == settled, (kind, p, part, tau)
 
 
 class TestDefenderSpec:

@@ -2,7 +2,7 @@
 
 `TestEngineAgainstNaive` compares whole `run_soundness` results with the
 one test-side reference, `naive.soundness`, on configurations drawn from
-listed seeds (`-k seed-7` reruns one), and checks that four planted
+listed seeds (`-k seed-7` reruns one), and checks that six planted
 faults in the scan break that equality. The other classes pin variant
 counting, the budget guard, enumeration order, the placement plan,
 classifier call counts and the profile-fixture check.
@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from patchcert import oracle, tensor
+from patchcert import defenders, oracle, tensor
 from patchcert.classifiers import HashClassifier, LinearClassifier, \
     TableClassifier, Prediction, _mutant_scorers, classify_mutants
 from patchcert.cover import gen_multi_cover, gen_rect_cover, gen_square_cover
@@ -409,7 +409,8 @@ def certified_detection(classifier, image, true_label, mask_set, defender, cfg):
 
 class CountingClassifier:
     """Delegates `_scorer` to `inner` and counts one call per prediction:
-    each scorer `prediction()` and each `score` of an `at` closure."""
+    each scorer `prediction()` and each `score` of an `at` or `label_at`
+    closure."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -432,8 +433,12 @@ class CountingScorer:
         return CountingScorer(self.counter, self.inner.masked(mask, channels))
 
     def at(self, positions):
-        score = self.inner.at(positions)
+        return self.counted(self.inner.at(positions))
 
+    def label_at(self, positions):
+        return self.counted(self.inner.label_at(positions))
+
+    def counted(self, score):
         def counted(values):
             self.counter.calls += 1
             return score(values)
@@ -536,6 +541,28 @@ def first_clause_only(monkeypatch):
         "label_difference" if warn(self, profile) == "label_difference" else None))
 
 
+def any_covered_clause(monkeypatch):
+    """A settle helper that credits whichever clause fires on the covered
+    mutants, though an uncovered mutant may fire an earlier one."""
+    monkeypatch.setattr(Defender, "settled_clause", lambda self, label, covered:
+                        self.warn_clauses(MutantProfile(Prediction(label, None), covered)))
+
+
+def label_blind_settle_memo(monkeypatch):
+    """A settle memo that gives a plan's first answer for every label."""
+    init = oracle._PlacementPlan.__init__
+
+    class FirstAnswer(dict):
+        def get(self, label):
+            return next(iter(self.values()), None)
+
+    def blind(self, *args):
+        init(self, *args)
+        self.settled = FirstAnswer()
+
+    monkeypatch.setattr(oracle._PlacementPlan, "__init__", blind)
+
+
 def one_mutant_memo(monkeypatch):
     init, memo = oracle._PlacementPlan.__init__, {}
 
@@ -568,7 +595,10 @@ class TestEngineAgainstNaive:
         (first_clause_only, (4, 8)),
         (lambda mp: mp.setattr(oracle, "masked_packed", leaky_masked_packed), (3, 5)),
         (one_mutant_memo, (4, 7)),
-    ], ids=["covering-walk-only", "first-clause-only", "leaky-masking", "one-mutant-memo"])
+        (any_covered_clause, (0, 8)),
+        (label_blind_settle_memo, (12, 17)),
+    ], ids=["covering-walk-only", "first-clause-only", "leaky-masking", "one-mutant-memo",
+            "any-covered-clause", "label-blind-settle-memo"])
     def test_a_broken_scan_differs_from_the_reference(self, monkeypatch, mutate, seeds):
         mutate(monkeypatch)
         assert any(whole(run_soundness(*drawn(s))) != reference(s)[0] for s in seeds)
@@ -812,6 +842,26 @@ class TestRunSoundness:
         run = run_soundness(counting, [record], ms, [defender], cfg)
         assert run.def1[defender.name].violations == []
         assert counting.calls == 1 + len(ms.masks) + variants + len(reached)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["settle", "judge"])
+    def test_a_rule_that_reads_a_variant_confidence_fails_loudly(self, monkeypatch, first):
+        """Harmful variants are scored for their label alone, so their
+        confidence is None: a planted HiCert clause that compares it with
+        tau raises, whether the settle helper (first clause) or the
+        mutant walk (second clause, after a silent label difference)
+        reaches it."""
+        hicert = defenders._FAMILIES["hicert"]
+        own_confidence = lambda profile, tau: profile.base.confidence < tau
+        clauses = hicert.warn_clauses
+        planted = (own_confidence, clauses[0]) if first else (clauses[0], own_confidence)
+        monkeypatch.setitem(defenders._FAMILIES, "hicert",
+                            hicert._replace(warn_clauses=planted))
+        records = gen_synthetic_dataset(40, (6, 6), 1, 2, 2, seed=1234)
+        ms = gen_square_cover((6, 6), 2, 2)
+        defender = make_defender(DefenderSpec("hicert", 0.8))
+        with pytest.raises(TypeError, match="NoneType"):
+            run_soundness(HashClassifier(seed=7, num_labels=2), records, ms,
+                          [defender], AttackConfig(patch_spec=ms.spec))
 
     def test_uncertified_samples_consume_no_content(self, monkeypatch):
         """With no defender to warn-check, the scan walks placements
