@@ -465,6 +465,8 @@ def save_report(doc: dict, path: str) -> None:
 def load_profile_fixture(path: str) -> ProfileFixture:
     doc = _read_document(path)
     true_label = _need(path, 0, doc, "true_label", int)
+    if true_label < 0:
+        raise ValueOutOfRangeError(path, 0, "true_label must be non-negative")
     benign = _need(path, 0, doc, "benign", str)
     variants = _need(path, 0, doc, "variants", list)
     if not all(isinstance(v, str) for v in variants):

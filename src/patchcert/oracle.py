@@ -38,7 +38,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .classifiers import Prediction, TableClassifier, _mutant_scorers
 from .cover import MaskSet
@@ -71,6 +71,7 @@ CHECK_DEF1 = "def1"
 CHECK_THM1 = "thm1"
 CHECK_RSUC = "rsuc"
 ALL_CHECKS = frozenset({CHECK_DEF1, CHECK_THM1, CHECK_RSUC})
+_EVADED = "harmful variant drew no warning"
 
 
 @dataclass(frozen=True)
@@ -280,28 +281,6 @@ def _content_digest(content: Sequence[int]) -> str:
     else:
         data = b"".join(v.to_bytes(4, "little") for v in content)
     return hashlib.blake2b(data, digest_size=8).hexdigest()
-
-
-def _judge(defender: Defender, report: SoundnessReport | None,
-           vprofile: MutantProfile, witness: Callable[[], dict]) -> bool:
-    """Judge a harmful variant: True when it evades `defender`'s warning.
-
-    `report` (None when only `rsuc` asks) credits the first clause that
-    fires, label difference first, or records a violation: `witness()`'s
-    fields, then the variant's label.
-    """
-    clause = defender.warn_clauses(vprofile)
-    if clause is not None:
-        if report is not None:
-            report.thm2_clause_stats[clause] += 1
-        return False
-    if report is not None:
-        report.violations.append({
-            **witness(),
-            "variant_label": vprofile.base.label,
-            "reason": "harmful variant drew no warning",
-        })
-    return True
 
 
 def _require_warn(defender: Defender) -> None:
@@ -518,23 +497,28 @@ def _scan_sample(
                 settled = plan.settled[label] = [
                     d.settled_clause(label, plan.covered) for d, _ in active
                 ]
+            # The settled clause, else the mutant walk's; none is an evasion.
             vprofile = None
             for (d, report), clause in zip(active, settled):
-                if clause is not None:  # warned, whatever the content
+                if clause is None:
+                    if vprofile is None:
+                        vprofile = MutantProfile(
+                            Prediction(label, None), _VariantMutants(plan, content)
+                        )
+                    clause = d.warn_clauses(vprofile)
+                if clause is not None:
                     if report is not None:
                         report.thm2_clause_stats[clause] += 1
                     continue
-                if vprofile is None:
-                    vprofile = MutantProfile(
-                        Prediction(label, None), _VariantMutants(plan, content)
-                    )
-                evaded = _judge(d, report, vprofile, lambda: {
-                    "sample_id": sample_id, "variant_index": variant_index,
-                    "placement": plan.placement_doc,
-                    "content_digest": _content_digest(content),
-                })
-                if evaded and want_rsuc:
+                if want_rsuc:
                     run.evaded_samples[d.name] = 1
+                if report is not None:
+                    report.violations.append({
+                        "sample_id": sample_id, "variant_index": variant_index,
+                        "placement": plan.placement_doc,
+                        "content_digest": _content_digest(content),
+                        "variant_label": label, "reason": _EVADED,
+                    })
     return run
 
 
@@ -599,8 +583,14 @@ def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> Soundn
     if not certified:
         return report
     for variant_id, vprofile in fixture.variants:
-        if vprofile.base.label != fixture.true_label:
-            _judge(defender, report, vprofile, lambda: {
+        if vprofile.base.label == fixture.true_label:
+            continue
+        clause = defender.warn_clauses(vprofile)
+        if clause is not None:
+            report.thm2_clause_stats[clause] += 1
+        else:
+            report.violations.append({
                 "sample_id": fixture.benign_id, "variant_id": variant_id,
+                "variant_label": vprofile.base.label, "reason": _EVADED,
             })
     return report

@@ -112,6 +112,10 @@ class TestLinearClassifier:
         with pytest.raises(InvalidInputError, match="seed must fit in 64 bits"):
             LinearClassifier(seed=seed, num_labels=2)
 
+    def test_rejects_a_single_label(self):
+        with pytest.raises(InvalidInputError, match="num_labels must be at least 2"):
+            LinearClassifier(seed=0, num_labels=1)
+
     def test_hand_computed_two_label_model(self):
         clf = LinearClassifier(seed=0, num_labels=2, weights=((1,), (0,)))
         zero = Image(1, 1, 1, 4, (0,))

@@ -763,6 +763,122 @@ class TestVerify:
         assert code == EXIT_IO
         assert f"{path}: no row for sample 'ghost', variant 'base'" in err
 
+    def test_fixture_negative_true_label_is_a_file_error(self, capsys, tmp_path):
+        doc = json.loads(pathlib.Path(FIXTURE).read_text())
+        doc["true_label"] = -1
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run(
+            capsys, "verify", "--fixture", str(path),
+            "--defender", "hicert", "--tau", "0.8",
+        )
+        assert (code, stdout, err) == (
+            EXIT_IO, "", f"error: {path}: true_label must be non-negative\n"
+        )
+
+    @pytest.mark.parametrize("kind, edit, where", [
+        pytest.param("masks", lambda doc: [], ": document must be an object",
+                     id="masks-not-an-object"),
+        pytest.param("masks", lambda doc: {**doc, "format_version": 2},
+                     ": unsupported format_version 2", id="masks-format-version"),
+        pytest.param("masks", lambda doc: {**doc, "masks": [{"rects": [[7, 7, 3, 3]]}]},
+                     ": bad mask set: mask rect Rect(top=7, left=7, height=3, width=3) "
+                     "exceeds plane 8x8", id="mask-off-the-plane"),
+        pytest.param("data", lambda row: {**row, "label": -1},
+                     ":1: label must be non-negative", id="data-negative-label"),
+        pytest.param("data", lambda row: {**row, "shape": [8, 8]},
+                     ":1: shape must be [h, w, c]", id="data-two-axis-shape"),
+        pytest.param("fixture", lambda doc: {**doc, "rows": [
+            *doc["rows"][:2], list(doc["rows"][2].values()), *doc["rows"][3:]]},
+                     ": row 2: row must be an object", id="fixture-row-a-list"),
+        pytest.param("fixture", lambda doc: {**doc, "rows": [
+            *doc["rows"][:2], {k: v for k, v in doc["rows"][2].items() if k != "variant"},
+            *doc["rows"][3:]]},
+                     ": row 2: missing field 'variant'", id="fixture-row-no-variant"),
+        pytest.param("fixture", lambda doc: {**doc, "variants": [1]},
+                     ": variants must be sample id strings", id="fixture-int-variant"),
+    ])
+    def test_loader_refusal_names_the_file(self, capsys, workspace, kind, edit, where):
+        """A bad mask set, dataset line or fixture exits 3, naming the
+        file (and the line, where it has one)."""
+        source = {"masks": workspace / "masks.json", "data": workspace / "data.jsonl",
+                  "fixture": pathlib.Path(FIXTURE)}[kind]
+        if kind == "data":  # edit the first line
+            first, *rest = source.read_text().splitlines()
+            text = "\n".join([json.dumps(edit(json.loads(first))), *rest]) + "\n"
+        else:
+            text = json.dumps(edit(json.loads(source.read_text())))
+        bad = workspace / f"bad-{source.name}"
+        bad.write_text(text)
+        inputs = {"masks": ("--dataset", workspace / "data.jsonl", "--masks", bad),
+                  "data": ("--dataset", bad, "--masks", workspace / "masks.json"),
+                  "fixture": ("--fixture", bad)}[kind]
+        seed = () if kind == "fixture" else ("--num-labels", "5", "--seed", "7")
+        code, stdout, err = run(capsys, "verify", *map(str, inputs), *seed,
+                                "--defender", "hicert", "--tau", "0.8")
+        assert (code, stdout, err) == (EXIT_IO, "", f"error: {bad}{where}\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(("--fixture", FIXTURE, "--defender-override", "hicert"),
+                     "bad override chunk 'hicert'; expected role=kind[:tau]",
+                     id="override-without-role"),
+        pytest.param(("--fixture", FIXTURE, "--defender-override", "check=doma"),
+                     "override role must be certify or warn, got 'check'",
+                     id="override-unknown-role"),
+        pytest.param(("--fixture", FIXTURE, "--defender-override", "certify=hicert:0.8"),
+                     "override needs both certify= and warn=", id="override-one-role"),
+        pytest.param(("--fixture", FIXTURE, "--tau", "0.8", "--tau", "0.9"),
+                     "verify takes a single --tau", id="two-taus"),
+        pytest.param(("--masks", "{masks}", "--tau", "0.8"),
+                     "verify needs --dataset and --masks (or --fixture)",
+                     id="no-dataset"),
+        pytest.param(("--dataset", "{data}", "--masks", "{masks}", "--num-labels", "5",
+                      "--tau", "0.8", "--checks", ","),
+                     "no checks requested", id="empty-checks"),
+    ])
+    def test_refused_verify_writes_nothing(self, capsys, workspace, flags, message):
+        out = workspace / "soundness.json"
+        paths = {"data": workspace / "data.jsonl", "masks": workspace / "masks.json"}
+        argv = [flag.format(**paths) for flag in flags]
+        code, stdout, err = run(capsys, "verify", *argv, "--out", str(out))
+        assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_negative_attack_seed_is_refused_by_the_parser(self, capsys, workspace):
+        out = workspace / "soundness.json"
+        code, stdout, err = run(capsys, "verify", "--attack-seed", "-1", "--out", str(out))
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err.startswith("usage: patchcert verify")
+        assert err.splitlines()[-1] == ("patchcert verify: error: argument "
+                                        "--attack-seed: attack seed must be non-negative")
+        assert not out.exists()
+
+    def test_fixture_report_is_saved_byte_for_byte(self, capsys, tmp_path):
+        """`verify --fixture --out` writes the fixture path and the report,
+        the same bytes on every run."""
+        saved = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            code, _, _ = run(
+                capsys, "verify", "--fixture", FIXTURE,
+                "--defender-override", "certify=hicert:0.8,warn=doma", "--out", str(out),
+            )
+            assert code == EXIT_FINDINGS
+            saved.append(out.read_bytes())
+        assert saved[0] == saved[1]
+        doc = json.loads(saved[0])
+        assert set(doc) == {"fixture", "report"}
+        assert doc["fixture"] == FIXTURE
+        report = doc["report"]
+        assert (report["defender"], report["mode"]) == ("certify=hicert(tau=0.8), warn=doma", "fixture")
+        assert (report["samples_checked"], report["certified_count"],
+                report["variants_evaluated"]) == (1, 1, 1)
+        assert report["violations"] == [{
+            "sample_id": "x", "variant_id": "x-patched", "variant_label": 1,
+            "reason": "harmful variant drew no warning",
+        }]
+        assert report["thm2_clause_stats"] == {"label_difference": 0, "low_confidence": 0}
+
     def test_exhaustive_refuses_trials_and_attack_seed(self, capsys, workspace):
         code, stdout, err = self.verify_patch_flags(
             capsys, workspace, "--trials", "5", "--attack-seed", "9"

@@ -247,6 +247,11 @@ class TestMultiCover:
         with pytest.raises(InvalidInputError):
             gen_multi_cover(base, 2)
 
+    def test_rejects_zero_patches(self):
+        base = gen_square_cover((8, 8), 2, 2)
+        with pytest.raises(InvalidInputError, match="patch_count must be at least 1"):
+            gen_multi_cover(base, 0)
+
 
 class TestMaskSet:
     def test_rejects_empty(self):
@@ -260,3 +265,14 @@ class TestMaskSet:
 
     def test_len(self):
         assert len(gen_square_cover((8, 8), 2, 3)) == 9
+
+    def test_rejects_zero_masks_per_axis(self):
+        ms = gen_square_cover((4, 4), 2, 2)
+        with pytest.raises(InvalidInputError, match="masks_per_axis must be positive"):
+            MaskSet(ms.masks, ms.spec, masks_per_axis=0)
+
+    def test_stores_a_list_of_masks_as_a_tuple(self):
+        ms = gen_square_cover((4, 4), 2, 2)
+        listed = MaskSet(list(ms.masks), ms.spec, ms.masks_per_axis)
+        assert isinstance(listed.masks, tuple)
+        assert listed == ms

@@ -603,6 +603,31 @@ class TestEngineAgainstNaive:
         mutate(monkeypatch)
         assert any(whole(run_soundness(*drawn(s))) != reference(s)[0] for s in seeds)
 
+    def test_content_values_of_256_or_more_match_the_reference(self):
+        """Contents drawn from a whole 300- or 70,000-value alphabet: some
+        violations then hold a value of 256 or more, whose digest packs
+        each value in four bytes, and some hold none."""
+        ms = gen_square_cover((4, 4), 2, 2)
+        defenders = [Defender(DefenderSpec("hicert", 0.8), DefenderSpec("doma")),
+                     Defender(DefenderSpec("c2"), DefenderSpec("pgpp", 0.6))]
+        widest = []
+        for seed in range(4):
+            for alphabet in (300, 70000):
+                rng, clf = random.Random(seed), HashClassifier(seed, 2)
+                images = [make_image(rng, 4, 4, 1, alphabet) for _ in range(3)]
+                records = [DatasetRecord(f"s{i}", clf.classify(img).label, img)
+                           for i, img in enumerate(images)]
+                cfg = AttackConfig(ms.spec, "random", trials=150, seed=seed)
+                args = (clf, records, ms, defenders, cfg, {CHECK_DEF1, CHECK_RSUC})
+                run = run_soundness(*args)
+                assert whole(run) == naive.soundness(*args)[0]
+                contents = {r.id: [content for _, content, _ in
+                                   enumerate_variants(r.image, cfg, r.id)]
+                            for r in records}
+                widest += [max(contents[v["sample_id"]][v["variant_index"]])
+                           for report in run.def1.values() for v in report.violations]
+        assert max(widest) >= 256 > min(widest)
+
     def test_low_confidence_regime_matches_the_naive_scan(self):
         """A 6x6 binary regime where HiCert's low-confidence clause does
         work: the lazy walk must still reach that clause. The reference's

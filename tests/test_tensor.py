@@ -151,6 +151,10 @@ class TestApplyMask:
         with pytest.raises(InvalidInputError):
             Mask(2, 2, (Rect(1, 1, 2, 1),))
 
+    def test_mask_rejects_no_rects(self):
+        with pytest.raises(InvalidInputError, match="mask needs at least one rect"):
+            Mask(2, 2, ())
+
 
 class TestApplyPatch:
     def test_writes_row_major_content(self):
@@ -399,6 +403,10 @@ class TestPlacements:
             PatchSpec.multi(4, 4, 0, 1)
         with pytest.raises(InvalidInputError):
             PatchSpec(4, 4, "blob", size=1)
+        with pytest.raises(InvalidInputError, match="plane dims must be positive"):
+            PatchSpec(0, 4, "square", size=1)
+        with pytest.raises(InvalidInputError, match="rectangle spec needs area >= 1"):
+            PatchSpec.rectangle(4, 4, 0)
 
     def test_spec_dict_round_trip(self):
         for spec in (
