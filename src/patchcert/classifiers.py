@@ -45,7 +45,7 @@ from .cover import MaskSet
 from .defenders import MutantProfile
 from .errors import InvalidInputError, TableLookupError
 from .tensor import (
-    Image, Mask, _mask_pixel_spans, _span_at, check_mask_plane,
+    Image, Mask, _span_at, check_mask_plane,
     unpack_pixels, write_packed, zero_masked,
 )
 
@@ -295,7 +295,7 @@ class _LinearScorer:
 
     def masked(self, mask: Mask, channels: int) -> "_LinearScorer":
         pixels = self.pixels
-        spans = _mask_pixel_spans(mask, channels)
+        spans = tuple((a * channels, b * channels) for a, b in mask.spans)
         # One C-level pass per label over the zeroed spans' terms.
         slices = [slice(a, b) for a, b in spans]
         hidden = list(chain.from_iterable(map(pixels.__getitem__, slices)))

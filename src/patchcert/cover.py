@@ -3,9 +3,9 @@
 A mask set covers a patch spec when every legal placement is fully
 inside at least one mask. Generators below construct such sets; the
 verifier checks the property for every placement and is deliberately
-independent of how the set was built: it reads only the masks' pixel
-spans and the spec. It represents placements as bitsets over patch
-anchors, so one integer operation checks many of them.
+independent of how the set was built: it reads only the masks' cell
+spans (`Mask.spans`) and the spec. It represents placements as bitsets
+over patch anchors, so one integer operation checks many of them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidInputError
-from .tensor import Mask, PatchSpec, Placement, Rect, _mask_pixel_spans, _placement_runs
+from .tensor import Mask, PatchSpec, Placement, Rect, _placement_runs
 
 __all__ = [
     "MaskSet",
@@ -211,13 +211,13 @@ def _covered_anchors(mask: Mask, rh: int, rw: int) -> int:
 
     Bit `top * cols + left`, with cols = plane width - rw + 1, stands
     for the rect at (top, left), as in `_placement_runs`. The mask's
-    1-channel spans sum into one int, bit `y * width + x` for (y, x).
+    cell spans sum into one int, bit `y * width + x` for (y, x).
     ANDing it with itself shifted by columns leaves the cells whose
     window of rw lies inside, and by whole rows those whose window of rh
     does. Anchors are read from the first masked row on, and from a
     row's first cols cells, so no window runs past a row end.
     """
-    w, spans = mask.plane_width, _mask_pixel_spans(mask, 1)
+    w, spans = mask.plane_width, mask.spans
     plane = sum(((1 << (b - a)) - 1) << a for a, b in spans)
     for t in _doubling_steps(rw):
         plane &= plane >> t
@@ -237,7 +237,7 @@ def verify_cover(mask_set: MaskSet) -> CoverageReport:
     Every placement is checked, in `iter_placements` order, through
     anchor bitsets: a mask covers a placement when the anchor of each
     placement rect is in the mask's `_covered_anchors`, built from its
-    pixel spans. The placements that share all rects but the last are
+    cell spans. The placements that share all rects but the last are
     checked at once, against the masks that cover those rects.
 
     Never raises on a coverage failure; the report carries the

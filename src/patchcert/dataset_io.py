@@ -267,6 +267,7 @@ def load_maskset(path: str) -> MaskSet:
     if len(plane) != 2 or not _all_ints(plane):
         raise SchemaViolationError(path, 0, "plane must be [h, w]")
     spec_doc = _need(path, 0, doc, "spec", dict)
+    _need(path, 0, spec_doc, "kind", str, "spec: ")
     if not _all_ints(spec_doc[k] for k in ("size", "area", "count") if k in spec_doc):
         raise SchemaViolationError(path, 0, "patch spec sizes must be integers")
     masks_doc = _need(path, 0, doc, "masks", list)
@@ -277,8 +278,10 @@ def load_maskset(path: str) -> MaskSet:
     try:
         spec = PatchSpec.from_dict(plane[0], plane[1], spec_doc)
         masks = []
-        for m in masks_doc:
-            rects = m["rects"]
+        for i, m in enumerate(masks_doc):
+            if not isinstance(m, dict):
+                raise SchemaViolationError(path, 0, f"mask {i}: must be an object")
+            rects = _need(path, 0, m, "rects", list, f"mask {i}: ")
             if not all(isinstance(r, list) and len(r) == 4 and _all_ints(r)
                        for r in rects):
                 raise SchemaViolationError(

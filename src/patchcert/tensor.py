@@ -172,7 +172,11 @@ class Mask:
     """Union of rectangles on a fixed plane.
 
     Masking an image zeroes all channels at every location inside the
-    union. Rectangles may overlap; the union is what matters.
+    union. Rectangles may overlap; the union is what matters. `spans`,
+    merged once when the mask is built, are the sorted, disjoint
+    half-open spans of plane cells (cell `y * plane_width + x`) in the
+    union, merged across row ends too: the only form of a mask's
+    geometry that the package reads.
     """
 
     plane_height: int
@@ -190,19 +194,19 @@ class Mask:
                     f"mask rect {r} exceeds plane "
                     f"{self.plane_height}x{self.plane_width}"
                 )
-        # Hashed once: the span cache looks a mask up by hash on every use.
-        key = (self.plane_height, self.plane_width, self.rects)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        w = self.plane_width
+        object.__setattr__(self, "spans", _merged_spans(
+            (y * w + r.left, y * w + r.right)
+            for r in self.rects
+            for y in range(r.top, r.bottom)
+        ))
 
     def to_matrix(self) -> list[list[bool]]:
         """Dense boolean grid, True where the mask zeroes the plane.
 
-        Only the tests' reference, for `_mask_pixel_spans`: masking,
-        `mask_covers`, `cover.verify_cover`'s anchor bitsets and the
-        oracle's placement plans all read the mask through those spans.
+        Only the tests' reference, for `spans`: masking, `mask_covers`,
+        `cover.verify_cover`'s anchor bitsets and the oracle's placement
+        plans all read the mask through those spans.
         """
         grid = [[False] * self.plane_width for _ in range(self.plane_height)]
         for r in self.rects:
@@ -293,21 +297,6 @@ class PatchSpec:
 
 # ---------- mask and patch application ----------
 
-@lru_cache(maxsize=8192)
-def _mask_pixel_spans(mask: Mask, channels: int) -> tuple[tuple[int, int], ...]:
-    """Sorted, disjoint half-open spans of the flat pixel array zeroed by
-    this mask: the union of its rects' rows, so overlapping rects count
-    each pixel once and touching runs merge, across row ends too. The
-    only form of a mask's geometry that the package reads; channels 1
-    gives the plane's own cells."""
-    w = mask.plane_width
-    return _merged_spans(
-        ((y * w + r.left) * channels, (y * w + r.right) * channels)
-        for r in mask.rects
-        for y in range(r.top, r.bottom)
-    )
-
-
 def _span_at(spans: Sequence[tuple[int, int]], p: int) -> tuple[int, int] | None:
     """The span of sorted, disjoint half-open `spans` that holds `p`, or None."""
     k = bisect.bisect_right(spans, (p, math.inf))
@@ -337,10 +326,10 @@ def check_mask_plane(mask: Mask, image: Image) -> None:
 def zero_masked(data: bytes, mask: Mask, channels: int, bytes_per_pixel: int) -> bytes:
     """Bytes in the `Image.packed` encoding with every channel zeroed at
     the masked locations."""
-    bpp = bytes_per_pixel
+    scale = channels * bytes_per_pixel
     buf = bytearray(data)
-    for start, stop in _mask_pixel_spans(mask, channels):
-        buf[start * bpp : stop * bpp] = bytes((stop - start) * bpp)
+    for start, stop in mask.spans:
+        buf[start * scale : stop * scale] = bytes((stop - start) * scale)
     return bytes(buf)
 
 
@@ -399,8 +388,7 @@ def apply_patch(image: Image, placement: Placement, content: Sequence[int]) -> I
 
 def mask_covers(mask: Mask, placement: Placement) -> bool:
     """True when the mask hides the placement: each rect row lies in one span."""
-    spans = _mask_pixel_spans(mask, 1)
-    w = mask.plane_width
+    spans, w = mask.spans, mask.plane_width
     for r in placement:
         if not r.inside_plane(mask.plane_height, w):
             raise DimensionMismatchError(

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from patchcert import cli
 from patchcert.classifiers import HashClassifier, Prediction, classify_mutants
 from patchcert.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from patchcert.cover import MaskSet, gen_square_cover
 from patchcert.dataset_io import load_dataset, load_maskset, load_predictions, \
     save_predictions
 
@@ -113,6 +115,27 @@ class TestMaskgen:
         assert code == EXIT_OK
         assert "masks: 9, cover: ok (49 placements)" in stdout
         assert len(load_maskset(str(out))) == 9
+
+    def test_a_cover_that_fails_is_reported_and_still_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Without mask 0 the 8x8 cover misses the corner patch: maskgen
+        names it, exits 1 and still writes the set it checked."""
+
+        def without_mask_0(*args):
+            ms = gen_square_cover(*args)
+            return MaskSet(ms.masks[1:], ms.spec, ms.masks_per_axis)
+
+        monkeypatch.setattr(cli, "gen_square_cover", without_mask_0)
+        out = tmp_path / "masks.json"
+        code, stdout, _ = run(
+            capsys, "maskgen", "--plane", "8", "8", "--patch-size", "2",
+            "--masks-per-axis", "3", "--out", str(out),
+        )
+        assert (code, stdout) == (
+            EXIT_FINDINGS, "masks: 8, cover: FAILED at placement [[0, 0, 2, 2]]\n"
+        )
+        assert len(load_maskset(str(out))) == 8
 
     def test_large_plane_yields_36_masks(self, tmp_path, capsys):
         out = tmp_path / "masks.json"
@@ -784,6 +807,18 @@ class TestVerify:
         pytest.param("masks", lambda doc: {**doc, "masks": [{"rects": [[7, 7, 3, 3]]}]},
                      ": bad mask set: mask rect Rect(top=7, left=7, height=3, width=3) "
                      "exceeds plane 8x8", id="mask-off-the-plane"),
+        pytest.param("masks", lambda doc: {**doc, "masks": [
+            {"rect": doc["masks"][0]["rects"]}, *doc["masks"][1:]]},
+                     ": mask 0: missing field 'rects'", id="mask-without-rects"),
+        pytest.param("masks", lambda doc: {**doc, "masks": [
+            doc["masks"][0], doc["masks"][1]["rects"], *doc["masks"][2:]]},
+                     ": mask 1: must be an object", id="mask-a-list"),
+        pytest.param("masks", lambda doc: {**doc, "spec": {
+            k: v for k, v in doc["spec"].items() if k != "kind"}},
+                     ": spec: missing field 'kind'", id="spec-without-kind"),
+        pytest.param("masks", lambda doc: {**doc, "masks": [{"rects": "x"}]},
+                     ": mask 0: field 'rects' has the wrong type",
+                     id="mask-rects-a-string"),
         pytest.param("data", lambda row: {**row, "label": -1},
                      ":1: label must be non-negative", id="data-negative-label"),
         pytest.param("data", lambda row: {**row, "shape": [8, 8]},

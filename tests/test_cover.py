@@ -168,6 +168,8 @@ class TestSquareCover:
     def test_rejects_more_masks_than_anchors(self):
         with pytest.raises(InvalidInputError):
             gen_square_cover((8, 8), 2, 8)
+        with pytest.raises(InvalidInputError, match="^masks_per_axis must be positive$"):
+            gen_square_cover((8, 8), 2, 0)
 
     def test_rejects_patch_larger_than_plane(self):
         with pytest.raises(InvalidInputError):

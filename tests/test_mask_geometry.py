@@ -1,8 +1,9 @@
-"""What a mask hides, as its merged pixel spans answer it.
+"""What a mask hides, as its merged spans answer it.
 
-`tensor._mask_pixel_spans` is the one form of a mask's geometry that the
-package reads. These tests hold its readers to `Mask.to_matrix` on masks
-whose merged spans run past a row end, and fence every other reader of
+`Mask.spans`, merged once when the mask is built, is the one form of a
+mask's geometry that the package reads. These tests hold its readers to
+`Mask.to_matrix` on masks whose merged spans run past a row end, check
+that no reader merges them again, and fence every other reader of
 `Mask.rects` out of `src/`.
 """
 import ast
@@ -12,11 +13,11 @@ import random
 
 import pytest
 
-from patchcert import oracle
-from patchcert.classifiers import HashClassifier, _mutant_scorers
+from patchcert import oracle, tensor
+from patchcert.classifiers import HashClassifier, LinearClassifier, _mutant_scorers
 from patchcert.cover import _covered_anchors
 from patchcert.tensor import (
-    Mask, PatchSpec, Rect, _mask_pixel_spans, _span_at, iter_placements, mask_covers,
+    Mask, PatchSpec, Rect, _span_at, iter_placements, mask_covers, masked_packed,
 )
 
 from conftest import make_image
@@ -60,12 +61,12 @@ def test_spans_run_past_a_row_end(mask):
     """The directed masks do what they are for: one merged span crosses
     from one row into the next."""
     assert any(
-        a // W != (b - 1) // W for a, b in _mask_pixel_spans(mask, 1)
+        a // W != (b - 1) // W for a, b in mask.spans
     )
 
 
 def test_span_at_matches_the_dense_grid(mask):
-    spans = _mask_pixel_spans(mask, 1)
+    spans = mask.spans
     grid = mask.to_matrix()
     for p in range(H * W):
         span = _span_at(spans, p)
@@ -115,40 +116,42 @@ def test_covered_anchors_match_the_dense_grid(mask):
             assert _covered_anchors(mask, rh, rw) == want, (rh, rw)
 
 
-# The only code in `src/` that may read `Mask.rects`, by module and
-# enclosing definition: the class itself, the spans every other reader
-# goes through, the compound-mask builder and the mask-set writer.
-def test_a_mask_hashes_its_rects_only_when_built(monkeypatch):
-    """The span cache finds a mask by its hash on every lookup, so the
-    hash is taken once, when the mask is built; equality, pickling and
+def test_a_mask_builds_its_spans_once(monkeypatch):
+    """A mask merges its spans when it is built, and its readers read
+    `Mask.spans` without merging again; equality, hashing, pickling and
     set dedup still go by the fields."""
-    rect_hash, hashed = Rect.__hash__, []
+    merge, merged = tensor._merged_spans, []
 
-    def counted(rect):
-        hashed.append(rect)
-        return rect_hash(rect)
+    def counted(spans):
+        merged.append(spans)
+        return merge(spans)
 
-    monkeypatch.setattr(Rect, "__hash__", counted)
+    monkeypatch.setattr(tensor, "_merged_spans", counted)
     rects = (Rect(1, 0, 2, W), Rect(0, 3, 2, 2))
     mask = Mask(H, W, rects)
-    built = len(hashed)
+    assert len(merged) == 1
+    img = make_image(random.Random(0), H, W, channels=3)
+    scorer = LinearClassifier(seed=1, num_labels=3)._scorer(img.packed, 1)
     for _ in range(3):
-        hash(mask)
-        _mask_pixel_spans(mask, 1)
-        _mask_pixel_spans(mask, 3)
         mask_covers(mask, (Rect(1, 1, 1, 1),))
-    assert len(hashed) == built
+        masked_packed(img, mask)
+        _covered_anchors(mask, 1, 2)
+        scorer.masked(mask, img.channels)
+    assert len(merged) == 1
     twin = Mask(H, W, list(rects))
     assert twin == mask and hash(twin) == hash(mask) and len({mask, twin}) == 1
     assert twin != Mask(H, W, rects[:1])
     copy = pickle.loads(pickle.dumps(mask))
     assert copy == mask and hash(copy) == hash(mask)
-    assert _mask_pixel_spans(copy, 1) == _mask_pixel_spans(mask, 1)
+    assert copy.spans == mask.spans
 
 
+# The only code in `src/` that may read `Mask.rects`, by module and
+# enclosing definition: the class itself, which builds the spans every
+# other reader goes through, the compound-mask builder and the mask-set
+# writer.
 RECTS_READERS = {
     ("tensor", "Mask"),
-    ("tensor", "_mask_pixel_spans"),
     ("cover", "gen_multi_cover"),
     ("dataset_io", "save_maskset"),
 }

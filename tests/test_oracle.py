@@ -9,6 +9,7 @@ classifier call counts and the profile-fixture check.
 """
 import functools
 import hashlib
+import json
 import pathlib
 import random
 import time
@@ -977,6 +978,23 @@ class TestProfileFixtureCheck:
         assert report.variants_evaluated == 1
         assert len(report.violations) == 1
         assert report.violations[0]["variant_id"] == "x-patched"
+
+    def test_a_variant_that_keeps_the_true_label_is_skipped(self, tmp_path):
+        """A harmless variant is no violation, even for a warner that
+        lets it through: only `x-patched` evades DOMA."""
+        doc = json.loads((DATA_DIR / "negative_control.json").read_text())
+        doc["variants"].append("x-harmless")
+        doc["rows"] += [
+            {"sample_id": "x-harmless", "variant": variant, "label": 0, "confidence": 0.9}
+            for variant in ("base", {"mask_index": 0}, {"mask_index": 1})
+        ]
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(doc))
+        unsound = Defender(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))
+        report = check_profile_fixture(load_profile_fixture(str(path)), unsound)
+        assert report.variants_evaluated == 2
+        assert [v["variant_id"] for v in report.violations] == ["x-patched"]
+        assert sum(report.thm2_clause_stats.values()) == 0
 
     def test_matching_warner_catches_the_variant(self):
         fixture = self.load()
