@@ -190,15 +190,19 @@ def _load_inputs(args):
     if args.predictions and args.classifier != "table":
         raise InvalidInputError("--predictions is read only with --classifier table")
     records = dataset_io.load_dataset(args.dataset)
-    mask_set = dataset_io.load_maskset(args.masks)
+
+    def same_plane(h: int, w: int) -> None:
+        for r in records:
+            if (r.image.height, r.image.width) != (h, w):
+                raise InvalidInputError(
+                    f"{args.dataset}: sample {r.id!r} has plane {r.image.height}x"
+                    f"{r.image.width}, mask set {args.masks} has plane {h}x{w}"
+                )
+
+    # The planes are compared before any mask is built.
+    mask_set = dataset_io.load_maskset(args.masks, same_plane)
     classifier = _build_classifier(args, [r.id for r in records])
-    h, w = mask_set.spec.plane_height, mask_set.spec.plane_width
     for r in records:
-        if (r.image.height, r.image.width) != (h, w):
-            raise InvalidInputError(
-                f"{args.dataset}: sample {r.id!r} has plane {r.image.height}x"
-                f"{r.image.width}, mask set {args.masks} has plane {h}x{w}"
-            )
         if args.classifier != "table" and r.true_label >= args.num_labels:
             raise InvalidInputError(
                 f"{args.dataset}: sample {r.id!r} has label "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidInputError
-from .tensor import Mask, PatchSpec, Placement, Rect, _placement_runs
+from .tensor import Mask, PatchSpec, Placement, Rect, _mask_cells, _placement_runs
 
 __all__ = [
     "MaskSet",
@@ -211,14 +211,14 @@ def _covered_anchors(mask: Mask, rh: int, rw: int) -> int:
 
     Bit `top * cols + left`, with cols = plane width - rw + 1, stands
     for the rect at (top, left), as in `_placement_runs`. The mask's
-    cell spans sum into one int, bit `y * width + x` for (y, x).
+    cells are one int (`_mask_cells`), bit `y * width + x` for (y, x).
     ANDing it with itself shifted by columns leaves the cells whose
     window of rw lies inside, and by whole rows those whose window of rh
     does. Anchors are read from the first masked row on, and from a
     row's first cols cells, so no window runs past a row end.
     """
     w, spans = mask.plane_width, mask.spans
-    plane = sum(((1 << (b - a)) - 1) << a for a, b in spans)
+    plane = _mask_cells(mask)
     for t in _doubling_steps(rw):
         plane &= plane >> t
     for t in _doubling_steps(rh):

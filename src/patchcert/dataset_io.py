@@ -17,7 +17,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .classifiers import HashClassifier, Prediction, TableClassifier, VariantKey
 from .cover import MaskSet
@@ -261,7 +261,12 @@ def save_maskset(mask_set: MaskSet, path: str) -> None:
     _write_jsonl(path, [doc])
 
 
-def load_maskset(path: str) -> MaskSet:
+def load_maskset(
+    path: str, check_plane: Callable[[int, int], None] | None = None
+) -> MaskSet:
+    """The mask set in the file. `check_plane(h, w)`, when given, sees the
+    file's plane before any mask is built, so it can refuse a mask set
+    for another plane without paying for its masks."""
     doc = _read_document(path)
     plane = _need(path, 0, doc, "plane", list)
     if len(plane) != 2 or not _all_ints(plane):
@@ -275,6 +280,8 @@ def load_maskset(path: str) -> MaskSet:
         _need(path, 0, doc, "masks_per_axis", int) if "masks_per_axis" in doc else 1
     )
     compound = _need(path, 0, doc, "compound", bool) if "compound" in doc else False
+    if check_plane is not None:
+        check_plane(plane[0], plane[1])
     try:
         spec = PatchSpec.from_dict(plane[0], plane[1], spec_doc)
         masks = []

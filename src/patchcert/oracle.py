@@ -36,7 +36,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import operator
 import random
+import struct
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -51,7 +53,9 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .tensor import (
-    Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, apply_patch, iter_placements, mask_covers, masked_packed, rectangle_shapes, zero_masked,
+    Image, Mask, PatchSpec, Placement, _mask_cells, _placement_cells, _placement_ranks,
+    _placement_runs, apply_patch, iter_placements, masked_packed, rectangle_shapes,
+    zero_masked,
 )
 
 __all__ = [
@@ -226,6 +230,29 @@ def _sample_rng(seed: int, sample_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "little"))
 
 
+def _draw_content(rng: random.Random, a: int, n: int) -> tuple[int, ...]:
+    """`n` values of `rng.randrange(a)`, drawn in batches of 32-bit words.
+
+    For `a` of at most 32 bits, `randrange(a)` takes one word a try and
+    keeps its top `a.bit_length()` bits when they are below `a`, that
+    is, when the word is below `a << shift`; a rejected word belongs to
+    the value being drawn. `getrandbits(32 * m)` holds m words in draw
+    order from its least significant end. So filtering m words for the
+    m values still needed gives the loop's values, and leaves the
+    generator in the loop's state.
+    """
+    shift = 32 - a.bit_length()
+    if shift < 0:
+        return tuple(rng.randrange(a) for _ in range(n))
+    kept = functools.partial(operator.gt, a << shift)
+    values: list[int] = []
+    while len(values) < n:
+        m = n - len(values)
+        words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        values += map(operator.rshift, filter(kept, words), itertools.repeat(shift))
+    return tuple(values)
+
+
 def _placement_groups(
     image: Image, cfg: AttackConfig, sample_id: str
 ) -> Iterator[tuple[Placement, Iterable[tuple[int, ...]]]]:
@@ -235,8 +262,10 @@ def _placement_groups(
     it. Random mode gives one group per trial: the drawn placement with
     the one content drawn for it, so a placement may come back. A draw
     takes a uniform rank in `iter_placements` order and builds the
-    placement at that rank; no placement list is built. A spec with no
-    legal placement has nothing to draw from and is refused.
+    placement at that rank; no placement list is built. Its content is
+    the `randrange` stream that follows, taken in word batches
+    (`_draw_content`). A spec with no legal placement has nothing to
+    draw from and is refused.
     """
     a = cfg.resolve_alphabet(image)
     c = image.channels
@@ -252,7 +281,7 @@ def _placement_groups(
         for _ in range(cfg.trials):
             placement = unrank(rng.randrange(count))
             npix = sum(r.area for r in placement) * c
-            yield placement, (tuple(rng.randrange(a) for _ in range(npix)),)
+            yield placement, (_draw_content(rng, a, npix),)
         return
     for placement in iter_placements(cfg.patch_spec):
         npix = sum(r.area for r in placement) * c
@@ -299,14 +328,16 @@ class _PlacementPlan:
     drops it when the group ends. `positions` are the flat pixel indices
     the patch content lands on, in content order, so the sample's scorer
     at `positions` classifies the group's variants. `covering` lists the
-    masks whose spans hold the placement (`mask_covers`), and `covered` their
-    benign mutants, which are every variant's mutants under those masks;
-    `erasure_check` tests that shortcut on real bytes. `uncovered` lists
-    the other masks in mask order. A variant's mutant under such a mask
-    i is mask i's mutant with the content written back at the patch
-    positions that survive the mask, so `scorers[i]`, the scorer of mask
-    i's mutant (`classifiers._mutant_scorers`), classifies it at those
-    positions. `surviving[i]` holds the content indices that zeroing
+    masks that hide the placement: those whose cell bitset, from the
+    scan's `cells` (`tensor._mask_cells`), holds every cell of the
+    placement's (`tensor._placement_cells`); `tensor.mask_covers` is the
+    reference for this test. `covered` holds their benign mutants, which
+    are every variant's mutants under those masks; `erasure_check` tests
+    that shortcut on real bytes. `uncovered` lists the other masks in
+    mask order. A variant's mutant under such a mask i is mask i's
+    mutant with the content written back at the patch positions that
+    survive the mask, so `scorers[i]`, the scorer of mask i's mutant
+    (`classifiers._mutant_scorers`), classifies it at those positions. `surviving[i]` holds the content indices that zeroing
     mask i's spans leaves (`survivors`) and that scorer at their positions.
     Both are built the first time a variant's mutant walk reaches mask
     i, so a plan that only `thm1` reads, or whose harmful variants the
@@ -340,6 +371,7 @@ class _PlacementPlan:
         placement: Placement,
         image: Image,
         masks: Sequence[Mask],
+        cells: Sequence[int],
         scorers: Sequence,
         benign: MutantProfile,
     ):
@@ -355,7 +387,8 @@ class _PlacementPlan:
         ]
         self.masks = masks
         self.scorers = scorers
-        covers = [mask_covers(m, placement) for m in masks]
+        hidden = _placement_cells(placement, w)
+        covers = [hidden & m == hidden for m in cells]
         self.covering = [i for i, hit in enumerate(covers) if hit]
         self.covered = tuple(benign.mutants[i] for i in self.covering)
         self.uncovered = [i for i, hit in enumerate(covers) if not hit]
@@ -387,13 +420,17 @@ class _PlacementPlan:
             pred = self.mutants[key] = score(values)
         return pred
 
-    def erasure_check(self, record: DatasetRecord) -> list[dict]:
+    def erasure_check(
+        self, record: DatasetRecord, clean: list[bytes | None]
+    ) -> list[dict]:
         """A `thm1` entry per consistent covering mask that keeps a patch byte.
 
         The probe is the sample patched through the reference
         `apply_patch` with content that differs from it at every patch
         position. When a covering mask gives the probe the sample's
         masked bytes, its mutant is the benign one for every content.
+        `clean[i]`, the sample's bytes under mask i, is filled on first
+        use and kept by the scan for the sample's other placements.
         """
         covering = [
             i for i, benign in zip(self.covering, self.covered)
@@ -407,12 +444,15 @@ class _PlacementPlan:
             top - v if 2 * v != top else 0
             for v in map(image.pixels.__getitem__, self.positions)
         ])
-        return [
-            {"sample_id": record.id, "placement": self.placement_doc, "mask": i,
-             "reason": "consistent covering mask leaves patch bytes"}
-            for i in covering
-            if masked_packed(probe, self.masks[i]) != masked_packed(image, self.masks[i])
-        ]
+        kept = []
+        for i in covering:
+            mask = self.masks[i]
+            if clean[i] is None:
+                clean[i] = masked_packed(image, mask)
+            if masked_packed(probe, mask) != clean[i]:
+                kept.append({"sample_id": record.id, "placement": self.placement_doc,
+                             "mask": i, "reason": "consistent covering mask leaves patch bytes"})
+        return kept
 
 
 class _VariantMutants:
@@ -466,6 +506,7 @@ def _scan_sample(
         )
     thm1 = run.theorem1
     erasure_checked: set[Placement] = set()
+    clean: list[bytes | None] = [None] * len(masks)
     want_rsuc = CHECK_RSUC in checks
     # Each defender to warn-check, with its def1 report when the sample
     # is certified for it.
@@ -477,13 +518,14 @@ def _scan_sample(
     if not active and thm1 is None:
         return run
 
+    cells = [_mask_cells(m) for m in masks]
     variant_indices = itertools.count()
     for placement, contents in _placement_groups(image, cfg, sample_id):
-        plan = _PlacementPlan(placement, image, masks, scorers, benign)
+        plan = _PlacementPlan(placement, image, masks, cells, scorers, benign)
         # Random draws may return to a placement; check it once.
         if thm1 is not None and placement not in erasure_checked:
             erasure_checked.add(placement)
-            thm1.thm1_violations += plan.erasure_check(record)
+            thm1.thm1_violations += plan.erasure_check(record, clean)
         if not active:
             continue
         label_of = scorer.label_at(plan.positions)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -87,8 +88,10 @@ class Image:
     """Immutable dense image with row-major pixels, channels innermost.
 
     The flat index of (y, x, ch) is (y * width + x) * channels + ch.
-    Every pixel lies in [0, alphabet_size - 1], and an alphabet has
-    at most 2**32 values.
+    Every pixel is an integer in [0, alphabet_size - 1], and an alphabet
+    has at most 2**32 values. Building an image checks its pixels: with
+    at most 256 values, in one C pass that also stores `packed`; with
+    more, by `min` over the integer values and `max`.
     """
 
     height: int
@@ -115,10 +118,20 @@ class Image:
             raise InvalidInputError(
                 f"expected {expected} pixels, got {len(self.pixels)}"
             )
-        if min(self.pixels) < 0 or max(self.pixels) >= self.alphabet_size:
-            raise InvalidInputError(
-                f"pixel values must lie in [0, {self.alphabet_size - 1}]"
-            )
+        a = self.alphabet_size
+        try:
+            if a <= 256:
+                # One C pass: `bytes` refuses a non-integer or a value
+                # outside [0, 255], and its result is `packed`.
+                packed = bytes(self.pixels)
+                self.__dict__["packed"] = packed
+                valid = a == 256 or not packed.translate(None, bytes(range(a)))
+            else:
+                valid = 0 <= min(map(operator.index, self.pixels)) and max(self.pixels) < a
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise InvalidInputError(f"pixel values must lie in [0, {a - 1}]")
 
     @property
     def bytes_per_pixel(self) -> int:
@@ -204,9 +217,10 @@ class Mask:
     def to_matrix(self) -> list[list[bool]]:
         """Dense boolean grid, True where the mask zeroes the plane.
 
-        Only the tests' reference, for `spans`: masking, `mask_covers`,
-        `cover.verify_cover`'s anchor bitsets and the oracle's placement
-        plans all read the mask through those spans.
+        Only the tests' reference, for `spans`: masking, `mask_covers`
+        and the cell bitset `_mask_cells`, which `cover.verify_cover`'s
+        anchor bitsets and the oracle's cover test start from, all read
+        the mask through those spans.
         """
         grid = [[False] * self.plane_width for _ in range(self.plane_height)]
         for r in self.rects:
@@ -387,7 +401,11 @@ def apply_patch(image: Image, placement: Placement, content: Sequence[int]) -> I
 
 
 def mask_covers(mask: Mask, placement: Placement) -> bool:
-    """True when the mask hides the placement: each rect row lies in one span."""
+    """True when the mask hides the placement: each rect row lies in one span.
+
+    The reference for the scan's cover test, which asks whether the
+    placement's `_placement_cells` are a subset of the mask's `_mask_cells`.
+    """
     spans, w = mask.spans, mask.plane_width
     for r in placement:
         if not r.inside_plane(mask.plane_height, w):
@@ -399,6 +417,28 @@ def mask_covers(mask: Mask, placement: Placement) -> bool:
             if span is None or span[1] < start + r.width:
                 return False
     return True
+
+
+def _mask_cells(mask: Mask) -> int:
+    """The mask's plane cells as one int: bit `y * plane_width + x` is set
+    when the mask hides (y, x)."""
+    return sum(((1 << (b - a)) - 1) << a for a, b in mask.spans)
+
+
+@lru_cache(maxsize=64)
+def _row_band(rows: int, plane_width: int) -> int:
+    """One bit at the start of each of `rows` plane rows: the geometric
+    series of 2 ** (y * plane_width) for y < rows."""
+    return ((1 << (rows * plane_width)) - 1) // ((1 << plane_width) - 1)
+
+
+def _placement_cells(placement: Placement, plane_width: int) -> int:
+    """The placement's plane cells as one int, in `_mask_cells` bit order."""
+    return sum(
+        ((1 << r.width) - 1) * _row_band(r.height, plane_width)
+        << (r.top * plane_width + r.left)
+        for r in placement
+    )
 
 
 # ---------- placement enumeration ----------

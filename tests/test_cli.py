@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from patchcert import cli
+from patchcert import cli, tensor
 from patchcert.classifiers import HashClassifier, Prediction, classify_mutants
 from patchcert.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from patchcert.cover import MaskSet, gen_square_cover
@@ -703,6 +703,30 @@ class TestVerify:
         assert err == (f"error: {data}: sample {sample_id!r} has plane 6x6, "
                        f"mask set {masks} has plane 8x8\n")
         assert not out.exists()
+
+    def test_mask_set_on_another_plane_is_refused_before_its_masks(
+        self, capsys, workspace, monkeypatch
+    ):
+        """The mask file's plane is compared with the dataset's before any
+        mask is built, so a huge plane costs nothing to refuse."""
+        masks = workspace / "huge.json"
+        doc = json.loads((workspace / "masks.json").read_text())
+        doc["plane"] = [1000000, 8]
+        doc["masks"] = [{"rects": [[0, 0, 1000000, 8]]}]
+        masks.write_text(json.dumps(doc))
+        built = []
+        monkeypatch.setattr(tensor.Mask, "__post_init__", lambda mask: built.append(mask))
+        data = workspace / "data.jsonl"
+        first = json.loads(data.read_text().splitlines()[0])["id"]
+        code, stdout, err = run(
+            capsys, "verify", "--dataset", str(data), "--masks", str(masks),
+            "--num-labels", "5", "--seed", "7", "--defender", "hicert", "--tau", "0.8",
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == (f"error: {data}: sample {first!r} has plane 8x8, "
+                       f"mask set {masks} has plane 1000000x8\n")
+        assert built == []
 
     def verify_patch_flags(self, capsys, workspace, *flags):
         return run(

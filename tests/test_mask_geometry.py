@@ -15,7 +15,8 @@ import pytest
 
 from patchcert import oracle, tensor
 from patchcert.classifiers import HashClassifier, LinearClassifier, _mutant_scorers
-from patchcert.cover import _covered_anchors
+from patchcert.cover import _covered_anchors, gen_multi_cover, gen_rect_cover, \
+    gen_square_cover
 from patchcert.tensor import (
     Mask, PatchSpec, Rect, _span_at, iter_placements, mask_covers, masked_packed,
 )
@@ -86,7 +87,8 @@ def test_survivors_match_the_dense_grid(mask, channels):
     _, scorers, benign = _mutant_scorers(clf, img, [mask])
     grid = mask.to_matrix()
     for placement in placements():
-        plan = oracle._PlacementPlan(placement, img, [mask], scorers, benign)
+        plan = oracle._PlacementPlan(placement, img, [mask], [tensor._mask_cells(mask)],
+                                     scorers, benign)
         pixels = [
             (y, x)
             for r in placement
@@ -101,6 +103,26 @@ def test_survivors_match_the_dense_grid(mask, channels):
         )
         assert plan.survivors(mask) == kept, placement
         assert (plan.covering == [0]) == (not kept)
+
+
+@pytest.mark.parametrize("spec", [
+    PatchSpec.square(H, W, 2), PatchSpec.rectangle(H, W, 6), PatchSpec.multi(H, W, 2, 2),
+], ids=["square", "rectangle", "multi"])
+def test_the_scan_cover_test_is_mask_covers(spec):
+    """A placement plan's covering masks, found by a subset test on cell
+    bitsets, are those `mask_covers` names, for every placement and for
+    the generated covers and the row-end masks alike."""
+    base = gen_square_cover((H, W), 2, 2)
+    masks = [*ROW_END_MASKS.values(), *base.masks,
+             *gen_rect_cover((H, W), 6, 2).masks, *gen_multi_cover(base, 2).masks]
+    img = make_image(random.Random(0), H, W, channels=2)
+    _, scorers, benign = _mutant_scorers(HashClassifier(seed=1, num_labels=3), img, masks)
+    cells = [tensor._mask_cells(m) for m in masks]
+    for placement in iter_placements(spec):
+        plan = oracle._PlacementPlan(placement, img, masks, cells, scorers, benign)
+        covers = [mask_covers(m, placement) for m in masks]
+        assert plan.covering == [i for i, hit in enumerate(covers) if hit], placement
+        assert plan.uncovered == [i for i, hit in enumerate(covers) if not hit], placement
 
 
 def test_covered_anchors_match_the_dense_grid(mask):

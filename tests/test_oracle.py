@@ -2,7 +2,7 @@
 
 `TestEngineAgainstNaive` compares whole `run_soundness` results with the
 one test-side reference, `naive.soundness`, on configurations drawn from
-listed seeds (`-k seed-7` reruns one), and checks that six planted
+listed seeds (`-k seed-7` reruns one), and checks that eight planted
 faults in the scan break that equality. The other classes pin variant
 counting, the budget guard, enumeration order, the placement plan,
 classifier call counts and the profile-fixture check.
@@ -380,6 +380,20 @@ class TestEnumerateVariants:
             next(enumerate_variants(img, cfg))
 
 
+class TestContentDraw:
+    @pytest.mark.parametrize("alphabet", [
+        2, 3, 5, 255, 256, 257, 65537, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+    ])
+    def test_the_batched_draw_is_the_randrange_loop(self, alphabet):
+        """Same values and same generator state after, word for word; an
+        alphabet above 32 bits takes `randrange` itself."""
+        for n in (1, 2, 95, 96, 3072):
+            loop, batched = random.Random(alphabet + n), random.Random(alphabet + n)
+            want = tuple(loop.randrange(alphabet) for _ in range(n))
+            assert oracle._draw_content(batched, alphabet, n) == want, n
+            assert batched.getstate() == loop.getstate(), n
+
+
 class TestAttackConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(InvalidInputError):
@@ -564,6 +578,24 @@ def label_blind_settle_memo(monkeypatch):
     monkeypatch.setattr(oracle._PlacementPlan, "__init__", blind)
 
 
+def modulo_draw(monkeypatch):
+    """A content draw that keeps each word, a rejected one as its value
+    modulo the alphabet."""
+
+    def draw(rng, a, n):
+        shift = 32 - a.bit_length()
+        return tuple((rng.getrandbits(32) >> shift) % a for _ in range(n))
+
+    monkeypatch.setattr(oracle, "_draw_content", draw)
+
+
+def first_rect_cover(monkeypatch):
+    """A cover test that reads only a placement's first rect."""
+    cells = tensor._placement_cells
+    monkeypatch.setattr(oracle, "_placement_cells",
+                        lambda placement, width: cells(placement[:1], width))
+
+
 def one_mutant_memo(monkeypatch):
     init, memo = oracle._PlacementPlan.__init__, {}
 
@@ -598,11 +630,16 @@ class TestEngineAgainstNaive:
         (one_mutant_memo, (4, 7)),
         (any_covered_clause, (0, 8)),
         (label_blind_settle_memo, (12, 17)),
+        (modulo_draw, (0, 14)),
+        (first_rect_cover, (3, 13)),
     ], ids=["covering-walk-only", "first-clause-only", "leaky-masking", "one-mutant-memo",
-            "any-covered-clause", "label-blind-settle-memo"])
+            "any-covered-clause", "label-blind-settle-memo", "modulo-draw",
+            "first-rect-cover"])
     def test_a_broken_scan_differs_from_the_reference(self, monkeypatch, mutate, seeds):
+        # The reference draws through the package too, so it comes first.
+        want = [reference(s)[0] for s in seeds]
         mutate(monkeypatch)
-        assert any(whole(run_soundness(*drawn(s))) != reference(s)[0] for s in seeds)
+        assert any(whole(run_soundness(*drawn(s))) != w for s, w in zip(seeds, want))
 
     def test_content_values_of_256_or_more_match_the_reference(self):
         """Contents drawn from a whole 300- or 70,000-value alphabet: some
@@ -732,7 +769,8 @@ class TestPlacementPlan:
             backend = backends[n % 2]
             clf = CountingClassifier(backend)
             _, scorers, benign = _mutant_scorers(clf, img, masks)
-            plan = oracle._PlacementPlan(placement, img, masks, scorers, benign)
+            cells = [tensor._mask_cells(m) for m in masks]
+            plan = oracle._PlacementPlan(placement, img, masks, cells, scorers, benign)
             pixels = [
                 (y, x)
                 for r in placement

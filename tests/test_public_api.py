@@ -94,6 +94,7 @@ def test_module_all_is_pinned_and_defined(module):
 UNUSED_IN_PACKAGE = {
     "apply_mask": "the reference masking that tests/naive.py re-derives results with",
     "enumerate_variants": "the reference enumeration that tests/naive.py walks",
+    "mask_covers": "the reference the scan's cell-bitset cover test is checked against",
     "save_predictions": "perfbench/trace.py wraps it; it goes once the trace no longer does",
 }
 

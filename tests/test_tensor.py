@@ -71,6 +71,28 @@ class TestImage:
         with pytest.raises(InvalidInputError):
             Image(1, 2, 1, 4, (-1, 0))
 
+    @pytest.mark.parametrize("alphabet", [2, 255, 256, 257, 70000])
+    @pytest.mark.parametrize("bad", ["negative", "alphabet", "non-integer"])
+    def test_refusals_name_the_alphabet_range(self, alphabet, bad):
+        """One message whichever check refuses the value: the C pass for
+        256 values or fewer, `min`/`max` above. A non-integer pixel is
+        refused too."""
+        value = {"negative": -1, "alphabet": alphabet, "non-integer": 1.5}[bad]
+        with pytest.raises(InvalidInputError) as refused:
+            Image(1, 3, 1, alphabet, (0, value, 1))
+        assert str(refused.value) == f"pixel values must lie in [0, {alphabet - 1}]"
+
+    @pytest.mark.parametrize("alphabet", [2, 3, 255, 256, 257, 65536, 70000, 2**32])
+    def test_packed_is_the_reference_encoding(self, alphabet):
+        """Every pixel in `bytes_per_pixel` little-endian bytes, whether the
+        check at construction stored `packed` or it is built on first read."""
+        rng = random.Random(alphabet)
+        pixels = [alphabet - 1, 0] + [rng.randrange(alphabet) for _ in range(22)]
+        img = Image(2, 4, 3, alphabet, pixels)
+        bpp = img.bytes_per_pixel
+        assert img.packed == b"".join(v.to_bytes(bpp, "little") for v in pixels)
+        assert img.pixels == tuple(pixels)
+
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(InvalidInputError):
             Image(0, 2, 1, 4, ())
