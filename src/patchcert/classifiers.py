@@ -234,6 +234,8 @@ class LinearClassifier:
             object.__setattr__(
                 self, "weights", tuple(tuple(row) for row in self.weights)
             )
+            if len(set(map(len, self.weights))) != 1:
+                raise InvalidInputError("weight rows must all have the same length")
 
     def _weight_rows(self, num_features: int) -> tuple[tuple[int, ...], ...]:
         if self.weights is not None:

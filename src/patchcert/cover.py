@@ -4,7 +4,7 @@ A mask set covers a patch spec when every legal placement is fully
 inside at least one mask. Generators below construct such sets; the
 verifier checks the property for every placement and is deliberately
 independent of how the set was built: it reads only the masks' cell
-spans (`Mask.spans`) and the spec. It represents placements as bitsets
+bitsets (`Mask.cells`) and the spec. It represents placements as bitsets
 over patch anchors, so one integer operation checks many of them.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidInputError
-from .tensor import Mask, PatchSpec, Placement, Rect, _mask_cells, _placement_runs
+from .tensor import Mask, PatchSpec, Placement, Rect, _placement_runs
 
 __all__ = [
     "MaskSet",
@@ -74,11 +74,8 @@ def _axis_anchors(n: int, patch: int, k: int) -> tuple[list[int], int]:
     patch could slip through; the final anchor is pinned to n - m so the
     tail is covered. Anchors that would leave the plane are clamped to
     n - m, then deduplicated, so fewer than k anchors can come back.
+    The callers pass a `patch` already checked to lie in [1, n].
     """
-    if patch < 1:
-        raise InvalidInputError("patch extent must be at least 1")
-    if patch > n:
-        raise InvalidInputError(f"patch extent {patch} exceeds axis length {n}")
     positions = n - patch + 1
     if k < 1:
         raise InvalidInputError("masks_per_axis must be positive")
@@ -211,14 +208,13 @@ def _covered_anchors(mask: Mask, rh: int, rw: int) -> int:
 
     Bit `top * cols + left`, with cols = plane width - rw + 1, stands
     for the rect at (top, left), as in `_placement_runs`. The mask's
-    cells are one int (`_mask_cells`), bit `y * width + x` for (y, x).
+    cells are one int, `Mask.cells`, bit `y * width + x` for (y, x).
     ANDing it with itself shifted by columns leaves the cells whose
     window of rw lies inside, and by whole rows those whose window of rh
     does. Anchors are read from the first masked row on, and from a
     row's first cols cells, so no window runs past a row end.
     """
-    w, spans = mask.plane_width, mask.spans
-    plane = _mask_cells(mask)
+    w, spans, plane = mask.plane_width, mask.spans, mask.cells
     for t in _doubling_steps(rw):
         plane &= plane >> t
     for t in _doubling_steps(rh):
@@ -237,7 +233,7 @@ def verify_cover(mask_set: MaskSet) -> CoverageReport:
     Every placement is checked, in `iter_placements` order, through
     anchor bitsets: a mask covers a placement when the anchor of each
     placement rect is in the mask's `_covered_anchors`, built from its
-    cell spans. The placements that share all rects but the last are
+    cell bitset. The placements that share all rects but the last are
     checked at once, against the masks that cover those rects.
 
     Never raises on a coverage failure; the report carries the

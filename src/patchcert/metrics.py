@@ -139,7 +139,12 @@ def _ratio(num: int, den: int, reason_if_empty: str) -> MetricValue:
 
 
 def _check_identities(report: MetricsReport) -> None:
-    """Cross-check the metrics against the case histogram, exactly."""
+    """Cross-check the metrics against each other and against the case
+    histogram, exactly."""
+    if report.acc_cert.value > min(report.acc_clean.value, report.r_cert.value):
+        raise InvariantViolationError(
+            "acc_cert cannot exceed acc_clean or r_cert"
+        )
     cases = report.case_counts
     if cases is None:
         return
@@ -175,10 +180,6 @@ def _check_identities(report: MetricsReport) -> None:
     for label, got, want in checks:
         if got != want:
             raise InvariantViolationError(f"metric identity failed: {label}")
-    if report.acc_cert.value > min(report.acc_clean.value, report.r_cert.value):
-        raise InvariantViolationError(
-            "acc_cert cannot exceed acc_clean or r_cert"
-        )
 
 
 def compute_metrics(records: Sequence[EvalRecord]) -> MetricsReport:

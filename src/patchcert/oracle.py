@@ -53,9 +53,8 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .tensor import (
-    Image, Mask, PatchSpec, Placement, _mask_cells, _placement_cells, _placement_ranks,
-    _placement_runs, apply_patch, iter_placements, masked_packed, rectangle_shapes,
-    zero_masked,
+    Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, _rect_cells,
+    apply_patch, iter_placements, masked_packed, rectangle_shapes, zero_masked,
 )
 
 __all__ = [
@@ -328,16 +327,16 @@ class _PlacementPlan:
     drops it when the group ends. `positions` are the flat pixel indices
     the patch content lands on, in content order, so the sample's scorer
     at `positions` classifies the group's variants. `covering` lists the
-    masks that hide the placement: those whose cell bitset, from the
-    scan's `cells` (`tensor._mask_cells`), holds every cell of the
-    placement's (`tensor._placement_cells`); `tensor.mask_covers` is the
-    reference for this test. `covered` holds their benign mutants, which
-    are every variant's mutants under those masks; `erasure_check` tests
-    that shortcut on real bytes. `uncovered` lists the other masks in
-    mask order. A variant's mutant under such a mask i is mask i's
-    mutant with the content written back at the patch positions that
-    survive the mask, so `scorers[i]`, the scorer of mask i's mutant
-    (`classifiers._mutant_scorers`), classifies it at those positions. `surviving[i]` holds the content indices that zeroing
+    masks that hide the placement: those whose `Mask.cells` hold every
+    cell of the placement's (`tensor._rect_cells`); `tensor.mask_covers`
+    is the reference for this test. `covered` holds their benign
+    mutants, which are every variant's mutants under those masks;
+    `erasure_check` tests that shortcut on real bytes. `uncovered` lists
+    the other masks in mask order. A variant's mutant under such a mask
+    i is mask i's mutant with the content written back at the patch
+    positions that survive the mask, so `scorers[i]`, the scorer of mask
+    i's mutant (`classifiers._mutant_scorers`), classifies it at those
+    positions. `surviving[i]` holds the content indices that zeroing
     mask i's spans leaves (`survivors`) and that scorer at their positions.
     Both are built the first time a variant's mutant walk reaches mask
     i, so a plan that only `thm1` reads, or whose harmful variants the
@@ -371,7 +370,6 @@ class _PlacementPlan:
         placement: Placement,
         image: Image,
         masks: Sequence[Mask],
-        cells: Sequence[int],
         scorers: Sequence,
         benign: MutantProfile,
     ):
@@ -387,8 +385,8 @@ class _PlacementPlan:
         ]
         self.masks = masks
         self.scorers = scorers
-        hidden = _placement_cells(placement, w)
-        covers = [hidden & m == hidden for m in cells]
+        hidden = _rect_cells(placement, w)
+        covers = [hidden & m.cells == hidden for m in masks]
         self.covering = [i for i, hit in enumerate(covers) if hit]
         self.covered = tuple(benign.mutants[i] for i in self.covering)
         self.uncovered = [i for i, hit in enumerate(covers) if not hit]
@@ -518,10 +516,9 @@ def _scan_sample(
     if not active and thm1 is None:
         return run
 
-    cells = [_mask_cells(m) for m in masks]
     variant_indices = itertools.count()
     for placement, contents in _placement_groups(image, cfg, sample_id):
-        plan = _PlacementPlan(placement, image, masks, cells, scorers, benign)
+        plan = _PlacementPlan(placement, image, masks, scorers, benign)
         # Random draws may return to a placement; check it once.
         if thm1 is not None and placement not in erasure_checked:
             erasure_checked.add(placement)

@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, InvalidInputError
@@ -89,9 +89,12 @@ class Image:
 
     The flat index of (y, x, ch) is (y * width + x) * channels + ch.
     Every pixel is an integer in [0, alphabet_size - 1], and an alphabet
-    has at most 2**32 values. Building an image checks its pixels: with
-    at most 256 values, in one C pass that also stores `packed`; with
-    more, by `min` over the integer values and `max`.
+    has at most 2**32 values. Building an image checks its pixels and
+    stores `packed`, the canonical byte encoding that every pixel
+    backend classifies: pixel i occupies `bytes_per_pixel` bytes,
+    little-endian, at offset i * bytes_per_pixel. With at most 256
+    values, one C pass both checks the pixels and packs them; with more,
+    `min` over the integer values and `max` check them first.
     """
 
     height: int
@@ -124,7 +127,6 @@ class Image:
                 # One C pass: `bytes` refuses a non-integer or a value
                 # outside [0, 255], and its result is `packed`.
                 packed = bytes(self.pixels)
-                self.__dict__["packed"] = packed
                 valid = a == 256 or not packed.translate(None, bytes(range(a)))
             else:
                 valid = 0 <= min(map(operator.index, self.pixels)) and max(self.pixels) < a
@@ -132,6 +134,10 @@ class Image:
             valid = False
         if not valid:
             raise InvalidInputError(f"pixel values must lie in [0, {a - 1}]")
+        if a > 256:
+            bpp = self.bytes_per_pixel
+            packed = b"".join(v.to_bytes(bpp, "little") for v in self.pixels)
+        object.__setattr__(self, "packed", packed)
 
     @property
     def bytes_per_pixel(self) -> int:
@@ -140,18 +146,6 @@ class Image:
         if self.alphabet_size <= 65536:
             return 2
         return 4
-
-    @cached_property
-    def packed(self) -> bytes:
-        """Canonical byte encoding that every pixel backend classifies.
-
-        Pixel i occupies `bytes_per_pixel` bytes, little-endian, at
-        offset i * bytes_per_pixel.
-        """
-        bpp = self.bytes_per_pixel
-        if bpp == 1:
-            return bytes(self.pixels)
-        return b"".join(v.to_bytes(bpp, "little") for v in self.pixels)
 
 
 def unpack_pixels(data: bytes, bytes_per_pixel: int) -> Sequence[int]:
@@ -185,11 +179,14 @@ class Mask:
     """Union of rectangles on a fixed plane.
 
     Masking an image zeroes all channels at every location inside the
-    union. Rectangles may overlap; the union is what matters. `spans`,
-    merged once when the mask is built, are the sorted, disjoint
-    half-open spans of plane cells (cell `y * plane_width + x`) in the
-    union, merged across row ends too: the only form of a mask's
-    geometry that the package reads.
+    union. Rectangles may overlap; the union is what matters. Building
+    the mask computes the two forms of its geometry that the package
+    reads, over plane cells (cell `y * plane_width + x`): `spans`, the
+    sorted, disjoint half-open spans of cells in the union, merged
+    across row ends too, which masking reads; and `cells`, the union as
+    one int with bit `y * plane_width + x` set where the mask hides
+    (`_rect_cells`), which the scan's cover test and `cover.verify_cover`
+    read.
     """
 
     plane_height: int
@@ -213,14 +210,14 @@ class Mask:
             for r in self.rects
             for y in range(r.top, r.bottom)
         ))
+        object.__setattr__(self, "cells", _rect_cells(self.rects, w))
 
     def to_matrix(self) -> list[list[bool]]:
         """Dense boolean grid, True where the mask zeroes the plane.
 
-        Only the tests' reference, for `spans`: masking, `mask_covers`
-        and the cell bitset `_mask_cells`, which `cover.verify_cover`'s
-        anchor bitsets and the oracle's cover test start from, all read
-        the mask through those spans.
+        Only the tests' reference, for `spans` and `cells`: masking and
+        `mask_covers` read the spans, and `cover.verify_cover`'s anchor
+        bitsets and the oracle's cover test start from the cells.
         """
         grid = [[False] * self.plane_width for _ in range(self.plane_height)]
         for r in self.rects:
@@ -404,7 +401,7 @@ def mask_covers(mask: Mask, placement: Placement) -> bool:
     """True when the mask hides the placement: each rect row lies in one span.
 
     The reference for the scan's cover test, which asks whether the
-    placement's `_placement_cells` are a subset of the mask's `_mask_cells`.
+    placement's `_rect_cells` are a subset of the mask's `cells`.
     """
     spans, w = mask.spans, mask.plane_width
     for r in placement:
@@ -419,26 +416,17 @@ def mask_covers(mask: Mask, placement: Placement) -> bool:
     return True
 
 
-def _mask_cells(mask: Mask) -> int:
-    """The mask's plane cells as one int: bit `y * plane_width + x` is set
-    when the mask hides (y, x)."""
-    return sum(((1 << (b - a)) - 1) << a for a, b in mask.spans)
-
-
-@lru_cache(maxsize=64)
-def _row_band(rows: int, plane_width: int) -> int:
-    """One bit at the start of each of `rows` plane rows: the geometric
-    series of 2 ** (y * plane_width) for y < rows."""
-    return ((1 << (rows * plane_width)) - 1) // ((1 << plane_width) - 1)
-
-
-def _placement_cells(placement: Placement, plane_width: int) -> int:
-    """The placement's plane cells as one int, in `_mask_cells` bit order."""
-    return sum(
-        ((1 << r.width) - 1) * _row_band(r.height, plane_width)
-        << (r.top * plane_width + r.left)
-        for r in placement
-    )
+def _rect_cells(rects: Iterable[Rect], plane_width: int) -> int:
+    """The plane cells of a union of rects as one int: bit `y * plane_width
+    + x` is set when a rect holds (y, x). Each rect's band is ORed in, since
+    a mask's rects may overlap."""
+    cells = 0
+    for r in rects:
+        # one bit at the start of each of the rect's rows: the geometric
+        # series of 2 ** (y * plane_width) for y < r.height
+        rows = ((1 << (r.height * plane_width)) - 1) // ((1 << plane_width) - 1)
+        cells |= ((1 << r.width) - 1) * rows << (r.top * plane_width + r.left)
+    return cells
 
 
 # ---------- placement enumeration ----------

@@ -162,6 +162,10 @@ class TestLinearClassifier:
             clf.classify(Image(1, 2, 1, 4, (0, 1)))
         with pytest.raises(InvalidInputError):
             LinearClassifier(0, 3, weights=((1,), (0,)))
+        # A short row would drop the pixels past its end from its logit.
+        with pytest.raises(InvalidInputError,
+                           match="^weight rows must all have the same length$"):
+            LinearClassifier(0, 2, weights=((1, 0, 0, 0), (0, 0, 0)))
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(InvalidInputError):

@@ -34,6 +34,30 @@ def test_import_leaves_the_process_pool_unloaded():
     assert out.strip() == "[]"
 
 
+def test_the_module_entry_point_runs_main(tmp_path, capsys):
+    """`python -m patchcert`, the way every benchmark command starts,
+    writes the bytes and stdout of in-process `main` and exits with its
+    codes."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def module(*argv):
+        done = subprocess.run([sys.executable, "-m", "patchcert", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+        return done.returncode, done.stdout
+
+    maskgen = ("maskgen", "--plane", "8", "8", "--patch-size", "2",
+               "--masks-per-axis", "3", "--out")
+    code, stdout, _ = run(capsys, *maskgen, str(tmp_path / "main.json"))
+    assert module(*maskgen, str(tmp_path / "module.json")) == (code, stdout)
+    assert code == EXIT_OK
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+    assert module()[0] == EXIT_USAGE
+    assert module("verify", "--dataset", str(tmp_path / "missing.jsonl"),
+                  "--masks", str(tmp_path / "main.json"),
+                  "--defender", "doma")[0] == EXIT_IO
+
+
 def test_package_imports_only_the_standard_library():
     """Every absolute import in `src/patchcert` names a standard-library
     module: the package has no runtime dependency."""

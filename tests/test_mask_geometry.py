@@ -1,10 +1,10 @@
-"""What a mask hides, as its merged spans answer it.
+"""What a mask hides, as its merged spans and its cell bitset answer it.
 
-`Mask.spans`, merged once when the mask is built, is the one form of a
-mask's geometry that the package reads. These tests hold its readers to
-`Mask.to_matrix` on masks whose merged spans run past a row end, check
-that no reader merges them again, and fence every other reader of
-`Mask.rects` out of `src/`.
+`Mask.spans` and `Mask.cells`, both computed once when the mask is
+built, are the forms of a mask's geometry that the package reads. These
+tests hold them and their readers to `Mask.to_matrix` on masks whose
+merged spans run past a row end, check that no reader builds them
+again, and fence every other reader of `Mask.rects` out of `src/`.
 """
 import ast
 import pathlib
@@ -16,7 +16,9 @@ import pytest
 from patchcert import oracle, tensor
 from patchcert.classifiers import HashClassifier, LinearClassifier, _mutant_scorers
 from patchcert.cover import _covered_anchors, gen_multi_cover, gen_rect_cover, \
-    gen_square_cover
+    gen_square_cover, verify_cover
+from patchcert.dataset_io import DatasetRecord
+from patchcert.oracle import CHECK_THM1, AttackConfig, run_soundness
 from patchcert.tensor import (
     Mask, PatchSpec, Rect, _span_at, iter_placements, mask_covers, masked_packed,
 )
@@ -25,11 +27,12 @@ from conftest import make_image
 
 H, W = 5, 6
 
-# Masks whose merged spans cross a row end.
+# Masks whose merged spans cross a row end; the last one's rects overlap.
 ROW_END_MASKS = {
     "full_width": Mask(H, W, (Rect(1, 0, 2, W),)),
     "stacked_full_width": Mask(H, W, (Rect(0, 0, 1, W), Rect(1, 0, 2, W))),
     "right_edge_above_column_0": Mask(H, W, (Rect(1, 3, 1, 3), Rect(2, 0, 2, 2))),
+    "overlapping_full_width": Mask(H, W, (Rect(1, 0, 2, W), Rect(2, 2, 2, 3))),
 }
 
 
@@ -73,6 +76,7 @@ def test_span_at_matches_the_dense_grid(mask):
         span = _span_at(spans, p)
         assert (span is not None) == grid[p // W][p % W], p
         assert span is None or span[0] <= p < span[1]
+    assert mask.cells == sum(1 << p for p in range(H * W) if grid[p // W][p % W])
 
 
 def test_mask_covers_matches_the_dense_grid(mask):
@@ -87,8 +91,7 @@ def test_survivors_match_the_dense_grid(mask, channels):
     _, scorers, benign = _mutant_scorers(clf, img, [mask])
     grid = mask.to_matrix()
     for placement in placements():
-        plan = oracle._PlacementPlan(placement, img, [mask], [tensor._mask_cells(mask)],
-                                     scorers, benign)
+        plan = oracle._PlacementPlan(placement, img, [mask], scorers, benign)
         pixels = [
             (y, x)
             for r in placement
@@ -117,9 +120,8 @@ def test_the_scan_cover_test_is_mask_covers(spec):
              *gen_rect_cover((H, W), 6, 2).masks, *gen_multi_cover(base, 2).masks]
     img = make_image(random.Random(0), H, W, channels=2)
     _, scorers, benign = _mutant_scorers(HashClassifier(seed=1, num_labels=3), img, masks)
-    cells = [tensor._mask_cells(m) for m in masks]
     for placement in iter_placements(spec):
-        plan = oracle._PlacementPlan(placement, img, masks, cells, scorers, benign)
+        plan = oracle._PlacementPlan(placement, img, masks, scorers, benign)
         covers = [mask_covers(m, placement) for m in masks]
         assert plan.covering == [i for i, hit in enumerate(covers) if hit], placement
         assert plan.uncovered == [i for i, hit in enumerate(covers) if not hit], placement
@@ -139,19 +141,28 @@ def test_covered_anchors_match_the_dense_grid(mask):
 
 
 def test_a_mask_builds_its_spans_once(monkeypatch):
-    """A mask merges its spans when it is built, and its readers read
-    `Mask.spans` without merging again; equality, hashing, pickling and
-    set dedup still go by the fields."""
+    """A mask merges its spans and builds its cell bitset when it is
+    built, and its readers read `Mask.spans` and `Mask.cells` without
+    building them again: the scan builds cells for its placements only.
+    Equality, hashing, pickling and set dedup still go by the fields."""
     merge, merged = tensor._merged_spans, []
+    rect_cells, celled = tensor._rect_cells, []
 
     def counted(spans):
         merged.append(spans)
         return merge(spans)
 
+    def counted_cells(rects, plane_width):
+        celled.append(tuple(rects))
+        return rect_cells(rects, plane_width)
+
     monkeypatch.setattr(tensor, "_merged_spans", counted)
+    monkeypatch.setattr(tensor, "_rect_cells", counted_cells)
+    monkeypatch.setattr(oracle, "_rect_cells", counted_cells)
     rects = (Rect(1, 0, 2, W), Rect(0, 3, 2, 2))
     mask = Mask(H, W, rects)
     assert len(merged) == 1
+    assert celled == [rects]
     img = make_image(random.Random(0), H, W, channels=3)
     scorer = LinearClassifier(seed=1, num_labels=3)._scorer(img.packed, 1)
     for _ in range(3):
@@ -160,6 +171,16 @@ def test_a_mask_builds_its_spans_once(monkeypatch):
         _covered_anchors(mask, 1, 2)
         scorer.masked(mask, img.channels)
     assert len(merged) == 1
+    assert celled == [rects]
+    cover = gen_square_cover((H, W), 2, 2)
+    merged.clear()
+    celled.clear()
+    assert verify_cover(cover).ok
+    clf, plain = HashClassifier(seed=1, num_labels=3), make_image(random.Random(1), H, W)
+    record = DatasetRecord("s", clf.classify(plain).label, plain)
+    run_soundness(clf, [record], cover, [], AttackConfig(cover.spec), {CHECK_THM1})
+    assert merged == []
+    assert celled == list(iter_placements(cover.spec))
     twin = Mask(H, W, list(rects))
     assert twin == mask and hash(twin) == hash(mask) and len({mask, twin}) == 1
     assert twin != Mask(H, W, rects[:1])

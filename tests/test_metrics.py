@@ -1,18 +1,21 @@
 """Evaluation metrics over per-sample outcome records."""
+import dataclasses
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from patchcert.classifiers import Prediction
 from patchcert.defenders import Verdict
-from patchcert.errors import InvalidInputError
+from patchcert.errors import InvalidInputError, InvariantViolationError
 from patchcert.metrics import (
     METRIC_NAMES,
     EvalRecord,
     MetricValue,
+    _check_identities,
     case_histogram,
     compute_metrics,
 )
@@ -189,6 +192,22 @@ class TestStructuralIdentities:
         counts = case_histogram(four_record_fixture())
         assert sorted(counts) == list(range(1, 9))
         assert sum(counts.values()) == 4
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"case_counts": {**case_histogram(four_record_fixture()), 8: 2}},
+         "case counts must sum to the record count"),
+        ({"r_cert": MetricValue(4, 4)},
+         "metric identity failed: r_cert = case1 + case2 + case5 + case6"),
+        ({"case_counts": None, "acc_cert": MetricValue(3, 4)},
+         "acc_cert cannot exceed acc_clean or r_cert"),
+    ], ids=["case-sum", "identity", "warning-free-bound"])
+    def test_a_report_that_breaks_an_identity_is_refused(self, fields, message):
+        """Each refusal on a report whose parts disagree; the bound on
+        `acc_cert` holds without a case histogram too."""
+        report = compute_metrics(four_record_fixture())
+        _check_identities(report)
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+            _check_identities(dataclasses.replace(report, **fields))
 
 
 class TestImportedRow:

@@ -591,8 +591,8 @@ def modulo_draw(monkeypatch):
 
 def first_rect_cover(monkeypatch):
     """A cover test that reads only a placement's first rect."""
-    cells = tensor._placement_cells
-    monkeypatch.setattr(oracle, "_placement_cells",
+    cells = tensor._rect_cells
+    monkeypatch.setattr(oracle, "_rect_cells",
                         lambda placement, width: cells(placement[:1], width))
 
 
@@ -769,8 +769,7 @@ class TestPlacementPlan:
             backend = backends[n % 2]
             clf = CountingClassifier(backend)
             _, scorers, benign = _mutant_scorers(clf, img, masks)
-            cells = [tensor._mask_cells(m) for m in masks]
-            plan = oracle._PlacementPlan(placement, img, masks, cells, scorers, benign)
+            plan = oracle._PlacementPlan(placement, img, masks, scorers, benign)
             pixels = [
                 (y, x)
                 for r in placement

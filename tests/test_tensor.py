@@ -84,11 +84,12 @@ class TestImage:
 
     @pytest.mark.parametrize("alphabet", [2, 3, 255, 256, 257, 65536, 70000, 2**32])
     def test_packed_is_the_reference_encoding(self, alphabet):
-        """Every pixel in `bytes_per_pixel` little-endian bytes, whether the
-        check at construction stored `packed` or it is built on first read."""
+        """Every pixel in `bytes_per_pixel` little-endian bytes, stored
+        when the image is built, at every alphabet."""
         rng = random.Random(alphabet)
         pixels = [alphabet - 1, 0] + [rng.randrange(alphabet) for _ in range(22)]
         img = Image(2, 4, 3, alphabet, pixels)
+        assert "packed" in vars(img)
         bpp = img.bytes_per_pixel
         assert img.packed == b"".join(v.to_bytes(bpp, "little") for v in pixels)
         assert img.pixels == tuple(pixels)
