@@ -425,10 +425,10 @@ def cmd_verify(args) -> int:
 
     if not args.dataset or not args.masks:
         raise InvalidInputError("verify needs --dataset and --masks (or --fixture)")
-    records, mask_set, classifier = _load_inputs(args)
     checks = _parse_checks(args.checks)
     if args.mode != "random":
         _refuse_given(args, ("trials", "attack_seed"), "--mode exhaustive does not read")
+    records, mask_set, classifier = _load_inputs(args)
 
     spec = mask_set.spec
     if args.patch_size or args.patch_area or args.patches > 1:

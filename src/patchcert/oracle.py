@@ -27,8 +27,9 @@ clause that caught it (label difference or low confidence). Independent
 of any defender, it can check the erasure that the stronger claim rests
 on: masking a patched sample with a consistent mask that covers the
 patch gives back the benign mutant, whose true label then differs from
-any harmful variant's label. That check compares bytes once per
-placement and classifies nothing.
+any harmful variant's label. That check zeroes each consistent
+covering mask over the patch positions once per placement and
+classifies nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .tensor import (
     Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, _rect_cells,
-    apply_patch, iter_placements, masked_packed, rectangle_shapes, zero_masked,
+    apply_patch, iter_placements, rectangle_shapes, zero_masked,
 )
 
 __all__ = [
@@ -331,7 +332,8 @@ class _PlacementPlan:
     cell of the placement's (`tensor._rect_cells`); `tensor.mask_covers`
     is the reference for this test. `covered` holds their benign
     mutants, which are every variant's mutants under those masks;
-    `erasure_check` tests that shortcut on real bytes. `uncovered` lists
+    `erasure_check` tests that shortcut by zeroing those masks' spans
+    over the patch positions (`survivors`). `uncovered` lists
     the other masks in mask order. A variant's mutant under such a mask
     i is mask i's mutant with the content written back at the patch
     positions that survive the mask, so `scorers[i]`, the scorer of mask
@@ -418,39 +420,19 @@ class _PlacementPlan:
             pred = self.mutants[key] = score(values)
         return pred
 
-    def erasure_check(
-        self, record: DatasetRecord, clean: list[bytes | None]
-    ) -> list[dict]:
+    def erasure_check(self, record: DatasetRecord) -> list[dict]:
         """A `thm1` entry per consistent covering mask that keeps a patch byte.
 
-        The probe is the sample patched through the reference
-        `apply_patch` with content that differs from it at every patch
-        position. When a covering mask gives the probe the sample's
-        masked bytes, its mutant is the benign one for every content.
-        `clean[i]`, the sample's bytes under mask i, is filled on first
-        use and kept by the scan for the sample's other placements.
+        A patched variant differs from the sample at patch positions only,
+        so a mask gives back the sample's masked bytes for every content
+        exactly when zeroing it leaves no patch position (`survivors`).
         """
-        covering = [
-            i for i, benign in zip(self.covering, self.covered)
-            if benign.label == record.true_label
+        return [
+            {"sample_id": record.id, "placement": self.placement_doc,
+             "mask": i, "reason": "consistent covering mask leaves patch bytes"}
+            for i, benign in zip(self.covering, self.covered)
+            if benign.label == record.true_label and self.survivors(self.masks[i])
         ]
-        if not covering:
-            return []
-        image = record.image
-        top = image.alphabet_size - 1
-        probe = apply_patch(image, self.placement, [
-            top - v if 2 * v != top else 0
-            for v in map(image.pixels.__getitem__, self.positions)
-        ])
-        kept = []
-        for i in covering:
-            mask = self.masks[i]
-            if clean[i] is None:
-                clean[i] = masked_packed(image, mask)
-            if masked_packed(probe, mask) != clean[i]:
-                kept.append({"sample_id": record.id, "placement": self.placement_doc,
-                             "mask": i, "reason": "consistent covering mask leaves patch bytes"})
-        return kept
 
 
 class _VariantMutants:
@@ -504,7 +486,6 @@ def _scan_sample(
         )
     thm1 = run.theorem1
     erasure_checked: set[Placement] = set()
-    clean: list[bytes | None] = [None] * len(masks)
     want_rsuc = CHECK_RSUC in checks
     # Each defender to warn-check, with its def1 report when the sample
     # is certified for it.
@@ -522,7 +503,7 @@ def _scan_sample(
         # Random draws may return to a placement; check it once.
         if thm1 is not None and placement not in erasure_checked:
             erasure_checked.add(placement)
-            thm1.thm1_violations += plan.erasure_check(record, clean)
+            thm1.thm1_violations += plan.erasure_check(record)
         if not active:
             continue
         label_of = scorer.label_at(plan.positions)

@@ -484,10 +484,12 @@ def _placement_runs(
     every rect but the last, and bit k of `completions` is set when the
     rect at anchor k completes the run to a legal placement. A single-rect
     spec yields one empty run per shape. A multi spec yields each run of
-    `count - 1` pairwise disjoint squares with the later squares that
-    are disjoint from all of them, and nothing when the squares do not
-    fit; with `first`, only the runs whose first square is at that
-    anchor.
+    `count - 1` pairwise disjoint squares that some later square,
+    disjoint from all of them, completes, with those squares, and
+    nothing when the squares do not fit; with `first`, only the runs
+    whose first square is at that anchor. A prefix is dropped once fewer
+    candidate squares remain than it needs; that bound is tight for 1x1
+    squares only, since overlapping candidates are counted apart.
     """
     h, w = spec.plane_height, spec.plane_width
     if spec.kind != "multi":
@@ -512,6 +514,8 @@ def _placement_runs(
         return squares & ~overlap
 
     def walk(run: tuple[int, ...], squares: int):
+        if squares.bit_count() < spec.count - len(run):
+            return  # too few squares left to complete the run
         if len(run) == spec.count - 1:
             yield (s, s), run, squares
             return

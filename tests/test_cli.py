@@ -918,10 +918,20 @@ class TestVerify:
         pytest.param(("--dataset", "{data}", "--masks", "{masks}", "--num-labels", "5",
                       "--tau", "0.8", "--checks", ","),
                      "no checks requested", id="empty-checks"),
+        # Usage errors come before any input file is read.
+        pytest.param(("--dataset", "{missing}", "--masks", "{masks}", "--tau", "0.8",
+                      "--checks", "bogus"),
+                     "unknown check 'bogus'; expected def1, thm1",
+                     id="unknown-check-before-inputs"),
+        pytest.param(("--dataset", "{missing}", "--masks", "{masks}", "--tau", "0.8",
+                      "--trials", "5"),
+                     "--mode exhaustive does not read --trials",
+                     id="exhaustive-trials-before-inputs"),
     ])
     def test_refused_verify_writes_nothing(self, capsys, workspace, flags, message):
         out = workspace / "soundness.json"
-        paths = {"data": workspace / "data.jsonl", "masks": workspace / "masks.json"}
+        paths = {"data": workspace / "data.jsonl", "masks": workspace / "masks.json",
+                 "missing": workspace / "missing.jsonl"}
         argv = [flag.format(**paths) for flag in flags]
         code, stdout, err = run(capsys, "verify", *argv, "--out", str(out))
         assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n")

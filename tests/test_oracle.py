@@ -45,7 +45,7 @@ from patchcert.oracle import (
     run_soundness,
 )
 from patchcert.tensor import Image, Mask, PatchSpec, Rect, apply_mask, apply_patch, \
-    iter_placements, mask_covers, masked_packed
+    iter_placements, mask_covers, zero_masked
 
 import naive
 from conftest import make_image, reference_placements
@@ -461,13 +461,13 @@ class CountingScorer:
         return counted
 
 
-def leaky_masked_packed(image, mask):
-    """`masked_packed` that keeps the first byte of the mask's first rect."""
+def leaky_zero_masked(data, mask, channels, bytes_per_pixel):
+    """`zero_masked` that keeps the first byte of the mask's first rect."""
     r = mask.rects[0]
-    keep = (r.top * image.width + r.left) * image.channels * image.bytes_per_pixel
-    data = bytearray(masked_packed(image, mask))
-    data[keep] = image.packed[keep]
-    return bytes(data)
+    keep = (r.top * mask.plane_width + r.left) * channels * bytes_per_pixel
+    out = bytearray(zero_masked(data, mask, channels, bytes_per_pixel))
+    out[keep] = data[keep]
+    return bytes(out)
 
 
 def find_unsound_setup():
@@ -626,7 +626,7 @@ class TestEngineAgainstNaive:
         (lambda mp: mp.setattr(oracle._VariantMutants, "__iter__",
                                lambda self: iter(self.plan.covered)), (0, 3)),
         (first_clause_only, (4, 8)),
-        (lambda mp: mp.setattr(oracle, "masked_packed", leaky_masked_packed), (3, 5)),
+        (lambda mp: mp.setattr(oracle, "zero_masked", leaky_zero_masked), (3, 5, 22)),
         (one_mutant_memo, (4, 7)),
         (any_covered_clause, (0, 8)),
         (label_blind_settle_memo, (12, 17)),
@@ -714,19 +714,29 @@ class TestEngineAgainstNaive:
 class TestTheorem1:
     def test_masking_that_keeps_a_patch_byte_is_a_counterexample(self, monkeypatch):
         """Negative control: with a masking that leaves the first byte of
-        each mask, the 1x1 patch on that byte survives its covering mask."""
-        monkeypatch.setattr(oracle, "masked_packed", leaky_masked_packed)
+        each mask, the 1x1 patch on that byte survives its covering mask.
+        The scan builds no patched or masked image for it: with
+        `apply_patch` and `masked_packed` raising, a `def1,thm1` scan
+        still runs."""
         clf = HashClassifier(seed=3, num_labels=2)
         img = Image(4, 4, 1, 2, tuple(i % 3 % 2 for i in range(16)))
         ms = gen_square_cover((4, 4), 1, 2)
         first = ms.masks[0]
-        # Make the leaky mask consistent: the sample's label is its mutant's.
-        leaked = Image(4, 4, 1, 2, tuple(leaky_masked_packed(img, first)))
-        record = DatasetRecord("sample", clf.classify(leaked).label, img)
+        # Make the first mask consistent: the sample's label is its mutant's.
+        record = DatasetRecord("sample", clf.classify(apply_mask(img, first)).label, img)
+        monkeypatch.setattr(oracle, "zero_masked", leaky_zero_masked)
+
+        def refuse(*args):
+            raise AssertionError("the scan built a patched or masked image")
+
+        for module in (tensor, oracle):
+            for name in ("apply_patch", "masked_packed"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        hicert = make_defender(DefenderSpec("hicert", 0.8))
         for mode in ("exhaustive", "random"):
             cfg = AttackConfig(ms.spec, mode=mode, trials=200, seed=1)
             report = run_soundness(
-                clf, [record], ms, [], cfg, checks={CHECK_THM1}
+                clf, [record], ms, [hicert], cfg, checks={CHECK_DEF1, CHECK_THM1}
             ).theorem1
             r = first.rects[0]
             assert {
@@ -932,7 +942,7 @@ class TestRunSoundness:
         one of a run that walks every variant. The leaky masking gives
         that report counterexamples to compare."""
         clf, records, ms, _, cfg = self.make_grid()
-        monkeypatch.setattr(oracle, "masked_packed", leaky_masked_packed)
+        monkeypatch.setattr(oracle, "zero_masked", leaky_zero_masked)
         consumed = []
         product = oracle.itertools.product
 

@@ -17,6 +17,7 @@ from patchcert.tensor import (
     mask_covers,
     masked_packed,
     _placement_ranks,
+    _placement_runs,
 )
 
 from conftest import make_image, reference_placements
@@ -338,6 +339,14 @@ class TestPlacements:
     def test_multi_too_crowded_yields_nothing(self):
         spec = PatchSpec.multi(3, 3, 2, 2)
         assert _placement_ranks(spec)[0] == 0
+
+    def test_a_crowded_multi_yields_only_completed_runs(self):
+        # 16 unit squares on 4x4 have one placement; a run that no square
+        # completes is never yielded, so the walk stays on that path.
+        runs = list(_placement_runs(PatchSpec.multi(4, 4, 16, 1)))
+        assert [(run, completions) for _, run, completions in runs] == [
+            (tuple(range(15)), 1 << 15)
+        ]
 
     @pytest.mark.parametrize("spec", [
         PatchSpec.square(3, 5, 2),
