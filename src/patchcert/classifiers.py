@@ -13,13 +13,13 @@ returns a `Prediction`. `classify(image)` returns that same value, and
 Mutants and variants are classified through scorers instead.
 `_scorer(data, bytes_per_pixel)` returns a scorer of those bytes:
 `prediction()` classifies them, `masked(mask, channels)` is the scorer
-of the bytes with the mask zeroed as `tensor.masked_packed` zeroes it,
-and `at(positions)` returns `score(values)`, the prediction of the bytes
-with `values` written at the flat pixel `positions`. A mutant differs
-from its sample only under the mask, and a variant only under the
-patch, so the linear backend updates its integer logits at those pixels
-alone; the hash backend digests a patched copy. No `Image` is built per
-mutant or per variant.
+of `tensor.apply_mask`'s mutant, the bytes with the mask zeroed as
+`tensor.zero_masked` zeroes them, and `at(positions)` returns
+`score(values)`, the prediction of the bytes with `values` written at
+the flat pixel `positions`. A mutant differs from its sample only under
+the mask, and a variant only under the patch, so the linear backend
+updates its integer logits at those pixels alone; the hash backend
+digests a patched copy. No `Image` is built per mutant or per variant.
 
 `label_at(positions)` is `at`'s label-only sibling: its `score(values)`
 returns `at(positions)(values).label` and computes no confidence. The
@@ -37,15 +37,15 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul, sub
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .cover import MaskSet
-from .defenders import MutantProfile
+from .defenders import MutantProfile, Prediction
 from .errors import InvalidInputError, TableLookupError
 from .tensor import (
-    Image, Mask, _span_at, check_mask_plane,
+    Image, Mask, _draw_content, _span_at, check_mask_plane,
     unpack_pixels, write_packed, zero_masked,
 )
 
@@ -72,19 +72,6 @@ def clamp_confidence(value: float) -> float:
     lo = CONFIDENCE_EPSILON
     hi = 1.0 - CONFIDENCE_EPSILON
     return lo if value < lo else hi if value > hi else value
-
-
-class Prediction(NamedTuple):
-    """A label with the classifier's confidence for it.
-
-    A plain value: pixel backends clamp confidences into (0, 1), and the
-    file loaders check label and confidence where a table is read. The
-    oracle's harmful variants are scored for their label alone and carry
-    confidence None, so a rule that compares it with tau raises.
-    """
-
-    label: int
-    confidence: float | None
 
 
 _CONF_DENOM = 65538  # (1 + value mod 2^16) / (2^16 + 2) stays inside (0, 1)
@@ -148,8 +135,8 @@ class HashClassifier:
 
 
 class _HashScorer:
-    """Bytes to digest, whole: masking zeroes a copy as `masked_packed`
-    does, and a score digests a copy with the values written in. Every
+    """Bytes to digest, whole: masking zeroes a copy with `zero_masked`,
+    and a score digests a copy with the values written in. Every
     prediction is a `_predict_packed` call on the classifier, and every
     label-only score a `_label_packed` call."""
 
@@ -189,13 +176,14 @@ class _HashScorer:
 def _seeded_weights(
     seed: int, num_labels: int, num_features: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Fixed small integer weights, reproducible from the seed alone."""
+    """Fixed small integer weights, reproducible from the seed alone: row
+    by row, `rng.randrange(-8, 9)`, drawn as `-8 + rng.randrange(17)`."""
     digest = hashlib.blake2b(
         b"linear-weights", digest_size=8, key=seed.to_bytes(8, "little")
     ).digest()
     rng = random.Random(int.from_bytes(digest, "little") + num_features)
     return tuple(
-        tuple(rng.randrange(-8, 9) for _ in range(num_features))
+        tuple(map(sub, _draw_content(rng, 17, num_features), repeat(8)))
         for _ in range(num_labels)
     )
 

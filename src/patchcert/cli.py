@@ -37,6 +37,7 @@ from .oracle import (
     CHECK_DEF1,
     CHECK_THM1,
     DEFAULT_BUDGET,
+    TABLE_CANNOT_SCAN,
     AttackConfig,
     check_profile_fixture,
     run_soundness,
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--skip-verify", action="store_true",
                    help="write the set without the exhaustive coverage check "
-                   "(a bitset pass over every placement, fast even at 224x224)")
+                   "(every placement; about 35 s for a two-patch cover at 224x224)")
     p.set_defaults(func=cmd_maskgen)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
@@ -272,7 +273,7 @@ def _parse_override(text: str) -> Defender:
 
 
 def _refuse_given(args, dests: Sequence[str], message: str) -> None:
-    """Fail naming each flag in `dests` that differs from verify's default."""
+    """Fail naming each flag in `dests` that differs from its default."""
     defaults = build_parser().parse_args(["verify"])
     given = [
         "--" + dest.replace("_", "-")
@@ -340,6 +341,8 @@ def cmd_evaluate(args) -> int:
                 f"{defender.name}"
             )
         tau_of[defender.name] = tau
+    if args.classifier == "table":
+        _refuse_given(args, ("seed", "num_labels"), "--classifier table does not read")
     records, mask_set, classifier = _load_inputs(args)
     # A consistent sample is by definition one that DOMA certifies.
     doma = make_defender(DefenderSpec("doma"))
@@ -426,6 +429,8 @@ def cmd_verify(args) -> int:
     if not args.dataset or not args.masks:
         raise InvalidInputError("verify needs --dataset and --masks (or --fixture)")
     checks = _parse_checks(args.checks)
+    if args.classifier == "table":
+        raise InvalidInputError(TABLE_CANNOT_SCAN)
     if args.mode != "random":
         _refuse_given(args, ("trials", "attack_seed"), "--mode exhaustive does not read")
     records, mask_set, classifier = _load_inputs(args)

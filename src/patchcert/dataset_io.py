@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .classifiers import HashClassifier, Prediction, TableClassifier, VariantKey
+from .classifiers import HashClassifier, TableClassifier, VariantKey
 from .cover import MaskSet
-from .defenders import MutantProfile, Verdict, assign_case
+from .defenders import MutantProfile, Prediction, Verdict, assign_case
 from .errors import (
     DuplicateKeyError,
     InvalidInputError,
@@ -30,7 +30,7 @@ from .errors import (
     ValueOutOfRangeError,
 )
 from .metrics import EvalRecord
-from .tensor import Image, Mask, PatchSpec, Rect
+from .tensor import Image, Mask, PatchSpec, Rect, _draw_content
 
 __all__ = [
     "FORMAT_VERSION",
@@ -120,7 +120,8 @@ def gen_synthetic_dataset(
     the same seed and label count, so evaluating under that classifier
     gives clean accuracy 1 by construction. "uniform" draws labels
     independently of the pixels, landing clean accuracy near
-    1/num_labels.
+    1/num_labels. Each sample takes its pixels from one seeded stream,
+    in word batches (`tensor._draw_content`), then its uniform label.
     """
     if count < 1:
         raise InvalidInputError("count must be positive")
@@ -134,7 +135,7 @@ def gen_synthetic_dataset(
     records = []
     npix = h * w * channels
     for i in range(count):
-        pixels = tuple(rng.randrange(alphabet_size) for _ in range(npix))
+        pixels = _draw_content(rng, alphabet_size, npix)
         image = Image(h, w, channels, alphabet_size, pixels)
         if label_mode == "classifier":
             label = labeler.classify(image).label

@@ -18,14 +18,12 @@ strict: a confidence equal to tau neither certifies nor warns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInputError, UnsupportedOperationError
 
-if TYPE_CHECKING:
-    from .classifiers import Prediction
-
 __all__ = [
+    "Prediction",
     "MutantProfile",
     "Verdict",
     "DefenderSpec",
@@ -37,6 +35,19 @@ __all__ = [
 ]
 
 
+class Prediction(NamedTuple):
+    """A label with the classifier's confidence for it.
+
+    A plain value: pixel backends clamp confidences into (0, 1), and the
+    file loaders check label and confidence where a table is read. The
+    oracle's harmful variants are scored for their label alone and carry
+    confidence None, so a rule that compares it with tau raises.
+    """
+
+    label: int
+    confidence: float | None
+
+
 class MutantProfile(NamedTuple):
     """Base prediction plus one prediction per mask.
 
@@ -46,8 +57,8 @@ class MutantProfile(NamedTuple):
     order.
     """
 
-    base: "Prediction"
-    mutants: Iterable["Prediction"]
+    base: Prediction
+    mutants: Iterable[Prediction]
 
 
 @dataclass(frozen=True)
@@ -261,8 +272,6 @@ class Defender:
         nothing: another mutant may fire an earlier one. The variant's
         confidence is unknown (None), as no clause reads it.
         """
-        from .classifiers import Prediction  # classifiers imports this module
-
         clauses, tau = self._warning()
         if clauses[0](MutantProfile(Prediction(label, None), covered), tau):
             return CLAUSE_NAMES[0]

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classifiers import Prediction
-from .defenders import Verdict, assign_case
+from .defenders import Prediction, Verdict, assign_case
 from .errors import InvalidInputError, InvariantViolationError
 
 __all__ = [

@@ -37,16 +37,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import operator
 import random
-import struct
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .classifiers import Prediction, TableClassifier, _mutant_scorers
+from .classifiers import TableClassifier, _mutant_scorers
 from .cover import MaskSet
 from .dataset_io import DatasetRecord, ProfileFixture
-from .defenders import CLAUSE_NAMES, Defender, MutantProfile
+from .defenders import CLAUSE_NAMES, Defender, MutantProfile, Prediction
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -54,8 +52,8 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .tensor import (
-    Image, Mask, PatchSpec, Placement, _placement_ranks, _placement_runs, _rect_cells,
-    apply_patch, iter_placements, rectangle_shapes, zero_masked,
+    Image, Mask, PatchSpec, Placement, _draw_content, _placement_ranks, _placement_runs,
+    _rect_cells, apply_patch, iter_placements, rectangle_shapes, zero_masked,
 )
 
 __all__ = [
@@ -75,6 +73,8 @@ CHECK_DEF1 = "def1"
 CHECK_THM1 = "thm1"
 CHECK_RSUC = "rsuc"
 ALL_CHECKS = frozenset({CHECK_DEF1, CHECK_THM1, CHECK_RSUC})
+TABLE_CANNOT_SCAN = ("table classifiers cannot label tampered pixels; "
+                     "use a profile fixture instead")
 _EVADED = "harmful variant drew no warning"
 
 
@@ -228,29 +228,6 @@ def _sample_rng(seed: int, sample_id: str) -> random.Random:
         sample_id.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
     ).digest()
     return random.Random(int.from_bytes(digest, "little"))
-
-
-def _draw_content(rng: random.Random, a: int, n: int) -> tuple[int, ...]:
-    """`n` values of `rng.randrange(a)`, drawn in batches of 32-bit words.
-
-    For `a` of at most 32 bits, `randrange(a)` takes one word a try and
-    keeps its top `a.bit_length()` bits when they are below `a`, that
-    is, when the word is below `a << shift`; a rejected word belongs to
-    the value being drawn. `getrandbits(32 * m)` holds m words in draw
-    order from its least significant end. So filtering m words for the
-    m values still needed gives the loop's values, and leaves the
-    generator in the loop's state.
-    """
-    shift = 32 - a.bit_length()
-    if shift < 0:
-        return tuple(rng.randrange(a) for _ in range(n))
-    kept = functools.partial(operator.gt, a << shift)
-    values: list[int] = []
-    while len(values) < n:
-        m = n - len(values)
-        words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
-        values += map(operator.rshift, filter(kept, words), itertools.repeat(shift))
-    return tuple(values)
 
 
 def _placement_groups(
@@ -569,10 +546,7 @@ def run_soundness(
         for d in defenders:
             _require_warn(d)
     if isinstance(classifier, TableClassifier):
-        raise InvalidInputError(
-            "table classifiers cannot label tampered pixels; "
-            "use a profile fixture instead"
-        )
+        raise InvalidInputError(TABLE_CANNOT_SCAN)
 
     scan = functools.partial(
         _scan_sample, classifier, mask_set=mask_set,

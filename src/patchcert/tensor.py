@@ -13,8 +13,10 @@ import bisect
 import itertools
 import math
 import operator
+import random
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, InvalidInputError
@@ -26,7 +28,6 @@ __all__ = [
     "PatchSpec",
     "Placement",
     "apply_mask",
-    "masked_packed",
     "apply_patch",
     "mask_covers",
     "iter_placements",
@@ -172,6 +173,30 @@ def write_packed(
     for pos, v in zip(positions, values):
         start = pos * bytes_per_pixel
         buf[start : start + bytes_per_pixel] = v.to_bytes(bytes_per_pixel, "little")
+
+
+def _draw_content(rng: random.Random, a: int, n: int) -> tuple[int, ...]:
+    """`n` values of `rng.randrange(a)`, drawn in batches of 32-bit words:
+    dataset pixels, random-mode patch contents and linear weights.
+
+    For `a` of at most 32 bits, `randrange(a)` takes one word a try and
+    keeps its top `a.bit_length()` bits when they are below `a`, that
+    is, when the word is below `a << shift`; a rejected word belongs to
+    the value being drawn. `getrandbits(32 * m)` holds m words in draw
+    order from its least significant end. So filtering m words for at
+    most m values still needed gives the loop's values, and leaves the
+    generator in the loop's state.
+    """
+    shift = 32 - a.bit_length()
+    if shift < 0:
+        return tuple(rng.randrange(a) for _ in range(n))
+    kept = partial(operator.gt, a << shift)
+    values: list[int] = []
+    while len(values) < n:
+        m = min(n - len(values), 4096)  # bounds the word ints held at once
+        words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        values += map(operator.rshift, filter(kept, words), itertools.repeat(shift))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -344,15 +369,12 @@ def zero_masked(data: bytes, mask: Mask, channels: int, bytes_per_pixel: int) ->
     return bytes(buf)
 
 
-def masked_packed(image: Image, mask: Mask) -> bytes:
-    """`image.packed` with every channel zeroed at the masked locations."""
-    check_mask_plane(mask, image)
-    return zero_masked(image.packed, mask, image.channels, image.bytes_per_pixel)
-
-
 def apply_mask(image: Image, mask: Mask) -> Image:
-    """Reference view of `masked_packed` as a validated `Image`."""
-    pixels = unpack_pixels(masked_packed(image, mask), image.bytes_per_pixel)
+    """The reference mutant: a validated `Image` of `image.packed` with
+    the mask zeroed by `zero_masked`; a mask on another plane is refused."""
+    check_mask_plane(mask, image)
+    bpp = image.bytes_per_pixel
+    pixels = unpack_pixels(zero_masked(image.packed, mask, image.channels, bpp), bpp)
     return Image(image.height, image.width, image.channels, image.alphabet_size, pixels)
 
 

@@ -1,4 +1,5 @@
 """Deterministic classifier backends."""
+import hashlib
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from patchcert.classifiers import (
     LinearClassifier,
     Prediction,
     TableClassifier,
+    _seeded_weights,
     classify_mutants,
 )
 from patchcert.cover import MaskSet, gen_square_cover
@@ -20,7 +22,7 @@ from patchcert.dataset_io import gen_synthetic_dataset, load_predictions, \
 from patchcert.defenders import MutantProfile
 from patchcert.errors import DimensionMismatchError, InvalidInputError, TableLookupError, \
     ValueOutOfRangeError
-from patchcert.tensor import Image, Mask, Rect, apply_mask, masked_packed, write_packed
+from patchcert.tensor import Image, Mask, Rect, apply_mask, write_packed, zero_masked
 
 from conftest import make_image
 
@@ -156,6 +158,21 @@ class TestLinearClassifier:
         img = make_image(rng, 5, 5)
         assert a.classify(img) == b.classify(img)
 
+    @pytest.mark.parametrize("seed, labels, features", [
+        (0, 2, 1), (7, 5, 64), (42, 3, 300), (7, 3, 224 * 224 * 3),
+    ])
+    def test_seeded_weights_are_the_randrange_stream(self, seed, labels, features):
+        """The batched draw gives the weights of a `randrange(-8, 9)` loop
+        over the same seeded generator, row by row."""
+        digest = hashlib.blake2b(
+            b"linear-weights", digest_size=8, key=seed.to_bytes(8, "little")
+        ).digest()
+        rng = random.Random(int.from_bytes(digest, "little") + features)
+        want = tuple(
+            tuple(rng.randrange(-8, 9) for _ in range(features)) for _ in range(labels)
+        )
+        assert _seeded_weights.__wrapped__(seed, labels, features) == want
+
     def test_rejects_weight_shape_mismatch(self):
         clf = LinearClassifier(0, 2, weights=((1,), (0,)))
         with pytest.raises(InvalidInputError):
@@ -222,7 +239,7 @@ class TestScorers:
 
         mask = random_mask(rng, h, w)
         masked = base.masked(mask, c)
-        masked_data = masked_packed(img, mask)
+        masked_data = apply_mask(img, mask).packed
         assert masked.prediction() == clf._predict_packed(masked_data, bpp)
 
         under = [p for p in range(n) if masked_data[p * bpp:(p + 1) * bpp] == bytes(bpp)
@@ -257,7 +274,7 @@ class TestScorers:
         base = clf._scorer(img.packed, 1)
         mask = Mask(2, 2, (Rect(0, 0, 1, 1),))
         masked = base.masked(mask, 1)
-        for scorer, data in ((base, img.packed), (masked, masked_packed(img, mask))):
+        for scorer, data in ((base, img.packed), (masked, apply_mask(img, mask).packed)):
             for positions, values in (([], []), ([0, 3], [2, 1])):
                 self.check(clf, scorer, data, 1, positions, values)
                 assert scorer.label_at(positions)(values) == 1
@@ -277,7 +294,7 @@ class TestScorers:
                     HashClassifier(5, 4)):
             base = clf._scorer(img.packed, 1)
             for mask in masks:
-                data = masked_packed(img, mask)
+                data = apply_mask(img, mask).packed
                 masked = base.masked(mask, 2)
                 assert masked.prediction() == clf._predict_packed(data, 1)
                 positions = list(range(0, 72, 5))
@@ -350,7 +367,7 @@ class TestClassifyMutants:
 
     def test_linear_profile_at_paper_scale(self):
         """One 224x224x3 sample under 36 masks: the scorer profile equals
-        the `_predict_packed(masked_packed(...))` reference and allocates
+        the `_predict_packed(zero_masked(...))` reference and allocates
         little more than it. Between masks the reference keeps only
         predictions, so its peak is that of one mutant."""
         img = make_image(random.Random(5), 224, 224, channels=3, alphabet_size=256)
@@ -359,11 +376,11 @@ class TestClassifyMutants:
         predict = clf._predict_packed
         want = MutantProfile(
             predict(img.packed, 1),
-            tuple(predict(masked_packed(img, m), 1) for m in ms.masks),
+            tuple(predict(zero_masked(img.packed, m, 3, 1), 1) for m in ms.masks),
         )
         tracemalloc.start()
         try:
-            predict(masked_packed(img, ms.masks[0]), 1)
+            predict(zero_masked(img.packed, ms.masks[0], 3, 1), 1)
             _, reference_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             got = classify_mutants(clf, img, ms)

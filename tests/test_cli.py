@@ -448,6 +448,24 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert "--predictions" in err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "7"), ("--num-labels", "5")])
+    def test_table_classifier_refuses_the_flags_it_does_not_read(
+        self, capsys, workspace, flag, value
+    ):
+        """A table run reads neither the seed nor the label count: giving
+        one exits 2 before any input is read or --out-dir is made."""
+        out_dir = workspace / "out"
+        code, stdout, err = run(
+            capsys, "evaluate",
+            "--dataset", str(workspace / "missing.jsonl"),
+            "--masks", str(workspace / "masks.json"),
+            "--classifier", "table", "--predictions", str(workspace / "p.jsonl"),
+            flag, value, "--defender", "doma", "--out-dir", str(out_dir),
+        )
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err == f"error: --classifier table does not read {flag}\n"
+        assert not out_dir.exists()
+
     def test_predictions_without_table_classifier_is_a_usage_error(
         self, capsys, workspace
     ):
@@ -927,11 +945,16 @@ class TestVerify:
                       "--trials", "5"),
                      "--mode exhaustive does not read --trials",
                      id="exhaustive-trials-before-inputs"),
+        pytest.param(("--dataset", "{missing}", "--masks", "{masks}", "--classifier", "table",
+                      "--predictions", "{preds}", "--tau", "0.8"),
+                     "table classifiers cannot label tampered pixels; "
+                     "use a profile fixture instead",
+                     id="table-classifier-before-inputs"),
     ])
     def test_refused_verify_writes_nothing(self, capsys, workspace, flags, message):
         out = workspace / "soundness.json"
         paths = {"data": workspace / "data.jsonl", "masks": workspace / "masks.json",
-                 "missing": workspace / "missing.jsonl"}
+                 "missing": workspace / "missing.jsonl", "preds": workspace / "p.jsonl"}
         argv = [flag.format(**paths) for flag in flags]
         code, stdout, err = run(capsys, "verify", *argv, "--out", str(out))
         assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n")

@@ -1,6 +1,7 @@
 """On-disk formats: datasets, mask sets, prediction tables, records, fixtures."""
 import json
 import pathlib
+import random
 import tracemalloc
 
 import pytest
@@ -70,6 +71,23 @@ class TestSyntheticDataset:
             counts[r.true_label] += 1
         for c in counts:
             assert abs(c / 1000 - 0.25) < 0.05
+
+    @pytest.mark.parametrize("label_mode", ["classifier", "uniform"])
+    @pytest.mark.parametrize("alphabet", [2, 4, 256, 300, 2**32])
+    def test_pixels_and_labels_are_the_randrange_stream(self, alphabet, label_mode):
+        """Each sample's pixels, drawn in word batches, are those of a
+        `randrange` loop; a uniform label is that generator's next draw."""
+        records = gen_synthetic_dataset(
+            4, (3, 5), 2, alphabet, 7, seed=13, label_mode=label_mode
+        )
+        rng = random.Random(13)
+        labeler = HashClassifier(seed=13, num_labels=7)
+        for r in records:
+            assert r.image.pixels == tuple(rng.randrange(alphabet) for _ in range(30))
+            if label_mode == "uniform":
+                assert r.true_label == rng.randrange(7)
+            else:
+                assert r.true_label == labeler.classify(r.image).label
 
     def test_ids_are_stable(self):
         records = gen_synthetic_dataset(3, (2, 2), 1, 4, 2, seed=0)

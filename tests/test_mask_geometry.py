@@ -20,7 +20,7 @@ from patchcert.cover import _covered_anchors, gen_multi_cover, gen_rect_cover, \
 from patchcert.dataset_io import DatasetRecord
 from patchcert.oracle import CHECK_THM1, AttackConfig, run_soundness
 from patchcert.tensor import (
-    Mask, PatchSpec, Rect, _span_at, iter_placements, mask_covers, masked_packed,
+    Mask, PatchSpec, Rect, _span_at, apply_mask, iter_placements, mask_covers,
 )
 
 from conftest import make_image
@@ -167,7 +167,7 @@ def test_a_mask_builds_its_spans_once(monkeypatch):
     scorer = LinearClassifier(seed=1, num_labels=3)._scorer(img.packed, 1)
     for _ in range(3):
         mask_covers(mask, (Rect(1, 1, 1, 1),))
-        masked_packed(img, mask)
+        apply_mask(img, mask)
         _covered_anchors(mask, 1, 2)
         scorer.masked(mask, img.channels)
     assert len(merged) == 1

@@ -382,7 +382,7 @@ class TestEnumerateVariants:
 
 class TestContentDraw:
     @pytest.mark.parametrize("alphabet", [
-        2, 3, 5, 255, 256, 257, 65537, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+        2, 3, 5, 17, 255, 256, 257, 65537, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
     ])
     def test_the_batched_draw_is_the_randrange_loop(self, alphabet):
         """Same values and same generator state after, word for word; an
@@ -390,7 +390,7 @@ class TestContentDraw:
         for n in (1, 2, 95, 96, 3072):
             loop, batched = random.Random(alphabet + n), random.Random(alphabet + n)
             want = tuple(loop.randrange(alphabet) for _ in range(n))
-            assert oracle._draw_content(batched, alphabet, n) == want, n
+            assert tensor._draw_content(batched, alphabet, n) == want, n
             assert batched.getstate() == loop.getstate(), n
 
 
@@ -716,7 +716,7 @@ class TestTheorem1:
         """Negative control: with a masking that leaves the first byte of
         each mask, the 1x1 patch on that byte survives its covering mask.
         The scan builds no patched or masked image for it: with
-        `apply_patch` and `masked_packed` raising, a `def1,thm1` scan
+        `apply_patch` and `apply_mask` raising, a `def1,thm1` scan
         still runs."""
         clf = HashClassifier(seed=3, num_labels=2)
         img = Image(4, 4, 1, 2, tuple(i % 3 % 2 for i in range(16)))
@@ -730,7 +730,7 @@ class TestTheorem1:
             raise AssertionError("the scan built a patched or masked image")
 
         for module in (tensor, oracle):
-            for name in ("apply_patch", "masked_packed"):
+            for name in ("apply_patch", "apply_mask"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         hicert = make_defender(DefenderSpec("hicert", 0.8))
         for mode in ("exhaustive", "random"):

@@ -1,7 +1,9 @@
 """Snapshot of the public API: the names `patchcert` exports and each
 module's `__all__`. Adding or removing a public name means editing this
-snapshot on purpose."""
+snapshot on purpose. Also the import layout that keeps the package's
+modules a DAG."""
 import ast
+import graphlib
 import importlib
 import pathlib
 import types
@@ -45,7 +47,7 @@ MODULE_ALL = {
         "save_report", "load_profile_fixture", "dumps_canonical",
     },
     "defenders": {
-        "MutantProfile", "Verdict", "DefenderSpec", "Defender", "DEFENDER_KINDS",
+        "Prediction", "MutantProfile", "Verdict", "DefenderSpec", "Defender", "DEFENDER_KINDS",
         "CLAUSE_NAMES", "make_defender", "assign_case",
     },
     "metrics": {
@@ -59,7 +61,7 @@ MODULE_ALL = {
     },
     "tensor": {
         "Rect", "Image", "Mask", "PatchSpec", "Placement", "apply_mask",
-        "masked_packed", "apply_patch", "mask_covers", "iter_placements",
+        "apply_patch", "mask_covers", "iter_placements",
     },
 }
 
@@ -114,3 +116,21 @@ def test_every_public_name_is_read_by_the_package():
                 read.add(node.attr)
     public = PACKAGE_NAMES.union(*MODULE_ALL.values())
     assert public - read == set(UNUSED_IN_PACKAGE)
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    """Package modules import each other only at module top level, never
+    under `TYPE_CHECKING`, and those imports form a DAG. The one
+    function-level import, `concurrent.futures` in `run_soundness`, is
+    absolute."""
+    graph = {}
+    for path in pathlib.Path(patchcert.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "name", None)
+            assert name != "TYPE_CHECKING", f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node in tree.body, f"{path.name}:{node.lineno}"
+                deps.update([node.module] if node.module else (a.name for a in node.names))
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
