@@ -17,6 +17,7 @@ and seed, whatever the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -50,8 +51,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 # The verify dests a fixture run reads; --fixture refuses any other flag.
-_FIXTURE_READS = ("command", "func", "defender", "tau", "fixture",
-                  "defender_override", "out")
+_FIXTURE_READS = ("defender", "tau", "fixture", "defender_override", "out")
 
 
 def _positive(name: str):
@@ -75,12 +75,13 @@ def _non_negative(name: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="patchcert",
         description="Mask-based certified detection of adversarial patches, "
         "with brute-force soundness checking.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p = sub.add_parser("maskgen", help="generate and verify a covering mask set")
     p.add_argument("--plane", nargs=2, type=_positive("plane"), required=True,
@@ -131,12 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="def1",
                    help="comma list from def1,thm1")
     p.add_argument("--out", help="write the soundness report here")
-    p.add_argument("--workers", type=_positive("workers"), default=None)
+    p.add_argument("--workers", type=_positive("workers"), default=1)
     p.add_argument("--timing", action="store_true",
                    help="print the scan's wall time to stderr")
-    # No default kind, so an explicit --defender next to
-    # --defender-override can be refused; a plain verify means hicert.
-    p.set_defaults(func=cmd_verify, defender=None)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="recompute metrics from saved records")
     p.add_argument("--records", required=True)
@@ -172,8 +171,6 @@ def _add_defender_flags(p: argparse.ArgumentParser) -> None:
 
 def _patch_spec(args, h: int, w: int) -> PatchSpec:
     """The patch model the --patch-size/--patch-area/--patches flags name."""
-    if args.patches > 1 and args.patch_size is None:
-        raise InvalidInputError("multiple patches need --patch-size")
     if args.patch_area is not None:
         return PatchSpec.rectangle(h, w, args.patch_area)
     if args.patches > 1:
@@ -188,7 +185,7 @@ def _load_inputs(args):
     only labels below --num-labels. A prediction table must hold a
     complete profile for every dataset sample.
     """
-    if args.predictions and args.classifier != "table":
+    if "predictions" in args.named and args.classifier != "table":
         raise InvalidInputError("--predictions is read only with --classifier table")
     records = dataset_io.load_dataset(args.dataset)
 
@@ -273,13 +270,8 @@ def _parse_override(text: str) -> Defender:
 
 
 def _refuse_given(args, dests: Sequence[str], message: str) -> None:
-    """Fail naming each flag in `dests` that differs from its default."""
-    defaults = build_parser().parse_args(["verify"])
-    given = [
-        "--" + dest.replace("_", "-")
-        for dest in dests
-        if getattr(args, dest) != getattr(defaults, dest)
-    ]
+    """Fail naming each flag in `dests` that the command line names."""
+    given = ["--" + dest.replace("_", "-") for dest in dests if dest in args.named]
     if given:
         raise InvalidInputError(f"{message} {', '.join(given)}")
 
@@ -415,11 +407,10 @@ def cmd_verify(args) -> int:
         _refuse_given(args, ("defender", "tau"), "--defender-override replaces")
         defender = _parse_override(args.defender_override)
     else:
-        kind = args.defender or "hicert"
-        taus = _taus(kind, args.tau)
+        taus = _taus(args.defender, args.tau)
         if len(taus) != 1:
             raise InvalidInputError("verify takes a single --tau")
-        defender = make_defender(DefenderSpec(kind, taus[0]))
+        defender = make_defender(DefenderSpec(args.defender, taus[0]))
 
     if args.fixture:
         unread = [dest for dest in vars(args) if dest not in _FIXTURE_READS]
@@ -436,7 +427,7 @@ def cmd_verify(args) -> int:
     records, mask_set, classifier = _load_inputs(args)
 
     spec = mask_set.spec
-    if args.patch_size or args.patch_area or args.patches > 1:
+    if {"patch_size", "patch_area", "patches"} & args.named:
         spec = _patch_spec(args, spec.plane_height, spec.plane_width)
 
     cfg = AttackConfig(
@@ -449,7 +440,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     run = run_soundness(
         classifier, records, mask_set, [defender], cfg,
-        checks=checks, workers=args.workers or 1,
+        checks=checks, workers=args.workers,
     )
     elapsed = time.perf_counter() - t0
 
@@ -503,12 +494,18 @@ def cmd_report(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    # The dests the command line names: each flag is "--" plus its dest with
+    # dashes, and argparse refuses a value that starts with "--".
+    args.named = {t[2:].partition("=")[0].replace("-", "_") for t in argv if t[:2] == "--"}
     try:
+        # --patches counts square patches; argparse cannot make it need --patch-size.
+        if "patches" in args.named and args.patch_size is None:
+            raise InvalidInputError("--patches needs --patch-size")
         return args.func(args)
     except (FileFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

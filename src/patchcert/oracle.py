@@ -330,7 +330,6 @@ class _PlacementPlan:
     """
 
     __slots__ = (
-        "placement",
         "placement_doc",
         "channels",
         "positions",
@@ -352,7 +351,6 @@ class _PlacementPlan:
         scorers: Sequence,
         benign: MutantProfile,
     ):
-        self.placement = placement
         self.placement_doc = [r.to_list() for r in placement]
         c = self.channels = image.channels
         w = image.width

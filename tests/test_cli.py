@@ -1,4 +1,5 @@
 """Command line entry points, exit codes, and file outputs."""
+import argparse
 import ast
 import json
 import os
@@ -84,6 +85,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subcommands(parser=None):
+    """Each subcommand's parser, by name."""
+    parser = parser or cli.build_parser()
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def flags_a_fixture_does_not_read():
+    """(flag, value) for each verify option outside `_FIXTURE_READS`: at
+    its parser default, where the command line can spell that default."""
+    for action in subcommands()["verify"]._actions:
+        if isinstance(action, argparse._HelpAction) or action.dest in cli._FIXTURE_READS:
+            continue
+        if action.nargs == 0:
+            value = ()
+        else:
+            value = ("1",) if action.default is None else (str(action.default),)
+        yield pytest.param(action.option_strings[0], value, id=action.dest)
 
 
 def first_label_at_least(data_path, n):
@@ -216,6 +237,15 @@ class TestMaskgen:
         )
         assert code == EXIT_USAGE
         assert "error:" in err
+
+    def test_patches_without_patch_size_is_refused_at_count_1(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code, stdout, err = run(
+            capsys, "maskgen", "--plane", "8", "8", "--patch-area", "4",
+            "--patches", "1", "--masks-per-axis", "2", "--out", str(out),
+        )
+        assert (code, stdout, err) == (EXIT_USAGE, "", "error: --patches needs --patch-size\n")
+        assert not out.exists()
 
     def test_skip_verify_writes_without_checking(self, tmp_path, capsys):
         out = tmp_path / "masks.json"
@@ -448,12 +478,15 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert "--predictions" in err
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "7"), ("--num-labels", "5")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "7"), ("--num-labels", "5"), ("--seed", "0"), ("--num-labels", "10"),
+    ])
     def test_table_classifier_refuses_the_flags_it_does_not_read(
         self, capsys, workspace, flag, value
     ):
         """A table run reads neither the seed nor the label count: giving
-        one exits 2 before any input is read or --out-dir is made."""
+        one, at any value, exits 2 before any input is read or --out-dir
+        is made."""
         out_dir = workspace / "out"
         code, stdout, err = run(
             capsys, "evaluate",
@@ -792,7 +825,7 @@ class TestVerify:
             code, stdout, err = self.verify_patch_flags(capsys, workspace, *flags)
             assert code == EXIT_USAGE, flags
             assert stdout == ""
-            assert "multiple patches need --patch-size" in err
+            assert "--patches needs --patch-size" in err
 
     @pytest.mark.parametrize("override, message", [
         pytest.param("certify=hicert:abc,warn=doma", "'abc'", id="not-a-number"),
@@ -820,6 +853,23 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert "does not read --patch-size, --mode, --trials, --checks" in err
+
+    @pytest.mark.parametrize("flag, value", flags_a_fixture_does_not_read())
+    def test_fixture_refuses_each_unread_flag_at_its_default(
+        self, capsys, tmp_path, flag, value
+    ):
+        """A flag is refused when the command line names it, whatever its
+        value; a lone --patches is refused for its own reason first."""
+        out = tmp_path / "soundness.json"
+        code, stdout, err = run(
+            capsys, "verify", "--fixture", FIXTURE,
+            "--defender-override", "certify=hicert:0.8,warn=doma",
+            "--out", str(out), flag, *value,
+        )
+        message = ("--patches needs --patch-size" if flag == "--patches"
+                   else f"--fixture does not read {flag}")
+        assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_tau_for_a_defender_without_tau_is_a_usage_error(self, capsys):
         code, stdout, err = run(
@@ -950,6 +1000,24 @@ class TestVerify:
                      "table classifiers cannot label tampered pixels; "
                      "use a profile fixture instead",
                      id="table-classifier-before-inputs"),
+        pytest.param(("--dataset", "{missing}", "--masks", "{masks}", "--tau", "0.8",
+                      "--trials", "1000"),
+                     "--mode exhaustive does not read --trials",
+                     id="exhaustive-default-trials-before-inputs"),
+        pytest.param(("--dataset", "{missing}", "--masks", "{masks}", "--tau", "0.8",
+                      "--attack-seed", "0"),
+                     "--mode exhaustive does not read --attack-seed",
+                     id="exhaustive-default-attack-seed-before-inputs"),
+        pytest.param(("--dataset", "{missing}", "--masks", "{masks}", "--tau", "0.8",
+                      "--patches", "1", "--checks", "thm1"),
+                     "--patches needs --patch-size", id="lone-patches-1-before-inputs"),
+        pytest.param(("--dataset", "{missing}", "--masks", "{masks}", "--tau", "0.8",
+                      "--patch-area", "2", "--patches", "1"),
+                     "--patches needs --patch-size", id="area-patches-1-before-inputs"),
+        pytest.param(("--dataset", "{missing}", "--masks", "{masks}", "--tau", "0.8",
+                      "--predictions", ""),
+                     "--predictions is read only with --classifier table",
+                     id="empty-predictions-without-table-before-inputs"),
     ])
     def test_refused_verify_writes_nothing(self, capsys, workspace, flags, message):
         out = workspace / "soundness.json"
@@ -1141,6 +1209,41 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+    def test_every_flag_is_spelled_as_its_dest(self):
+        """`main` reads the dests a command line names off its "--"
+        tokens. That needs one spelling per flag: "--" plus its dest with
+        dashes, and no prefix of it parsed as the flag."""
+        parser = cli.build_parser()
+        assert not parser.allow_abbrev
+        for name, sub in subcommands(parser).items():
+            assert not sub.allow_abbrev, name
+            for action in sub._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    spelling = "--" + action.dest.replace("_", "-")
+                    assert action.option_strings == [spelling], (name, action.dest)
+
+    @pytest.mark.parametrize("flag, argv", [
+        pytest.param("--masks", ("maskgen", "--plane", "4", "4", "--patch-size", "1",
+                                 "--masks", "2", "--out", "m.json"), id="maskgen"),
+        pytest.param("--coun", ("gen-data", "--coun", "2", "--plane", "4", "4",
+                                "--out", "d.jsonl"), id="gen-data"),
+        pytest.param("--out", ("evaluate", "--dataset", "d.jsonl", "--masks", "m.json",
+                               "--defender", "doma", "--out", "r"), id="evaluate"),
+        pytest.param("--attack", ("verify", "--dataset", "d.jsonl", "--masks", "m.json",
+                                  "--tau", "0.8", "--mode", "random", "--attack", "0"),
+                     id="verify"),
+        pytest.param("--rec", ("report", "--rec", "r.jsonl", "--out", "report.json"),
+                     id="report"),
+    ])
+    def test_an_abbreviated_flag_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, flag, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert flag in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,out_flag", [
         ("evaluate", "--out-dir"), ("verify", "--out"),
