@@ -206,7 +206,7 @@ def save_dataset(records: Sequence[DatasetRecord], path: str) -> None:
             "label": r.true_label,
             "shape": [r.image.height, r.image.width, r.image.channels],
             "alphabet": r.image.alphabet_size,
-            "pixels": list(r.image.pixels),
+            "pixels": r.image.pixels,
         }
         for r in records
     ))
@@ -236,7 +236,7 @@ def load_dataset(path: str) -> list[DatasetRecord]:
         if not _all_ints(pixels):
             raise SchemaViolationError(path, lineno, "pixels must be integers")
         try:
-            image = Image(shape[0], shape[1], shape[2], alphabet, tuple(pixels))
+            image = Image(shape[0], shape[1], shape[2], alphabet, pixels)
         except (InvalidInputError, TypeError) as e:
             raise ValueOutOfRangeError(path, lineno, str(e))
         records.append(DatasetRecord(rid, label, image))

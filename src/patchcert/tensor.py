@@ -15,7 +15,7 @@ import math
 import operator
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -90,21 +90,24 @@ class Image:
 
     The flat index of (y, x, ch) is (y * width + x) * channels + ch.
     Every pixel is an integer in [0, alphabet_size - 1], and an alphabet
-    has at most 2**32 values. Building an image checks its pixels and
-    stores `packed`, the canonical byte encoding that every pixel
-    backend classifies: pixel i occupies `bytes_per_pixel` bytes,
-    little-endian, at offset i * bytes_per_pixel. With at most 256
-    values, one C pass both checks the pixels and packs them; with more,
-    `min` over the integer values and `max` check them first.
+    has at most 2**32 values. Building an image checks its `pixels`, a
+    sequence of ints, and stores `packed`, the one stored form and the
+    canonical byte encoding that every pixel backend classifies: pixel i
+    occupies `bytes_per_pixel` bytes, little-endian, at offset
+    i * bytes_per_pixel. With at most 256 values, one C pass both checks
+    the pixels and packs them; with more, `min` over the integer values
+    and `max` check them first. Reading `pixels` decodes `packed` into a
+    new tuple, O(n) per read, so hot paths read `packed`.
     """
 
     height: int
     width: int
     channels: int
     alphabet_size: int
-    pixels: tuple[int, ...]
+    pixels: InitVar[Sequence[int]]
+    packed: bytes = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, pixels):
         if self.height < 1 or self.width < 1 or self.channels < 1:
             raise InvalidInputError(
                 f"image dims must be positive, got "
@@ -115,29 +118,25 @@ class Image:
             raise InvalidInputError(
                 f"alphabet_size must lie in [2, 2**32], got {self.alphabet_size}"
             )
-        if not isinstance(self.pixels, tuple):
-            object.__setattr__(self, "pixels", tuple(self.pixels))
         expected = self.height * self.width * self.channels
-        if len(self.pixels) != expected:
-            raise InvalidInputError(
-                f"expected {expected} pixels, got {len(self.pixels)}"
-            )
+        if len(pixels) != expected:
+            raise InvalidInputError(f"expected {expected} pixels, got {len(pixels)}")
         a = self.alphabet_size
         try:
             if a <= 256:
                 # One C pass: `bytes` refuses a non-integer or a value
                 # outside [0, 255], and its result is `packed`.
-                packed = bytes(self.pixels)
+                packed = bytes(pixels)
                 valid = a == 256 or not packed.translate(None, bytes(range(a)))
             else:
-                valid = 0 <= min(map(operator.index, self.pixels)) and max(self.pixels) < a
+                valid = 0 <= min(map(operator.index, pixels)) and max(pixels) < a
         except (TypeError, ValueError):
             valid = False
         if not valid:
             raise InvalidInputError(f"pixel values must lie in [0, {a - 1}]")
         if a > 256:
             bpp = self.bytes_per_pixel
-            packed = b"".join(v.to_bytes(bpp, "little") for v in self.pixels)
+            packed = b"".join(v.to_bytes(bpp, "little") for v in pixels)
         object.__setattr__(self, "packed", packed)
 
     @property
@@ -147,6 +146,15 @@ class Image:
         if self.alphabet_size <= 65536:
             return 2
         return 4
+
+
+# Set after the decorator: in the class body this property would become
+# the `pixels` InitVar's default, so a call without pixels would not
+# raise the TypeError that names them.
+Image.pixels = property(
+    lambda self: tuple(unpack_pixels(self.packed, self.bytes_per_pixel)),
+    doc="The flat pixel values, decoded from `packed` on each read.",
+)
 
 
 def unpack_pixels(data: bytes, bytes_per_pixel: int) -> Sequence[int]:
@@ -414,9 +422,7 @@ def apply_patch(image: Image, placement: Placement, content: Sequence[int]) -> I
             start = (y * w + r.left) * c
             buf[start : start + run] = content[pos : pos + run]
             pos += run
-    return Image(
-        image.height, image.width, image.channels, image.alphabet_size, tuple(buf)
-    )
+    return Image(image.height, image.width, image.channels, image.alphabet_size, buf)
 
 
 def mask_covers(mask: Mask, placement: Placement) -> bool:

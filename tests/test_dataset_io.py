@@ -2,6 +2,7 @@
 import json
 import pathlib
 import random
+from multiprocessing.reduction import ForkingPickler
 import tracemalloc
 
 import pytest
@@ -88,6 +89,28 @@ class TestSyntheticDataset:
                 assert r.true_label == rng.randrange(7)
             else:
                 assert r.true_label == labeler.classify(r.image).label
+
+    def test_loaded_samples_hold_little_more_than_their_packed_bytes(self, tmp_path):
+        """A loaded image keeps only its packed bytes, not a decoded copy."""
+        path = tmp_path / "ds.jsonl"
+        save_dataset(gen_synthetic_dataset(8, (32, 32), 3, 256, 3, seed=2), str(path))
+        tracemalloc.start()
+        try:
+            records = load_dataset(str(path))
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        packed = sum(len(r.image.packed) for r in records)
+        assert packed == 8 * 32 * 32 * 3
+        assert alive < 2 * packed
+
+    def test_a_pickled_record_ships_its_packed_bytes_only(self):
+        """What the worker pool sends per sample: the record loads back
+        equal, and its pickle is its packed bytes plus a little."""
+        record = gen_synthetic_dataset(1, (32, 32), 3, 256, 3, seed=2)[0]
+        blob = ForkingPickler.dumps(record)
+        assert ForkingPickler.loads(blob) == record
+        assert len(blob) < len(record.image.packed) + 1024
 
     def test_ids_are_stable(self):
         records = gen_synthetic_dataset(3, (2, 2), 1, 4, 2, seed=0)

@@ -1,4 +1,5 @@
 """Image, mask, and patch primitives."""
+import dataclasses
 import itertools
 import random
 import time
@@ -93,6 +94,30 @@ class TestImage:
         bpp = img.bytes_per_pixel
         assert img.packed == b"".join(v.to_bytes(bpp, "little") for v in pixels)
         assert img.pixels == tuple(pixels)
+
+    def test_packed_is_the_only_stored_form(self):
+        """`pixels` is taken by the constructor and decoded on read; the
+        instance stores no pixel sequence next to `packed`."""
+        img = Image(2, 2, 1, 4, [0, 1, 2, 3])
+        assert [f.name for f in dataclasses.fields(Image)] == [
+            "height", "width", "channels", "alphabet_size", "packed"]
+        assert "pixels" not in vars(img)
+        assert img.pixels == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("alphabet", [4, 256, 300, 70000, 2**32])
+    def test_list_tuple_and_bytes_build_the_same_image(self, alphabet):
+        rng = random.Random(alphabet)
+        values = [alphabet - 1, 0] + [rng.randrange(alphabet) for _ in range(22)]
+        kinds = [list, tuple] + ([bytes] if alphabet <= 256 else [])
+        images = [Image(2, 4, 3, alphabet, kind(values)) for kind in kinds]
+        for img in images:
+            assert img == images[0]
+            assert hash(img) == hash(images[0])
+            assert img.pixels == tuple(values)
+
+    def test_pixels_are_required(self):
+        with pytest.raises(TypeError, match="pixels"):
+            Image(1, 1, 1, 2)
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(InvalidInputError):
