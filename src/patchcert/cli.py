@@ -187,6 +187,8 @@ def _load_inputs(args):
     """
     if "predictions" in args.named and args.classifier != "table":
         raise InvalidInputError("--predictions is read only with --classifier table")
+    if args.classifier == "table" and not args.predictions:
+        raise InvalidInputError("--classifier table needs --predictions")
     records = dataset_io.load_dataset(args.dataset)
 
     def same_plane(h: int, w: int) -> None:
@@ -214,8 +216,6 @@ def _build_classifier(args, sample_ids: Sequence[str]):
         return HashClassifier(seed=args.seed, num_labels=args.num_labels)
     if args.classifier == "linear":
         return LinearClassifier(seed=args.seed, num_labels=args.num_labels)
-    if not args.predictions:
-        raise InvalidInputError("--classifier table needs --predictions")
     return dataset_io.load_predictions(args.predictions, required=sample_ids)
 
 

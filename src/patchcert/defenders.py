@@ -6,13 +6,16 @@ clean image: is this sample provably safe against any in-scope patch?)
 and warn (on an arriving image: does it look tampered with?). The rules
 here differ only in how they weigh label disagreement and confidence.
 
-Each certify rule is a universal loop over the mutants and each warning
-clause an existential one; both stop at the first mutant that settles
-them, so an empty set certifies and warns of nothing. A clause that
-fires on some of a profile's mutants therefore fires on the whole
-profile, which `Defender.settled_clause` uses to judge a patched variant
-from the mutants its patch cannot change. Every threshold comparison is
-strict: a confidence equal to tau neither certifies nor warns.
+Every rule in `_FAMILIES` reads one mutant: a label comparison and at
+most one strict comparison with tau. `Defender` applies the quantifiers,
+once each: a sample certifies when its certify rule holds for every
+mutant, and a warning clause fires when it holds for some mutant. Both
+stop at the first mutant that settles them, so an empty set certifies
+and warns of nothing. A clause that fires on some of a profile's
+mutants therefore fires on the whole profile, which
+`Defender.settled_clause` uses to judge a patched variant from the
+mutants its patch cannot change. Every threshold comparison is strict:
+a confidence equal to tau neither certifies nor warns.
 """
 
 from __future__ import annotations
@@ -40,25 +43,19 @@ class Prediction(NamedTuple):
 
     A plain value: pixel backends clamp confidences into (0, 1), and the
     file loaders check label and confidence where a table is read. The
-    oracle's harmful variants are scored for their label alone and carry
-    confidence None, so a rule that compares it with tau raises.
+    oracle scores a harmful variant for its label alone and hands the
+    warning rule that label, never a `Prediction`.
     """
 
     label: int
-    confidence: float | None
+    confidence: float
 
 
 class MutantProfile(NamedTuple):
-    """Base prediction plus one prediction per mask.
-
-    Each rule is one pass over `mutants`, so a warner with two clauses
-    may iterate them twice. Eager profiles hold a tuple in mask-set
-    order; the oracle's scan passes a lazy re-iterable in covering-first
-    order.
-    """
+    """Base prediction plus one prediction per mask, in mask-set order."""
 
     base: Prediction
-    mutants: Iterable[Prediction]
+    mutants: tuple[Prediction, ...]
 
 
 @dataclass(frozen=True)
@@ -73,83 +70,27 @@ class Verdict:
     warned: bool | None
 
 
-def _doma_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Every mutant keeps the true label."""
-    for m in profile.mutants:
-        if m.label != true_label:
-            return False
-    return True
+# A rule reads one mutant `m`, the label `y` it is judged against and
+# tau. A certify rule must hold for every mutant, with `y` the true label
+# or, for c2, the predicted one; a warning clause fires when it holds for
+# some mutant, with `y` the arriving label.
+_Rule = Callable[[Prediction, int, float], bool]
 
 
-def _c2_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Every mutant keeps the predicted label, right or wrong: no ground truth."""
-    base_label = profile.base.label
-    for m in profile.mutants:
-        if m.label != base_label:
-            return False
-    return True
+def _label_difference(m: Prediction, y: int, tau: float) -> bool:
+    """The mutant disagrees with the arriving label."""
+    return m.label != y
 
 
-def _pgpp_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Every mutant keeps the true label with confidence above tau."""
-    for m in profile.mutants:
-        if m.label != true_label or not m.confidence > tau:
-            return False
-    return True
+def _confident_difference(m: Prediction, y: int, tau: float) -> bool:
+    """The mutant both disagrees and is confident above tau."""
+    return m.label != y and m.confidence > tau
 
 
-def _hicert_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Every disagreeing mutant stays below confidence tau (so with no
-    disagreement the sample certifies at any tau)."""
-    for m in profile.mutants:
-        if m.label != true_label and not m.confidence < tau:
-            return False
-    return True
-
-
-def _hicert_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Ablation: HiCert's comparison inverted, every disagreeing mutant
-    above tau. It has no warning rule; it shows the certificate breaks."""
-    for m in profile.mutants:
-        if m.label != true_label and not m.confidence > tau:
-            return False
-    return True
-
-
-def _pgpp_flip_certify(profile: MutantProfile, true_label: int, tau: float) -> bool:
-    """Ablation: every mutant keeps the true label with confidence below tau."""
-    for m in profile.mutants:
-        if m.label != true_label or not m.confidence < tau:
-            return False
-    return True
-
-
-def _label_difference(profile: MutantProfile, tau: float) -> bool:
-    """Some mutant disagrees with the arriving label."""
-    base_label = profile.base.label
-    for m in profile.mutants:
-        if m.label != base_label:
-            return True
-    return False
-
-
-def _confident_difference(profile: MutantProfile, tau: float) -> bool:
-    """Some one mutant both disagrees and is confident above tau."""
-    base_label = profile.base.label
-    for m in profile.mutants:
-        if m.label != base_label and m.confidence > tau:
-            return True
-    return False
-
-
-def _low_confidence(profile: MutantProfile, tau: float) -> bool:
-    """Some mutant that agrees with the arriving label is below tau,
+def _low_confidence(m: Prediction, y: int, tau: float) -> bool:
+    """The mutant agrees with the arriving label and is below tau,
     whether or not another mutant disagrees."""
-    base_label = profile.base.label
-    for m in profile.mutants:
-        if m.label == base_label and m.confidence < tau:
-            return True
-    return False
+    return m.label == y and m.confidence < tau
 
 
 # The warning clauses, in the order they are judged. A family without a
@@ -158,23 +99,37 @@ CLAUSE_NAMES = ("label_difference", "low_confidence")
 
 
 class _Family(NamedTuple):
-    """One family's rules, tau last. `warn_clauses` is in `CLAUSE_NAMES`
-    order, and empty for the flipped ablations, which have no warning rule."""
+    """One family's rules, tau last. `warn_clauses` is in
+    `CLAUSE_NAMES` order, and empty for the flipped ablations, which have
+    no warning rule. `certifies_prediction` judges the certify rule
+    against the predicted label instead of the true one."""
 
-    certify: Callable[[MutantProfile, int, float], bool]
-    warn_clauses: tuple[Callable[[MutantProfile, float], bool], ...]
+    certify: _Rule
+    warn_clauses: tuple[_Rule, ...]
     uses_tau: bool
+    certifies_prediction: bool = False
 
 
 # The only definition of each family, one row per family of the
-# README's defender table; DEFENDER_KINDS keeps this order.
+# README's defender table; DEFENDER_KINDS keeps this order. Each certify
+# rule is what every mutant must satisfy.
 _FAMILIES: dict[str, _Family] = {
-    "doma": _Family(_doma_certify, (_label_difference,), False),
-    "c2": _Family(_c2_certify, (_label_difference,), False),
-    "pgpp": _Family(_pgpp_certify, (_confident_difference,), True),
-    "hicert": _Family(_hicert_certify, (_label_difference, _low_confidence), True),
-    "hicert_flip": _Family(_hicert_flip_certify, (), True),
-    "pgpp_flip": _Family(_pgpp_flip_certify, (), True),
+    # The mutant keeps the true label.
+    "doma": _Family(lambda m, y, tau: m.label == y, (_label_difference,), False),
+    # The mutant keeps the predicted label, right or wrong: no ground truth.
+    "c2": _Family(lambda m, y, tau: m.label == y, (_label_difference,), False, True),
+    # The mutant keeps the true label with confidence above tau.
+    "pgpp": _Family(lambda m, y, tau: m.label == y and m.confidence > tau,
+                    (_confident_difference,), True),
+    # A disagreeing mutant stays below confidence tau (so with no
+    # disagreement the sample certifies at any tau).
+    "hicert": _Family(lambda m, y, tau: m.label == y or m.confidence < tau,
+                      (_label_difference, _low_confidence), True),
+    # Ablation: HiCert's comparison inverted, a disagreeing mutant above
+    # tau. It has no warning rule; it shows the certificate breaks.
+    "hicert_flip": _Family(lambda m, y, tau: m.label == y or m.confidence > tau, (), True),
+    # Ablation: the mutant keeps the true label with confidence below tau.
+    "pgpp_flip": _Family(lambda m, y, tau: m.label == y and m.confidence < tau, (), True),
 }
 DEFENDER_KINDS = tuple(_FAMILIES)
 
@@ -238,26 +193,31 @@ class Defender:
         return self.warner is not None
 
     def certify(self, profile: MutantProfile, true_label: int) -> bool:
+        """The certifier's rule holds for every mutant."""
         spec = self.certifier
-        return _FAMILIES[spec.kind].certify(profile, true_label, spec.tau)
+        family = _FAMILIES[spec.kind]
+        rule, tau = family.certify, spec.tau
+        y = profile.base.label if family.certifies_prediction else true_label
+        return all(rule(m, y, tau) for m in profile.mutants)
 
     def warn(self, profile: MutantProfile) -> bool:
-        return self.warn_clauses(profile) is not None
+        return self.warn_clauses(profile.base.label, profile.mutants) is not None
 
-    def warn_clauses(self, profile: MutantProfile) -> str | None:
-        """The name of the first warning clause that fires, or None.
+    def warn_clauses(self, label: int, mutants: Iterable[Prediction]) -> str | None:
+        """The name of the first warning clause that fires on some mutant
+        of an arriving image labelled `label`, or None.
 
         The warner's clauses run in `CLAUSE_NAMES` order, each only when
-        the ones before it stayed False, and each stops reading
-        `profile.mutants` once its answer is settled: the label
-        difference at the first disagreeing mutant, pgpp's clause at the
-        first confident disagreement. So when the mutants are a lazy
-        re-iterable, such as the scan's covering-first walk, only a
-        silent warner or a low-confidence catch reaches every mutant.
+        the ones before it stayed False, and each stops reading `mutants`
+        at the first mutant that fires it: the label difference at the
+        first disagreeing mutant, pgpp's clause at the first confident
+        disagreement. So when `mutants` is a lazy re-iterable, such as
+        the scan's covering-first walk, only a silent warner or a
+        low-confidence catch reaches every mutant.
         """
         clauses, tau = self._warning()
         for name, clause in zip(CLAUSE_NAMES, clauses):
-            if clause(profile, tau):
+            if any(clause(m, label, tau) for m in mutants):
                 return name
         return None
 
@@ -266,18 +226,17 @@ class Defender:
         `label` that has the `covered` mutants, whatever its other
         mutants are; else None.
 
-        Every clause is existential over the mutants, so a first clause
-        that fires on `covered` alone fires on every profile holding
-        them, and `warn_clauses` names it. A later clause settles
-        nothing: another mutant may fire an earlier one. The variant's
-        confidence is unknown (None), as no clause reads it.
+        A clause fires when some mutant fires it, so a first clause that
+        fires on `covered` alone fires on every profile holding them, and
+        `warn_clauses` names it. A later clause settles nothing: another
+        mutant may fire an earlier one.
         """
         clauses, tau = self._warning()
-        if clauses[0](MutantProfile(Prediction(label, None), covered), tau):
+        if any(clauses[0](m, label, tau) for m in covered):
             return CLAUSE_NAMES[0]
         return None
 
-    def _warning(self) -> tuple[tuple, float]:
+    def _warning(self) -> tuple[tuple[_Rule, ...], float]:
         """The warner's clauses in `CLAUSE_NAMES` order, and its tau."""
         spec = self.warner
         if spec is None:

@@ -5,13 +5,14 @@ tampered variant of a sample, so at desk scale they can be checked by
 brute force. The scan walks the attack placement by placement: each
 placement comes with the patch contents in scope for it, and for a
 sample that some defender must warn-check, every content's variant is
-scored for its label alone (`label_at`; no warning rule reads a
-variant's own confidence, so a harmful variant's is None).
+scored for its label alone (`label_at`): a warning rule is handed the
+arriving label and the mutants, so none can read a variant's own
+confidence.
 
 A mask that covers the patch gives back the benign mutant, whatever the
-content, and every warning clause is existential over the mutants. So
-the covering mutants and the variant's label can settle a harmful
-variant: when a defender's first clause fires on them alone
+content, and a warning clause fires when some mutant fires it. So the
+covering mutants and the variant's label can settle a harmful variant:
+when a defender's first clause fires on them alone
 (`Defender.settled_clause`), the variant is warned and attributed to
 that clause without reading its other mutants. The answer is memoized
 per placement, defender and label. Only an unsettled variant's mutants
@@ -493,14 +494,12 @@ def _scan_sample(
                     d.settled_clause(label, plan.covered) for d, _ in active
                 ]
             # The settled clause, else the mutant walk's; none is an evasion.
-            vprofile = None
+            mutants = None
             for (d, report), clause in zip(active, settled):
                 if clause is None:
-                    if vprofile is None:
-                        vprofile = MutantProfile(
-                            Prediction(label, None), _VariantMutants(plan, content)
-                        )
-                    clause = d.warn_clauses(vprofile)
+                    if mutants is None:
+                        mutants = _VariantMutants(plan, content)
+                    clause = d.warn_clauses(label, mutants)
                 if clause is not None:
                     if report is not None:
                         report.thm2_clause_stats[clause] += 1
@@ -574,15 +573,15 @@ def check_profile_fixture(fixture: ProfileFixture, defender: Defender) -> Soundn
     )
     if not certified:
         return report
-    for variant_id, vprofile in fixture.variants:
-        if vprofile.base.label == fixture.true_label:
+    for variant_id, (base, mutants) in fixture.variants:
+        if base.label == fixture.true_label:
             continue
-        clause = defender.warn_clauses(vprofile)
+        clause = defender.warn_clauses(base.label, mutants)
         if clause is not None:
             report.thm2_clause_stats[clause] += 1
         else:
             report.violations.append({
                 "sample_id": fixture.benign_id, "variant_id": variant_id,
-                "variant_label": vprofile.base.label, "reason": _EVADED,
+                "variant_label": base.label, "reason": _EVADED,
             })
     return report

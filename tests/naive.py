@@ -3,8 +3,10 @@ soundness scan by plain exhaustive enumeration.
 
 Each rule is a maximum or a minimum over a set of mutants, compared with
 tau, with the empty set as an explicit branch. The package's rules in
-`patchcert.defenders._FAMILIES` are loops that stop early;
-`tests/test_defenders.py` checks them against these on random profiles.
+`patchcert.defenders._FAMILIES` are per-mutant comparisons, which
+`Defender` applies to every mutant (certify) or to some mutant (a
+warning clause); `tests/test_defenders.py` checks them against these on
+random profiles.
 
 `soundness` re-derives the whole `run_soundness` result from public
 pieces: it classifies every harmful variant's full mutant profile and

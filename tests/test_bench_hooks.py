@@ -54,7 +54,11 @@ def test_traced_generators_are_generator_functions():
 def test_a_traced_session_runs_and_counts_each_image_built(tmp_path):
     """The traced path the benchmark times, end to end: every command
     returns 0 through the wrappers, and `Image.__post_init__` is timed
-    once per sample that `gen-data`, `evaluate` and `verify` build."""
+    once per sample that `gen-data`, `evaluate` and `verify` build.
+    The defender layer stays on that path too: `evaluate` certifies each
+    sample twice (its consistency and the defender) and warns once,
+    `verify` certifies once, and the scan's warnings reach
+    `Defender.warn_clauses` under `run_soundness`."""
     inputs = ["--dataset", "data.jsonl", "--masks", "masks.json",
               "--classifier", "hash", "--num-labels", "2", "--tau", "0.8"]
     commands = [
@@ -81,3 +85,14 @@ def test_a_traced_session_runs_and_counts_each_image_built(tmp_path):
     }
     assert {name: built[name] for name in ("gen-data", "evaluate", "verify")} == {
         "gen-data": 6, "evaluate": 6, "verify": 6}
+    spans = {run["command"]: run["spans"] for run in runs}
+
+    def calls(command, method, parent=None):
+        return sum(n for name, at, n, _, _ in spans[command]
+                   if name == f"defenders.Defender.{method}" and parent in (None, at))
+
+    assert {method: calls("evaluate", method)
+            for method in ("certify", "verdict", "warn", "warn_clauses")} == {
+        "certify": 12, "verdict": 6, "warn": 6, "warn_clauses": 6}
+    assert calls("verify", "certify") == 6
+    assert calls("verify", "warn_clauses", parent="oracle.run_soundness") > 0

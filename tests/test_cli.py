@@ -478,6 +478,22 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert "--predictions" in err
 
+    def test_table_classifier_without_predictions_is_refused_before_any_input(
+        self, capsys, workspace
+    ):
+        """A missing dataset and mask set are never opened: the refusal
+        is a usage error (2), not a file error (3)."""
+        out_dir = workspace / "out"
+        code, stdout, err = run(
+            capsys, "evaluate",
+            "--dataset", str(workspace / "missing.jsonl"),
+            "--masks", str(workspace / "missing.json"),
+            "--classifier", "table", "--defender", "doma", "--out-dir", str(out_dir),
+        )
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err == "error: --classifier table needs --predictions\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "7"), ("--num-labels", "5"), ("--seed", "0"), ("--num-labels", "10"),
     ])

@@ -28,14 +28,37 @@ def warn(kind, p, tau=0.0):
 
 
 def clauses(kind, p, tau):
-    """Each of the family's warning clauses on its own, in CLAUSE_NAMES order."""
-    return tuple(clause(p, tau) for clause in _FAMILIES[kind].warn_clauses)
+    """Each of the family's warning clauses on its own, in CLAUSE_NAMES
+    order: whether it fires on some mutant against the arriving label."""
+    return tuple(any(clause(m, p.base.label, tau) for m in p.mutants)
+                 for clause in _FAMILIES[kind].warn_clauses)
+
+
+def warn_clauses(d, p):
+    return d.warn_clauses(p.base.label, p.mutants)
 
 
 def reference_taus(rng, p):
     """Taus 0 and 1, and a confidence that the profile holds."""
     held = [p.base.confidence] + [m.confidence for m in p.mutants]
     return (0.0, 1.0, rng.choice(held))
+
+
+# Each comparison with tau in `_FAMILIES` made non-strict: (kind, slot,
+# rule), where the slot is the certify rule or a warning clause's index.
+NON_STRICT = {
+    "pgpp-certify": ("pgpp", "certify",
+                     lambda m, y, tau: m.label == y and m.confidence >= tau),
+    "hicert-certify": ("hicert", "certify",
+                       lambda m, y, tau: m.label == y or m.confidence <= tau),
+    "hicert_flip-certify": ("hicert_flip", "certify",
+                            lambda m, y, tau: m.label == y or m.confidence >= tau),
+    "pgpp_flip-certify": ("pgpp_flip", "certify",
+                          lambda m, y, tau: m.label == y and m.confidence <= tau),
+    "pgpp-clause": ("pgpp", 0, lambda m, y, tau: m.label != y and m.confidence >= tau),
+    "hicert-low-confidence": ("hicert", 1,
+                              lambda m, y, tau: m.label == y and m.confidence <= tau),
+}
 
 
 class TestAgreementRules:
@@ -191,21 +214,30 @@ class TestReductions:
 class TestQuantifiers:
     def test_every_rule_has_its_stated_quantifier(self, rng):
         """Certify rules are universal over the mutants and warning
-        clauses existential: on a sub-multiset of the mutants, a clause
-        that fires also fires on the whole, and a certificate that holds
-        on the whole also holds on the part."""
+        clauses existential: on a sub-multiset of the mutants, a
+        certificate that holds on the whole also holds on the part, and
+        a clause that fires on the part also fires on the whole, so the
+        whole's first clause is that one or an earlier one."""
         for _ in range(300):
             p = random_profile(rng)
             y = rng.randrange(5)
             for tau in reference_taus(rng, p):
                 k = rng.randint(0, len(p.mutants))
                 part = p._replace(mutants=tuple(rng.sample(p.mutants, k)))
-                for kind, family in _FAMILIES.items():
-                    if family.certify(p, y, tau):
-                        assert family.certify(part, y, tau), (kind, p, part, tau)
-                    for name, clause in zip(CLAUSE_NAMES, family.warn_clauses):
-                        if clause(part, tau):
-                            assert clause(p, tau), (kind, name, p, part, tau)
+                for kind in DEFENDER_KINDS:
+                    d = make_defender(DefenderSpec(kind, tau))
+                    if d.certify(p, y):
+                        assert d.certify(part, y), (kind, p, part, tau)
+                    if not d.has_warn:
+                        continue
+                    for name, on_part, on_whole in zip(
+                            CLAUSE_NAMES, clauses(kind, part, tau), clauses(kind, p, tau)):
+                        assert on_whole or not on_part, (kind, name, p, part, tau)
+                    fired = warn_clauses(d, part)
+                    if fired is not None:
+                        whole = warn_clauses(d, p)
+                        assert whole is not None, (kind, p, part, tau)
+                        assert CLAUSE_NAMES.index(whole) <= CLAUSE_NAMES.index(fired)
 
     def test_a_settled_clause_is_the_warning_of_every_completion(self, rng):
         """`settled_clause` on a sub-multiset of the mutants (a plan's
@@ -221,9 +253,9 @@ class TestQuantifiers:
                 for kind in ("doma", "c2", "pgpp", "hicert"):
                     d = make_defender(DefenderSpec(kind, tau))
                     settled = d.settled_clause(p.base.label, part.mutants)
-                    assert settled == (first if d.warn_clauses(part) == first else None)
+                    assert settled == (first if warn_clauses(d, part) == first else None)
                     if settled is not None:
-                        assert d.warn_clauses(p) == settled, (kind, p, part, tau)
+                        assert warn_clauses(d, p) == settled, (kind, p, part, tau)
 
 
 class TestDefenderSpec:
@@ -269,19 +301,19 @@ class TestDefender:
     def test_warn_clauses_for_plain_warners(self):
         d = make_defender(DefenderSpec("doma"))
         p = profile((0, 0.7), [(3, 0.9)])
-        assert d.warn_clauses(p) == "label_difference"
+        assert warn_clauses(d, p) == "label_difference"
 
     def test_warn_clauses_for_hicert(self):
         d = make_defender(DefenderSpec("hicert", 0.5))
         p = profile((0, 0.7), [(0, 0.3)])
-        assert d.warn_clauses(p) == "low_confidence"
+        assert warn_clauses(d, p) == "low_confidence"
 
     def test_warn_clauses_names_the_first_clause_that_fires(self):
         d = make_defender(DefenderSpec("hicert", 0.95))
         p = profile((0, 0.7), [(0, 0.9), (3, 0.6)])
         assert clauses("hicert", p, 0.95) == (True, True)
-        assert d.warn_clauses(p) == "label_difference"
-        assert d.warn_clauses(profile((0, 0.7), [(0, 0.99)])) is None
+        assert warn_clauses(d, p) == "label_difference"
+        assert warn_clauses(d, profile((0, 0.7), [(0, 0.99)])) is None
 
     def test_warn_clauses_read_the_mutants_only_as_far_as_they_must(self):
         """Each clause stops at the mutant that settles it; the
@@ -300,7 +332,7 @@ class TestDefender:
         def reads(spec, base, mutants):
             p = profile(base, mutants)
             lazy = Reads(p.mutants)
-            clause = make_defender(spec).warn_clauses(p._replace(mutants=lazy))
+            clause = make_defender(spec).warn_clauses(p.base.label, lazy)
             return clause, lazy.reads
 
         hicert = DefenderSpec("hicert", 0.5)
@@ -325,7 +357,7 @@ class TestDefender:
                 for kind in naive.WARN_PARTS:
                     d = make_defender(DefenderSpec(kind, tau))
                     want = naive.first_clause(kind, p, tau)
-                    assert d.warn_clauses(p) == want, (kind, p, tau)
+                    assert warn_clauses(d, p) == want, (kind, p, tau)
                     assert d.warn(p) == (want is not None)
                     assert clauses(kind, p, tau) == naive.WARN_PARTS[kind](p, tau)
 
@@ -337,6 +369,32 @@ class TestDefender:
             for tau in reference_taus(rng, p):
                 for kind, rule in naive.CERTIFY.items():
                     assert certify(kind, p, y, tau) == rule(p, y, tau), (kind, p, y, tau)
+
+    @pytest.mark.parametrize("kind, slot, rule", NON_STRICT.values(), ids=NON_STRICT)
+    def test_a_non_strict_comparison_differs_from_the_rule(self, monkeypatch, rng,
+                                                           kind, slot, rule):
+        """Negative controls: each comparison with tau in `_FAMILIES`,
+        made non-strict in turn, disagrees with the paper-form reference
+        on the profiles and taus above, where a held confidence makes a
+        tie."""
+        family = _FAMILIES[kind]
+        if slot == "certify":
+            planted = family._replace(certify=rule)
+        else:
+            warners = list(family.warn_clauses)
+            warners[slot] = rule
+            planted = family._replace(warn_clauses=tuple(warners))
+        monkeypatch.setitem(_FAMILIES, kind, planted)
+        mismatches = 0
+        for _ in range(300):
+            p = random_profile(rng)
+            y = rng.randrange(5)
+            for tau in reference_taus(rng, p):
+                d = make_defender(DefenderSpec(kind, tau))
+                mismatches += certify(kind, p, y, tau) != naive.CERTIFY[kind](p, y, tau)
+                if d.has_warn:
+                    mismatches += warn_clauses(d, p) != naive.first_clause(kind, p, tau)
+        assert mismatches > 0
 
     def test_defender_pickles(self):
         d = Defender(DefenderSpec("hicert", 0.8), DefenderSpec("doma"))
