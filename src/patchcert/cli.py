@@ -406,6 +406,9 @@ def cmd_verify(args) -> int:
     if args.defender_override:
         _refuse_given(args, ("defender", "tau"), "--defender-override replaces")
         defender = _parse_override(args.defender_override)
+    elif (args.tau is None and DefenderSpec(args.defender).uses_tau
+          and not args.fixture and CHECK_DEF1 not in _parse_checks(args.checks)):
+        defender = None  # no check reads it, so its missing --tau is no error
     else:
         taus = _taus(args.defender, args.tau)
         if len(taus) != 1:
@@ -439,7 +442,7 @@ def cmd_verify(args) -> int:
     )
     t0 = time.perf_counter()
     run = run_soundness(
-        classifier, records, mask_set, [defender], cfg,
+        classifier, records, mask_set, [defender] if defender else [], cfg,
         checks=checks, workers=args.workers,
     )
     elapsed = time.perf_counter() - t0
@@ -450,7 +453,7 @@ def cmd_verify(args) -> int:
         "dataset": args.dataset,
         "masks": args.masks,
         "classifier": _classifier_doc(args),
-        "defender": {"name": defender.name},
+        "defender": {"name": defender.name} if defender else None,
         "attack": {
             "patch_spec": spec.to_dict(),
             "mode": cfg.mode,

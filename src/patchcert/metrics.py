@@ -1,9 +1,10 @@
 """Outcome counting and evaluation metrics.
 
-Every metric is kept as an explicit numerator/denominator pair and all
-identity checks run in exact rational arithmetic; floats appear only
-when a report is rendered. A metric whose denominator is empty is
-undefined and says why, rather than pretending to be zero.
+Each metric is one row of `_METRICS`: the records it counts and the
+records it counts among. It is kept as that exact numerator/denominator
+pair, and all identity checks run in exact rational arithmetic; floats
+appear only when a report is rendered. A metric whose denominator is
+empty is undefined and says why, rather than pretending to be zero.
 """
 
 from __future__ import annotations
@@ -24,15 +25,29 @@ __all__ = [
     "METRIC_NAMES",
 ]
 
-METRIC_NAMES = (
-    "acc_clean",
-    "acc_cert",
-    "r_cert",
-    "r_cert_inc",
-    "acc_silent",
-    "r_fa",
-    "r_fs",
-)
+
+def _every(record) -> bool:
+    return True
+
+
+# In report order, name: (what it counts, among which records, why it is
+# undefined when none is among, whether it reads the warning). A sample is
+# consistent when DOMA certifies it.
+_METRICS = {
+    "acc_clean": (lambda r: r.correct, _every, None, False),
+    "acc_cert": (lambda r: r.correct and r.verdict.certified, _every, None, False),
+    "r_cert": (lambda r: r.verdict.certified, _every, None, False),
+    "r_cert_inc": (lambda r: r.verdict.certified, lambda r: not r.consistent,
+                   "no sample has a disagreeing mutant", False),
+    "acc_silent": (lambda r: r.correct, lambda r: not r.verdict.warned,
+                   "every sample was warned", True),
+    "r_fa": (lambda r: r.verdict.warned, lambda r: r.correct,
+             "no sample was predicted correctly", True),
+    "r_fs": (lambda r: not r.verdict.warned, lambda r: not r.correct,
+             "every sample was predicted correctly", True),
+}
+
+METRIC_NAMES = tuple(_METRICS)
 
 
 @dataclass(frozen=True)
@@ -131,12 +146,6 @@ def case_histogram(records: Sequence[EvalRecord]) -> dict[int, int]:
     return counts
 
 
-def _ratio(num: int, den: int, reason_if_empty: str) -> MetricValue:
-    if den == 0:
-        return MetricValue(0, 0, reason_if_empty)
-    return MetricValue(num, den)
-
-
 def _check_identities(report: MetricsReport) -> None:
     """Cross-check the metrics against each other and against the case
     histogram, exactly."""
@@ -182,75 +191,27 @@ def _check_identities(report: MetricsReport) -> None:
 
 
 def compute_metrics(records: Sequence[EvalRecord]) -> MetricsReport:
-    """Aggregate evaluation records into the full metric set.
+    """Every `_METRICS` row applied to the records, plus the case histogram.
 
-    acc_clean   correct predictions over all samples
-    acc_cert    correct and certified over all samples (warned or not)
-    r_cert      certified over all samples
-    r_cert_inc  certified among samples with a disagreeing mutant
-    acc_silent  correct among samples that drew no warning
-    r_fa        warned among correctly predicted samples
-    r_fs        silent among incorrectly predicted samples
-    """
+    Without a warning rule, the rows that read the warning are undefined
+    and the histogram, which needs all three coordinates, is None."""
     records = list(records)
     if not records:
         raise InvalidInputError("cannot compute metrics over zero records")
-    n = len(records)
     has_warn = all(r.verdict.warned is not None for r in records)
     if not has_warn and any(r.verdict.warned is not None for r in records):
-        raise InvalidInputError(
-            "records mix warned and warning-free defenders"
-        )
-
-    correct = sum(1 for r in records if r.correct)
-    certified = sum(1 for r in records if r.verdict.certified)
-    cert_correct = sum(
-        1 for r in records if r.verdict.certified and r.correct
-    )
-    inconsistent = sum(1 for r in records if not r.consistent)
-    cert_inconsistent = sum(
-        1 for r in records if r.verdict.certified and not r.consistent
-    )
-
-    acc_clean = MetricValue(correct, n)
-    acc_cert = MetricValue(cert_correct, n)
-    r_cert = MetricValue(certified, n)
-    r_cert_inc = _ratio(
-        cert_inconsistent, inconsistent, "no sample has a disagreeing mutant"
-    )
-
-    if has_warn:
-        unwarned = sum(1 for r in records if not r.verdict.warned)
-        silent_correct = sum(
-            1 for r in records if not r.verdict.warned and r.correct
-        )
-        warned_correct = sum(
-            1 for r in records if r.verdict.warned and r.correct
-        )
-        silent_wrong = sum(
-            1 for r in records if not r.verdict.warned and not r.correct
-        )
-        acc_silent = _ratio(silent_correct, unwarned, "every sample was warned")
-        r_fa = _ratio(warned_correct, correct, "no sample was predicted correctly")
-        r_fs = _ratio(silent_wrong, n - correct, "every sample was predicted correctly")
-        cases = case_histogram(records)
-    else:
-        reason = "defender defines no warning rule"
-        acc_silent = MetricValue(0, 0, reason)
-        r_fa = MetricValue(0, 0, reason)
-        r_fs = MetricValue(0, 0, reason)
-        cases = None
-
+        raise InvalidInputError("records mix warned and warning-free defenders")
+    values = {}
+    for name, (counts, among, why, reads_warning) in _METRICS.items():
+        if reads_warning and not has_warn:
+            values[name] = MetricValue(0, 0, "defender defines no warning rule")
+            continue
+        pool = list(filter(among, records))
+        values[name] = MetricValue(sum(map(counts, pool)), len(pool), None if pool else why)
     report = MetricsReport(
-        total=n,
-        acc_clean=acc_clean,
-        acc_cert=acc_cert,
-        r_cert=r_cert,
-        r_cert_inc=r_cert_inc,
-        acc_silent=acc_silent,
-        r_fa=r_fa,
-        r_fs=r_fs,
-        case_counts=cases,
+        total=len(records),
+        case_counts=case_histogram(records) if has_warn else None,
+        **values,
     )
     _check_identities(report)
     return report

@@ -9,6 +9,7 @@ here mutates its inputs.
 
 from __future__ import annotations
 
+import array
 import bisect
 import itertools
 import math
@@ -199,11 +200,12 @@ def _draw_content(rng: random.Random, a: int, n: int) -> tuple[int, ...]:
     if shift < 0:
         return tuple(rng.randrange(a) for _ in range(n))
     kept = partial(operator.gt, a << shift)
-    values: list[int] = []
+    # 4-byte words, half the size of the tuple built from them.
+    values = array.array("I")
     while len(values) < n:
         m = min(n - len(values), 4096)  # bounds the word ints held at once
         words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
-        values += map(operator.rshift, filter(kept, words), itertools.repeat(shift))
+        values.extend(map(operator.rshift, filter(kept, words), itertools.repeat(shift)))
     return tuple(values)
 
 

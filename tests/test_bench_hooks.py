@@ -58,7 +58,8 @@ def test_a_traced_session_runs_and_counts_each_image_built(tmp_path):
     The defender layer stays on that path too: `evaluate` certifies each
     sample twice (its consistency and the defender) and warns once,
     `verify` certifies once, and the scan's warnings reach
-    `Defender.warn_clauses` under `run_soundness`."""
+    `Defender.warn_clauses` under `run_soundness`. So does the metrics
+    layer: `evaluate` and `report` each compute one report, `verify` none."""
     inputs = ["--dataset", "data.jsonl", "--masks", "masks.json",
               "--classifier", "hash", "--num-labels", "2", "--tau", "0.8"]
     commands = [
@@ -68,6 +69,8 @@ def test_a_traced_session_runs_and_counts_each_image_built(tmp_path):
          "--num-labels", "2", "--out", "data.jsonl"],
         ["evaluate", *inputs, "--out-dir", "eval"],
         ["verify", *inputs, "--checks", "def1,thm1", "--out", "verify.json"],
+        ["report", "--records", "eval/records_hicert_tau0.8.jsonl",
+         "--out", "report.json"],
     ]
     (tmp_path / "commands.json").write_text(json.dumps(commands))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -77,7 +80,8 @@ def test_a_traced_session_runs_and_counts_each_image_built(tmp_path):
     )
     runs = json.loads((tmp_path / "trace.json").read_text())["commands"]
     assert [(run["command"], run["rc"]) for run in runs] == [
-        ("maskgen", 0), ("gen-data", 0), ("evaluate", 0), ("verify", 0)]
+        ("maskgen", 0), ("gen-data", 0), ("evaluate", 0), ("verify", 0),
+        ("report", 0)]
     built = {
         run["command"]: sum(calls for name, _, calls, _, _ in run["spans"]
                             if name == "tensor.Image.__post_init__")
@@ -87,12 +91,16 @@ def test_a_traced_session_runs_and_counts_each_image_built(tmp_path):
         "gen-data": 6, "evaluate": 6, "verify": 6}
     spans = {run["command"]: run["spans"] for run in runs}
 
-    def calls(command, method, parent=None):
+    def calls(command, span, parent=None):
         return sum(n for name, at, n, _, _ in spans[command]
-                   if name == f"defenders.Defender.{method}" and parent in (None, at))
+                   if name == span and parent in (None, at))
 
-    assert {method: calls("evaluate", method)
+    assert {method: calls("evaluate", f"defenders.Defender.{method}")
             for method in ("certify", "verdict", "warn", "warn_clauses")} == {
         "certify": 12, "verdict": 6, "warn": 6, "warn_clauses": 6}
-    assert calls("verify", "certify") == 6
-    assert calls("verify", "warn_clauses", parent="oracle.run_soundness") > 0
+    assert calls("verify", "defenders.Defender.certify") == 6
+    assert calls("verify", "defenders.Defender.warn_clauses",
+                 parent="oracle.run_soundness") > 0
+    assert {command: calls(command, "metrics.compute_metrics")
+            for command in ("evaluate", "report", "verify")} == {
+        "evaluate": 1, "report": 1, "verify": 0}

@@ -679,6 +679,31 @@ class TestVerify:
         assert doc["reports"]["def1"]["violations"] == []
         assert doc["reports"]["thm1"]["thm1_violations"] == []
 
+    @pytest.mark.parametrize("defender", ["hicert", "hicert_flip"])
+    def test_thm1_alone_needs_no_tau(self, capsys, workspace, tmp_path, defender):
+        """`thm1` reads no defender, so a threshold family needs no --tau:
+        the run scans no defender and its report names none, and it prints
+        what a run with --tau prints. A --tau the family cannot take is
+        still refused."""
+        common = (
+            "verify", "--dataset", str(workspace / "data.jsonl"),
+            "--masks", str(workspace / "masks.json"),
+            "--num-labels", "5", "--seed", "7", "--checks", "thm1",
+        )
+        inputs = (*common, "--defender", defender)
+        plain, with_tau = tmp_path / "plain.json", tmp_path / "tau.json"
+        code, stdout, err = run(capsys, *inputs, "--out", str(plain))
+        assert (code, err) == (EXIT_OK, "")
+        assert run(capsys, *inputs, "--tau", "0.8", "--out", str(with_tau)) == (
+            EXIT_OK, stdout, "")
+        doc, tau_doc = json.loads(plain.read_text()), json.loads(with_tau.read_text())
+        assert doc["config"]["defender"] is None
+        tau_doc["config"]["defender"] = None
+        assert doc == tau_doc
+        code, stdout, err = run(capsys, *common, "--defender", "doma", "--tau", "0.5")
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert "--defender doma takes no --tau" in err
+
     def test_random_mode_writes_a_report(self, capsys, workspace, tmp_path):
         out = tmp_path / "soundness.json"
         code, _, _ = run(

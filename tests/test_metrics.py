@@ -1,4 +1,5 @@
 """Evaluation metrics over per-sample outcome records."""
+import collections
 import dataclasses
 import json
 import pathlib
@@ -21,6 +22,9 @@ from patchcert.metrics import (
 )
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+Draw = collections.namedtuple("Draw", "correct certified warned consistent")
 
 
 def record(sid, correct, certified, warned, consistent):
@@ -157,16 +161,16 @@ class TestStructuralIdentities:
         rng = random.Random(2024)
         for trial in range(200):
             n = rng.randint(1, 30)
-            records = [
-                record(
-                    f"s{i}",
+            draws = [
+                Draw(
                     correct=rng.random() < 0.6,
                     certified=rng.random() < 0.5,
                     warned=rng.random() < 0.4,
                     consistent=rng.random() < 0.5,
                 )
-                for i in range(n)
+                for _ in range(n)
             ]
+            records = [record(f"s{i}", *d) for i, d in enumerate(draws)]
             # compute_metrics re-derives every identity internally and
             # raises if one fails; recompute the headline ones here so a
             # silent identity-check regression cannot pass unnoticed
@@ -187,6 +191,25 @@ class TestStructuralIdentities:
                 assert report.r_fs.value == Fraction(
                     cases[6] + cases[8], cases[5] + cases[6] + cases[7] + cases[8]
                 )
+
+            # Each metric counted straight off the draws, not the records.
+            def count(counted, among=lambda d: True):
+                pool = [d for d in draws if among(d)]
+                return sum(1 for d in pool if counted(d)), len(pool)
+
+            straight = {
+                "acc_clean": count(lambda d: d.correct),
+                "acc_cert": count(lambda d: d.correct and d.certified),
+                "r_cert": count(lambda d: d.certified),
+                "r_cert_inc": count(lambda d: d.certified, lambda d: not d.consistent),
+                "acc_silent": count(lambda d: d.correct, lambda d: not d.warned),
+                "r_fa": count(lambda d: d.warned, lambda d: d.correct),
+                "r_fs": count(lambda d: not d.warned, lambda d: not d.correct),
+            }
+            assert list(straight) == list(METRIC_NAMES)
+            for name, want in straight.items():
+                got = report.metric(name)
+                assert (got.numerator, got.denominator) == want, (trial, name)
 
     def test_histogram_covers_all_cases(self):
         counts = case_histogram(four_record_fixture())
@@ -238,3 +261,11 @@ class TestMetricValue:
     def test_empty_record_list_rejected(self):
         with pytest.raises(InvalidInputError):
             compute_metrics([])
+
+
+def test_the_readme_table_lists_every_metric_in_report_order():
+    """README's "Metrics" table documents `_METRICS`, one row per metric."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n### Metrics\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\|", section, flags=re.MULTILINE)
+    assert tuple(rows) == METRIC_NAMES

@@ -12,6 +12,7 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
 import time
 import tracemalloc
 
@@ -392,6 +393,19 @@ class TestContentDraw:
             want = tuple(loop.randrange(alphabet) for _ in range(n))
             assert tensor._draw_content(batched, alphabet, n) == want, n
             assert batched.getstate() == loop.getstate(), n
+
+    def test_a_paper_scale_draw_holds_little_more_than_its_result(self):
+        """One 224x224x3 image of values: the draw holds them as 4-byte
+        words beside the tuple, not as a list of pointers as large as
+        the tuple itself."""
+        tracemalloc.start()
+        try:
+            values = tensor._draw_content(random.Random(3), 256, 224 * 224 * 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(values) is tuple and len(values) == 224 * 224 * 3
+        assert peak < 1.75 * sys.getsizeof(values)
 
 
 class TestAttackConfig:
