@@ -8,7 +8,8 @@ The same image always yields the same prediction, on any platform.
 Every pixel backend implements `_predict_packed(data, bytes_per_pixel)`:
 it classifies bytes-like `data` in the encoding of `Image.packed` and
 returns a `Prediction`. `classify(image)` returns that same value, and
-`_predict_packed` is the reference for everything below.
+`_predict_packed` is the reference for everything below. The linear
+one is a fresh scorer's prediction: only `_scorer` computes logits.
 
 Mutants and variants are classified through scorers instead.
 `_scorer(data, bytes_per_pixel)` returns a scorer of those bytes:
@@ -16,10 +17,12 @@ Mutants and variants are classified through scorers instead.
 of `tensor.apply_mask`'s mutant, the bytes with the mask zeroed as
 `tensor.zero_masked` zeroes them, and `at(positions)` returns
 `score(values)`, the prediction of the bytes with `values` written at
-the flat pixel `positions`. A mutant differs from its sample only under
-the mask, and a variant only under the patch, so the linear backend
-updates its integer logits at those pixels alone; the hash backend
-digests a patched copy. No `Image` is built per mutant or per variant.
+the flat pixel `positions`; on a masked scorer, positions its mask
+leaves (`oracle._PlacementPlan.survivors`). A mutant differs from its
+sample only under the mask, and a variant only under the patch, so the
+linear backend updates its integer logits at those pixels alone; the
+hash backend digests a patched copy. No `Image` is built per mutant or
+per variant.
 
 `label_at(positions)` is `at`'s label-only sibling: its `score(values)`
 returns `at(positions)(values).label` and computes no confidence. The
@@ -45,7 +48,7 @@ from .cover import MaskSet
 from .defenders import MutantProfile, Prediction
 from .errors import InvalidInputError, TableLookupError
 from .tensor import (
-    Image, Mask, _draw_content, _span_at, check_mask_plane,
+    Image, Mask, _draw_content, check_mask_plane,
     unpack_pixels, write_packed, zero_masked,
 )
 
@@ -239,9 +242,7 @@ class LinearClassifier:
         return self._predict_packed(image.packed, image.bytes_per_pixel)
 
     def _predict_packed(self, data: bytes, bytes_per_pixel: int) -> Prediction:
-        pixels = unpack_pixels(data, bytes_per_pixel)
-        rows = self._weight_rows(len(pixels))
-        return self._prediction([sum(map(mul, row, pixels)) for row in rows])
+        return self._scorer(data, bytes_per_pixel).prediction()
 
     def _prediction(self, logits: Sequence[int]) -> Prediction:
         """The label and softmax confidence of exact integer logits."""
@@ -258,26 +259,25 @@ class LinearClassifier:
         pixels = unpack_pixels(data, bytes_per_pixel)
         rows = self._weight_rows(len(pixels))
         logits = [sum(map(mul, row, pixels)) for row in rows]
-        return _LinearScorer(self, rows, pixels, (), logits)
+        return _LinearScorer(self, rows, pixels, logits)
 
 
 class _LinearScorer:
-    """Exact integer logits of some pixels with the `spans` zeroed.
+    """Exact integer logits of some pixels, less one mask's terms if masked.
 
-    `pixels` are the unmasked values, shared by masked scorers. `logits`
-    leave out the zeroed spans' terms, and a score adds `w * (v - old)`
-    at each written position, so the float confidence comes from the
-    same integers `_predict_packed` computes. Only an image's unmasked
-    scorer may be masked: `masked` subtracts one mask's terms from it.
+    `pixels` are the unmasked values, shared by masked scorers. A score
+    adds `w * (v - old)` at each written position, with `old` read from
+    `pixels`, so a masked scorer is written only where its mask leaves.
+    Only an image's unmasked scorer may be masked: `masked` subtracts
+    one mask's terms from it.
     """
 
-    __slots__ = ("classifier", "rows", "pixels", "spans", "logits")
+    __slots__ = ("classifier", "rows", "pixels", "logits")
 
-    def __init__(self, classifier: LinearClassifier, rows, pixels, spans, logits):
+    def __init__(self, classifier: LinearClassifier, rows, pixels, logits):
         self.classifier = classifier
         self.rows = rows
         self.pixels = pixels
-        self.spans = spans
         self.logits = logits
 
     def prediction(self) -> Prediction:
@@ -285,15 +285,14 @@ class _LinearScorer:
 
     def masked(self, mask: Mask, channels: int) -> "_LinearScorer":
         pixels = self.pixels
-        spans = tuple((a * channels, b * channels) for a, b in mask.spans)
         # One C-level pass per label over the zeroed spans' terms.
-        slices = [slice(a, b) for a, b in spans]
+        slices = [slice(a * channels, b * channels) for a, b in mask.spans]
         hidden = list(chain.from_iterable(map(pixels.__getitem__, slices)))
         logits = [
             total - sum(map(mul, chain.from_iterable(map(row.__getitem__, slices)), hidden))
             for total, row in zip(self.logits, self.rows)
         ]
-        return _LinearScorer(self.classifier, self.rows, pixels, spans, logits)
+        return _LinearScorer(self.classifier, self.rows, pixels, logits)
 
     def at(self, positions: Sequence[int]):
         return self._written(positions, self.classifier._prediction)
@@ -302,8 +301,8 @@ class _LinearScorer:
         return self._written(positions, _top_label)
 
     def _written(self, positions: Sequence[int], read):
-        pixels, spans, logits = self.pixels, self.spans, self.logits
-        olds = [0 if _span_at(spans, p) else pixels[p] for p in positions]
+        pixels, logits = self.pixels, self.logits
+        olds = [pixels[p] for p in positions]
         columns = [[row[p] for p in positions] for row in self.rows]
 
         def score(values: Sequence[int]):

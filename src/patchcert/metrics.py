@@ -26,17 +26,13 @@ __all__ = [
 ]
 
 
-def _every(record) -> bool:
-    return True
-
-
-# In report order, name: (what it counts, among which records, why it is
-# undefined when none is among, whether it reads the warning). A sample is
-# consistent when DOMA certifies it.
+# In report order, name: (what it counts, among which records or None for
+# all, why it is undefined when none is among, whether it reads the
+# warning). A sample is consistent when DOMA certifies it.
 _METRICS = {
-    "acc_clean": (lambda r: r.correct, _every, None, False),
-    "acc_cert": (lambda r: r.correct and r.verdict.certified, _every, None, False),
-    "r_cert": (lambda r: r.verdict.certified, _every, None, False),
+    "acc_clean": (lambda r: r.correct, None, None, False),
+    "acc_cert": (lambda r: r.correct and r.verdict.certified, None, None, False),
+    "r_cert": (lambda r: r.verdict.certified, None, None, False),
     "r_cert_inc": (lambda r: r.verdict.certified, lambda r: not r.consistent,
                    "no sample has a disagreeing mutant", False),
     "acc_silent": (lambda r: r.correct, lambda r: not r.verdict.warned,
@@ -105,31 +101,26 @@ class MetricValue:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """All seven evaluation metrics plus the eight-way case histogram.
+    """The seven evaluation metrics by name, in `METRIC_NAMES` order, plus
+    the eight-way case histogram.
 
     `case_counts` is None when the defender had no warning rule, since
     the cases need all three coordinates.
     """
 
     total: int
-    acc_clean: MetricValue
-    acc_cert: MetricValue
-    r_cert: MetricValue
-    r_cert_inc: MetricValue
-    acc_silent: MetricValue
-    r_fa: MetricValue
-    r_fs: MetricValue
+    metrics: dict[str, MetricValue]
     case_counts: dict[int, int] | None
 
     def metric(self, name: str) -> MetricValue:
         if name not in METRIC_NAMES:
             raise InvalidInputError(f"unknown metric {name!r}")
-        return getattr(self, name)
+        return self.metrics[name]
 
     def to_dict(self) -> dict:
         out = {
             "total": self.total,
-            "metrics": {n: self.metric(n).to_dict() for n in METRIC_NAMES},
+            "metrics": {n: v.to_dict() for n, v in self.metrics.items()},
         }
         if self.case_counts is None:
             out["cases"] = None
@@ -149,7 +140,8 @@ def case_histogram(records: Sequence[EvalRecord]) -> dict[int, int]:
 def _check_identities(report: MetricsReport) -> None:
     """Cross-check the metrics against each other and against the case
     histogram, exactly."""
-    if report.acc_cert.value > min(report.acc_clean.value, report.r_cert.value):
+    value = {n: v.value for n, v in report.metrics.items()}
+    if value["acc_cert"] > min(value["acc_clean"], value["r_cert"]):
         raise InvariantViolationError(
             "acc_cert cannot exceed acc_clean or r_cert"
         )
@@ -162,28 +154,27 @@ def _check_identities(report: MetricsReport) -> None:
 
     p = {k: Fraction(cases[k], n) for k in cases}
     checks = [
-        ("acc_cert = case1 + case2", report.acc_cert.value, p[1] + p[2]),
+        ("acc_cert = case1 + case2", value["acc_cert"], p[1] + p[2]),
         (
             "r_cert = case1 + case2 + case5 + case6",
-            report.r_cert.value,
+            value["r_cert"],
             p[1] + p[2] + p[5] + p[6],
         ),
         (
             "acc_clean = case1 + case2 + case3 + case4",
-            report.acc_clean.value,
+            value["acc_clean"],
             p[1] + p[2] + p[3] + p[4],
         ),
     ]
-    acc_clean = report.acc_clean.value
-    if report.r_fa.defined:
+    if value["r_fa"] is not None:
         checks.append(
-            ("r_fa = (case1 + case3) / acc_clean", report.r_fa.value,
-             (p[1] + p[3]) / acc_clean)
+            ("r_fa = (case1 + case3) / acc_clean", value["r_fa"],
+             (p[1] + p[3]) / value["acc_clean"])
         )
-    if report.r_fs.defined:
+    if value["r_fs"] is not None:
         checks.append(
-            ("r_fs = (case6 + case8) / (1 - acc_clean)", report.r_fs.value,
-             (p[6] + p[8]) / (1 - acc_clean))
+            ("r_fs = (case6 + case8) / (1 - acc_clean)", value["r_fs"],
+             (p[6] + p[8]) / (1 - value["acc_clean"]))
         )
     for label, got, want in checks:
         if got != want:
@@ -206,12 +197,10 @@ def compute_metrics(records: Sequence[EvalRecord]) -> MetricsReport:
         if reads_warning and not has_warn:
             values[name] = MetricValue(0, 0, "defender defines no warning rule")
             continue
-        pool = list(filter(among, records))
+        pool = records if among is None else list(filter(among, records))
         values[name] = MetricValue(sum(map(counts, pool)), len(pool), None if pool else why)
     report = MetricsReport(
-        total=len(records),
-        case_counts=case_histogram(records) if has_warn else None,
-        **values,
+        len(records), values, case_histogram(records) if has_warn else None
     )
     _check_identities(report)
     return report

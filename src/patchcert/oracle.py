@@ -309,25 +309,25 @@ class _PlacementPlan:
     masks that hide the placement: those whose `Mask.cells` hold every
     cell of the placement's (`tensor._rect_cells`); `tensor.mask_covers`
     is the reference for this test. `covered` holds their benign
-    mutants, which are every variant's mutants under those masks;
-    `erasure_check` tests that shortcut by zeroing those masks' spans
-    over the patch positions (`survivors`). `uncovered` lists
-    the other masks in mask order. A variant's mutant under such a mask
-    i is mask i's mutant with the content written back at the patch
-    positions that survive the mask, so `scorers[i]`, the scorer of mask
-    i's mutant (`classifiers._mutant_scorers`), classifies it at those
-    positions. `surviving[i]` holds the content indices that zeroing
-    mask i's spans leaves (`survivors`) and that scorer at their positions.
-    Both are built the first time a variant's mutant walk reaches mask
-    i, so a plan that only `thm1` reads, or whose harmful variants the
-    covering mutants settle, builds none. `mutants` memoizes the group's
-    other mutant predictions; with the placement fixed, a mutant's
-    pixels depend only on the mask and the content values that survive
-    it, and the memo holds real classifier outputs on real mutants.
-    `settled` memoizes, per harmful variant label, each warn-checked
-    defender's `Defender.settled_clause` on `covered`: with the
-    placement fixed, that answer depends on the defender and the label
-    alone.
+    mutants, which are every variant's mutants under those masks.
+    `uncovered` lists the other masks in mask order. `survivors(mask)`
+    alone decides which patch bytes a mask erases: it keeps the content
+    indices whose positions zeroing the mask leaves. `erasure_check`
+    tests the covering shortcut with it, and a variant's mutant under an
+    uncovered mask i is mask i's mutant with the content written back at
+    mask i's survivors. So `scorers[i]`, the scorer of mask i's mutant
+    (`classifiers._mutant_scorers`), classifies it there and is never
+    written under its mask. `surviving[i]` holds mask i's survivors and
+    that scorer at their positions, built the first time a variant's
+    mutant walk reaches mask i, so a plan that only `thm1` reads, or
+    whose harmful variants the covering mutants settle, builds none.
+    `mutants` memoizes the group's other mutant predictions; with the
+    placement fixed, a mutant's pixels depend only on the mask and the
+    content values that survive it, and the memo holds real classifier
+    outputs on real mutants. `settled` memoizes, per harmful variant
+    label, each warn-checked defender's `Defender.settled_clause` on
+    `covered`: with the placement fixed, that answer depends on the
+    defender and the label alone.
     """
 
     __slots__ = (

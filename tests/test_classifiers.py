@@ -214,9 +214,19 @@ def scorer_backend(rng, seed, features):
     return LinearClassifier(seed, labels, weights, rng.choice((1.0, 3.7)))
 
 
+def left_by(mask, channels):
+    """The flat pixel positions `mask` leaves, in order, from its dense grid."""
+    return [(y * mask.plane_width + x) * channels + k
+            for y, row in enumerate(mask.to_matrix())
+            for x, hidden in enumerate(row) if not hidden
+            for k in range(channels)]
+
+
 class TestScorers:
     """Every scorer, bit for bit against `_predict_packed` on real bytes,
-    and its label-only path against that prediction's label."""
+    and its label-only path against that prediction's label. A masked
+    scorer is written only at positions its mask leaves, as the scan
+    writes one."""
 
     def check(self, clf, scorer, data, bpp, positions, values):
         buf = bytearray(data)
@@ -242,19 +252,17 @@ class TestScorers:
         masked_data = apply_mask(img, mask).packed
         assert masked.prediction() == clf._predict_packed(masked_data, bpp)
 
-        under = [p for p in range(n) if masked_data[p * bpp:(p + 1) * bpp] == bytes(bpp)
-                 and img.pixels[p]]
-        for scorer, data in ((base, img.packed), (masked, masked_data)):
+        left = left_by(mask, c)
+        for scorer, data, free in ((base, img.packed, range(n)), (masked, masked_data, left)):
             self.check(clf, scorer, data, bpp, [], [])
-            for k in (1, rng.randint(1, n), n):  # single, some, all
-                positions = rng.sample(range(n), k)
-                if under and scorer is not base:
-                    positions[0] = rng.choice(under)  # a position the mask zeroed
-                    positions = list(dict.fromkeys(positions))
+            if not free:
+                continue  # the mask hides the whole plane
+            for k in (1, rng.randint(1, len(free)), len(free)):  # single, some, all
+                positions = rng.sample(free, k)
                 values = [rng.randrange(alphabet) for _ in positions]
                 self.check(clf, scorer, data, bpp, positions, values)
             # A score closure is reusable: it keeps no state between calls.
-            positions = rng.sample(range(n), rng.randint(1, n))
+            positions = rng.sample(free, rng.randint(1, len(free)))
             score, label = scorer.at(positions), scorer.label_at(positions)
             for _ in range(3):
                 values = [rng.randrange(alphabet) for _ in positions]
@@ -275,7 +283,7 @@ class TestScorers:
         mask = Mask(2, 2, (Rect(0, 0, 1, 1),))
         masked = base.masked(mask, 1)
         for scorer, data in ((base, img.packed), (masked, apply_mask(img, mask).packed)):
-            for positions, values in (([], []), ([0, 3], [2, 1])):
+            for positions, values in (([], []), ([1, 3], [2, 1])):
                 self.check(clf, scorer, data, 1, positions, values)
                 assert scorer.label_at(positions)(values) == 1
 
@@ -297,7 +305,7 @@ class TestScorers:
                 data = apply_mask(img, mask).packed
                 masked = base.masked(mask, 2)
                 assert masked.prediction() == clf._predict_packed(data, 1)
-                positions = list(range(0, 72, 5))
+                positions = [p for p in left_by(mask, 2) if p % 5 == 0]
                 values = [rng.randrange(9) for _ in positions]
                 self.check(clf, masked, data, 1, positions, values)
 

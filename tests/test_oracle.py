@@ -2,7 +2,7 @@
 
 `TestEngineAgainstNaive` compares whole `run_soundness` results with the
 one test-side reference, `naive.soundness`, on configurations drawn from
-listed seeds (`-k seed-7` reruns one), and checks that eight planted
+listed seeds (`-k seed-7` reruns one), and checks that nine planted
 faults in the scan break that equality. The other classes pin variant
 counting, the budget guard, enumeration order, the placement plan,
 classifier call counts and the profile-fixture check.
@@ -475,6 +475,43 @@ class CountingScorer:
         return counted
 
 
+class WriteSetClassifier:
+    """Delegates `_scorer` to `inner` and logs each write the scan asks of
+    a masked scorer: the mask, the channels and the positions of every
+    `at`, and the count of `label_at` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.masked_writes = []
+        self.masked_label_reads = 0
+
+    def _scorer(self, data, bytes_per_pixel):
+        return WriteSetScorer(self, self.inner._scorer(data, bytes_per_pixel), None)
+
+
+class WriteSetScorer:
+    def __init__(self, log, inner, mask):
+        self.log = log
+        self.inner = inner
+        self.mask = mask  # (mask, channels) of a masked scorer, else None
+
+    def prediction(self):
+        return self.inner.prediction()
+
+    def masked(self, mask, channels):
+        return WriteSetScorer(self.log, self.inner.masked(mask, channels), (mask, channels))
+
+    def at(self, positions):
+        if self.mask is not None:
+            self.log.masked_writes.append((*self.mask, list(positions)))
+        return self.inner.at(positions)
+
+    def label_at(self, positions):
+        if self.mask is not None:
+            self.log.masked_label_reads += 1
+        return self.inner.label_at(positions)
+
+
 def leaky_zero_masked(data, mask, channels, bytes_per_pixel):
     """`zero_masked` that keeps the first byte of the mask's first rect."""
     r = mask.rects[0]
@@ -610,6 +647,21 @@ def first_rect_cover(monkeypatch):
                         lambda placement, width: cells(placement[:1], width))
 
 
+def whole_patch_projection(monkeypatch):
+    """A mutant walk that writes the whole patch into mask i's scorer: its
+    projection is every content index, not the ones the mask leaves."""
+
+    def mutant(self, i, content):
+        if self.surviving[i] is None:
+            self.surviving[i] = self.scorers[i].at(self.positions)
+        key = (i, tuple(content))
+        if key not in self.mutants:
+            self.mutants[key] = self.surviving[i](key[1])
+        return self.mutants[key]
+
+    monkeypatch.setattr(oracle._PlacementPlan, "mutant", mutant)
+
+
 def one_mutant_memo(monkeypatch):
     init, memo = oracle._PlacementPlan.__init__, {}
 
@@ -646,14 +698,33 @@ class TestEngineAgainstNaive:
         (label_blind_settle_memo, (12, 17)),
         (modulo_draw, (0, 14)),
         (first_rect_cover, (3, 13)),
+        (whole_patch_projection, (4, 12)),
     ], ids=["covering-walk-only", "first-clause-only", "leaky-masking", "one-mutant-memo",
             "any-covered-clause", "label-blind-settle-memo", "modulo-draw",
-            "first-rect-cover"])
+            "first-rect-cover", "whole-patch-projection"])
     def test_a_broken_scan_differs_from_the_reference(self, monkeypatch, mutate, seeds):
         # The reference draws through the package too, so it comes first.
         want = [reference(s)[0] for s in seeds]
         mutate(monkeypatch)
         assert any(whole(run_soundness(*drawn(s))) != w for s, w in zip(seeds, want))
+
+    def test_a_masked_scorer_is_written_only_where_its_mask_leaves(self):
+        """The scan writes a masked scorer only at positions its mask
+        leaves (`Mask.to_matrix` is the reference), and reads labels
+        alone only off unmasked scorers; the result is the reference's."""
+        writes = 0
+        for seed in SEEDS:
+            clf, *rest = drawn(seed)
+            log = WriteSetClassifier(clf)
+            assert whole(run_soundness(log, *rest)) == reference(seed)[0]
+            assert log.masked_label_reads == 0
+            for mask, channels, positions in log.masked_writes:
+                grid = mask.to_matrix()
+                w = mask.plane_width
+                assert not any(grid[p // channels // w][p // channels % w]
+                               for p in positions), seed
+                writes += len(positions)
+        assert writes > 0
 
     def test_content_values_of_256_or_more_match_the_reference(self):
         """Contents drawn from a whole 300- or 70,000-value alphabet: some
